@@ -9,13 +9,10 @@
 use mrmc_bench::harness::Criterion;
 use mrmc_bench::tables::{thesis_lambda, tmr_dependability_sets};
 use mrmc_bench::{criterion_group, criterion_main};
-use mrmc_models::queue::{queue, QueueConfig};
 use mrmc_models::tmr::{tmr, TmrConfig};
 use mrmc_numerics::baseline;
 use mrmc_numerics::discretization::{self, DiscretizationOptions};
 use mrmc_numerics::uniformization::{until_probability, UniformOptions};
-use mrmc_sparse::solver::{gauss_seidel, jacobi, sor, SolverOptions};
-use mrmc_sparse::CooBuilder;
 
 fn bench_pruning(c: &mut Criterion) {
     let config = TmrConfig::classic();
@@ -155,58 +152,10 @@ fn bench_engine_comparison(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_linear_solvers(c: &mut Criterion) {
-    // The reachability-style system (I − P')x = b of a large breakdown
-    // queue: which iterative solver reaches 1e-12 fastest?
-    let config = QueueConfig::new(128);
-    let m = queue(&config);
-    let embedded = m.ctmc().embedded_dtmc();
-    let probs = embedded.probabilities();
-    let n = m.num_states();
-    let full = m.labeling().states_with("full");
-
-    // Assemble (I − P_maybe) x = P·1_full restricted to non-target states.
-    let mut builder = CooBuilder::new(n, n);
-    let mut rhs = vec![0.0; n];
-    for s in 0..n {
-        builder.push(s, s, 1.0);
-        if full[s] {
-            continue;
-        }
-        for (t, p) in probs.row(s) {
-            if full[t] {
-                rhs[s] += p;
-            } else {
-                builder.push(s, t, -p);
-            }
-        }
-    }
-    let a = builder.build().unwrap();
-    let x0 = vec![0.0; n];
-    // The K = 128 queue is stiff; 1e-9 keeps all three solvers in budget.
-    let opts = SolverOptions::new()
-        .with_tolerance(1e-9)
-        .with_max_iterations(2_000_000);
-
-    let mut group = c.benchmark_group("ablation_linear_solvers_queue128");
-    group.sample_size(20);
-    group.bench_function("gauss_seidel", |b| {
-        b.iter(|| gauss_seidel(&a, &rhs, &x0, opts).unwrap());
-    });
-    group.bench_function("sor_1.3", |b| {
-        b.iter(|| sor(&a, &rhs, &x0, 1.3, opts).unwrap());
-    });
-    group.bench_function("jacobi", |b| {
-        b.iter(|| jacobi(&a, &rhs, &x0, opts).unwrap());
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_pruning,
     bench_lambda_choice,
-    bench_engine_comparison,
-    bench_linear_solvers
+    bench_engine_comparison
 );
 criterion_main!(benches);

@@ -145,10 +145,8 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    // Linear-solver schemes: plain Gauss–Seidel vs the multicolor colored
-    // schedule at several thread counts, on the unbounded-reachability
-    // system of the largest cluster instance (the path `--solver` actually
-    // dispatches; the specialized stationary sweep has no method switch).
+    // The unbounded-reachability Gauss–Seidel solve on the largest cluster
+    // instance.
     group.sample_size(10);
     {
         let m = cluster(&ClusterConfig::new(8));
@@ -158,29 +156,17 @@ fn bench(c: &mut Criterion) {
         // matrix a strict contraction.
         let phi = m.labeling().states_with("backbone_up");
         let psi = m.labeling().states_with("down");
-        let solve = |options: mrmc_sparse::solver::SolverOptions| {
-            mrmc_ctmc::reach::until_unbounded(embedded.probabilities(), &phi, &psi, options)
-                .unwrap()
-        };
         group.bench_with_input(BenchmarkId::new("solver/plain_gs", 1usize), &(), |b, _| {
-            b.iter(|| solve(mrmc_sparse::solver::SolverOptions::new().with_tolerance(1e-9)));
+            b.iter(|| {
+                mrmc_ctmc::reach::until_unbounded(
+                    embedded.probabilities(),
+                    &phi,
+                    &psi,
+                    mrmc_sparse::solver::SolverOptions::new().with_tolerance(1e-9),
+                )
+                .unwrap()
+            });
         });
-        for threads in [1usize, 2, 4] {
-            group.bench_with_input(
-                BenchmarkId::new("solver/colored_gs", threads),
-                &threads,
-                |b, &threads| {
-                    b.iter(|| {
-                        solve(
-                            mrmc_sparse::solver::SolverOptions::new()
-                                .with_tolerance(1e-9)
-                                .with_method(mrmc_sparse::solver::SolverMethod::ColoredGaussSeidel)
-                                .with_threads(threads),
-                        )
-                    });
-                },
-            );
-        }
     }
 
     group.finish();

@@ -434,7 +434,7 @@ mod tests {
             &[(
                 "a/1",
                 1e-3,
-                "{\"solver_iterations\":100,\"phases\":{\"solve\":1.0},\"counters\":{\"solver_colors\":4}}",
+                "{\"solver_iterations\":100,\"phases\":{\"solve\":1.0},\"counters\":{\"scc_count\":4}}",
             )],
         );
         let snap = doc(
@@ -442,7 +442,7 @@ mod tests {
             &[(
                 "a/1",
                 1e-3,
-                "{\"solver_iterations\":150,\"phases\":{\"solve\":9.0},\"counters\":{\"solver_colors\":4}}",
+                "{\"solver_iterations\":150,\"phases\":{\"solve\":9.0},\"counters\":{\"scc_count\":4}}",
             )],
         );
         let report = diff(&snap, &base, DiffOptions::default()).unwrap();

@@ -14,11 +14,8 @@
 //!   (round-trip tested in the CSRL corpus), so structurally identical
 //!   subformulas share entries across enclosing formulas;
 //! * the **options fingerprint** ([`options_fingerprint`]) digests every
-//!   accuracy-relevant knob — engine and its parameters, solver method and
-//!   tolerances, adaptive tolerance, reduction policy — but deliberately
-//!   *not* thread counts: the parallel engines are bit-identical at every
-//!   thread count (see `tests/cross_engine.rs`), so a result computed at
-//!   one count may be served at any other.
+//!   checking option — engine and its parameters, solver tolerances,
+//!   adaptive tolerance, reduction policy.
 //!
 //! Serving a hit is exact: the engines are deterministic functions of
 //! `(model, subformula, options)`, so a cached triple is bit-for-bit the
@@ -111,17 +108,13 @@ pub fn model_hash(mrm: &Mrm) -> u64 {
     h.finish()
 }
 
-/// Fingerprint of every accuracy-relevant checking option.
+/// Fingerprint of every checking option.
 ///
-/// Thread counts are normalized to `1` first — the parallel engines are
-/// bit-identical at every thread count, so results may be shared across
-/// counts. Everything else (engine knobs, solver method and tolerances,
-/// adaptive tolerance, reduction policy, pre-flight) is digested via the
-/// `Debug` rendering, whose `f64` formatting is shortest-round-trip and
-/// therefore value-exact.
+/// The options (engine knobs, solver tolerances, adaptive tolerance,
+/// reduction policy, pre-flight) are digested via the `Debug` rendering,
+/// whose `f64` formatting is shortest-round-trip and therefore value-exact.
 pub fn options_fingerprint(options: &CheckOptions) -> u64 {
-    let normalized = options.with_threads(1);
-    hash_bytes(format!("{normalized:?}").as_bytes())
+    hash_bytes(format!("{options:?}").as_bytes())
 }
 
 /// The cache context: which model (by content hash) and which options the
@@ -383,12 +376,12 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_threads_but_not_knobs() {
+    fn fingerprint_splits_on_knobs() {
         let base = CheckOptions::new();
         assert_eq!(
             options_fingerprint(&base),
-            options_fingerprint(&base.with_threads(8)),
-            "thread count must not split the cache"
+            options_fingerprint(&CheckOptions::new()),
+            "not stable"
         );
         assert_ne!(
             options_fingerprint(&base),

@@ -3,7 +3,7 @@
 use mrmc_numerics::discretization::DiscretizationOptions;
 use mrmc_numerics::monte_carlo::SimulationOptions;
 use mrmc_numerics::uniformization::UniformOptions;
-use mrmc_sparse::solver::{SolverMethod, SolverOptions};
+use mrmc_sparse::solver::SolverOptions;
 
 /// Which engine evaluates time- and reward-bounded until formulas
 /// (the `[u|d] = f` switch of the thesis tool's command line).
@@ -167,37 +167,6 @@ impl CheckOptions {
         self.reduction = reduction;
         self
     }
-
-    /// Select the iteration scheme for the reachability linear systems —
-    /// unbounded until, and the per-BSCC reachability solves inside
-    /// steady-state analysis (the CLI's `--solver` flag). Both methods are
-    /// individually deterministic; the colored method additionally honors
-    /// the thread count set by [`with_threads`](CheckOptions::with_threads)
-    /// and is bit-identical at every thread count.
-    pub fn with_solver_method(mut self, method: SolverMethod) -> Self {
-        self.solver = self.solver.with_method(method);
-        self
-    }
-
-    /// Set the worker-thread count for the parallel engines
-    /// (`0` = auto-detect, `1` = serial): the uniformization until engine
-    /// (see [`ParallelOptions`](mrmc_numerics::uniformization::ParallelOptions)),
-    /// the discretization grid sweep, and the colored linear solver. The
-    /// parallel engines are deterministic — results are bit-identical at
-    /// any thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        match self.until_engine {
-            UntilEngine::Uniformization(u) => {
-                self.until_engine = UntilEngine::Uniformization(u.with_threads(threads));
-            }
-            UntilEngine::Discretization(d) => {
-                self.until_engine = UntilEngine::Discretization(d.with_threads(threads));
-            }
-            UntilEngine::Simulation(_) => {}
-        }
-        self.solver = self.solver.with_threads(threads);
-        self
-    }
 }
 
 impl Default for CheckOptions {
@@ -289,39 +258,6 @@ mod tests {
         match UntilEngine::uniformization(1e-11) {
             UntilEngine::Uniformization(u) => assert_eq!(u.truncation, 1e-11),
             _ => panic!("expected uniformization"),
-        }
-    }
-
-    #[test]
-    fn solver_method_builder() {
-        let o = CheckOptions::new();
-        assert_eq!(o.solver.method, SolverMethod::GaussSeidel);
-        assert_eq!(
-            o.with_solver_method(SolverMethod::ColoredGaussSeidel)
-                .solver
-                .method,
-            SolverMethod::ColoredGaussSeidel
-        );
-    }
-
-    #[test]
-    fn with_threads_reaches_the_uniformization_engine() {
-        let o = CheckOptions::new().with_threads(4);
-        match o.until_engine {
-            UntilEngine::Uniformization(u) => assert_eq!(u.parallel.threads, 4),
-            _ => panic!("default must be uniformization"),
-        }
-        assert_eq!(o.solver.threads, 4);
-        // The discretization grid sweep gets the thread count too.
-        let o = CheckOptions::new()
-            .with_engine(UntilEngine::discretization(0.5))
-            .with_threads(4);
-        match o.until_engine {
-            UntilEngine::Discretization(d) => {
-                assert_eq!(d.step, 0.5);
-                assert_eq!(d.threads, 4);
-            }
-            _ => panic!("expected discretization"),
         }
     }
 }

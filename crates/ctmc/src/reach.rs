@@ -2,12 +2,10 @@
 //!
 //! `P(s, Φ U Ψ)` is the least solution of a linear system over the embedded
 //! DTMC. A graph pre-pass identifies the states with probability zero so the
-//! remaining system has a unique solution, which the configured iterative
-//! solver ([`mrmc_sparse::solver::solve`]) then finds — plain Gauss–Seidel by
-//! default, or the multicolor parallel variant when
-//! [`SolverOptions::method`] selects it.
+//! remaining system has a unique solution, which Gauss–Seidel
+//! ([`mrmc_sparse::solver::gauss_seidel`]) then finds.
 
-use mrmc_sparse::solver::{solve, SolverOptions};
+use mrmc_sparse::solver::{gauss_seidel, SolverOptions};
 use mrmc_sparse::{CooBuilder, CsrMatrix};
 
 use crate::error::ModelError;
@@ -120,7 +118,7 @@ pub fn until_unbounded_with(
         }
     }
     let a = a.build().expect("reachability system is well-formed");
-    let x = solve(&a, &b, &vec![0.0; m], options)?;
+    let x = gauss_seidel(&a, &b, &vec![0.0; m], options)?;
     for (i, &s) in maybe.iter().enumerate() {
         result[s] = x[i].clamp(0.0, 1.0);
     }
@@ -247,33 +245,6 @@ mod tests {
             until_unbounded(&p, &[true], &[false, false], SolverOptions::new()),
             Err(ModelError::LabelingSizeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn colored_solver_matches_plain_on_reachability() {
-        use mrmc_sparse::solver::SolverMethod;
-        // Same system as example_3_5: the colored method must agree with the
-        // plain solver to well within both solvers' tolerance.
-        let p = matrix(&[
-            vec![0.0, 2.0 / 3.0, 0.0, 0.0, 1.0 / 3.0],
-            vec![1.0 / 3.0, 0.0, 2.0 / 3.0, 0.0, 0.0],
-            vec![0.0, 0.0, 0.0, 1.0, 0.0],
-            vec![0.0, 0.0, 1.0, 0.0, 0.0],
-            vec![0.0, 0.0, 0.0, 0.0, 1.0],
-        ]);
-        let target = vec![false, false, true, true, false];
-        let colored = reach_probability(
-            &p,
-            &target,
-            SolverOptions::new()
-                .with_method(SolverMethod::ColoredGaussSeidel)
-                .with_threads(2),
-        )
-        .unwrap();
-        assert!((colored[0] - 4.0 / 7.0).abs() < 1e-10);
-        assert!((colored[1] - 6.0 / 7.0).abs() < 1e-10);
-        assert_eq!(colored[2], 1.0);
-        assert_eq!(colored[4], 0.0);
     }
 
     #[test]

@@ -287,7 +287,7 @@ mod tests {
     fn unlisted_counter_const_is_flagged() {
         let counters = st(
             COUNTERS_RS,
-            "pub const SOLVER_COLORS: &str = \"solver_colors\";\npub const NEW_ONE: &str = \"new_one\";\npub const COUNTER_NAMES: &[&str] = &[SOLVER_COLORS];\n",
+            "pub const SCC_COUNT: &str = \"scc_count\";\npub const NEW_ONE: &str = \"new_one\";\npub const COUNTER_NAMES: &[&str] = &[SCC_COUNT];\n",
         );
         let f = lint_registry(&[counters]);
         assert_eq!(f.len(), 1);

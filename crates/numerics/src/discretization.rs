@@ -30,22 +30,16 @@ pub struct DiscretizationOptions {
     /// half as wide and half as deep, so it costs about a quarter of the
     /// main run; disabling it falls back to a coarse a-priori bound.
     pub estimate_error: bool,
-    /// Worker threads for the per-step grid sweep (`0` = the host's
-    /// available parallelism, `1` = serial, the default). Each worker
-    /// computes a disjoint block of destination state rows, so the result
-    /// is bit-identical at every thread count.
-    pub threads: usize,
 }
 
 impl DiscretizationOptions {
-    /// Use step size `d` with the default memory guard, a-posteriori
-    /// error estimation and a serial grid sweep.
+    /// Use step size `d` with the default memory guard and a-posteriori
+    /// error estimation.
     pub fn with_step(step: f64) -> Self {
         DiscretizationOptions {
             step,
             max_cells: 50_000_000,
             estimate_error: true,
-            threads: 1,
         }
     }
 
@@ -53,12 +47,6 @@ impl DiscretizationOptions {
     /// coarse a-priori step-error bound instead of the sharper estimate.
     pub fn without_error_estimate(mut self) -> Self {
         self.estimate_error = false;
-        self
-    }
-
-    /// Sweep the grid with `threads` workers (`0` = available parallelism).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 }
@@ -194,7 +182,6 @@ pub fn until_probability(
         r,
         scale,
         max_cells: options.max_cells,
-        threads: options.threads,
     };
     let (probability, time_steps, reward_cells) = evolve_grid(&grid, d)?;
     mrmc_obs::record(|| mrmc_obs::Event::DiscretizationGrid {
@@ -244,7 +231,6 @@ struct GridProblem<'a> {
     r: f64,
     scale: f64,
     max_cells: usize,
-    threads: usize,
 }
 
 /// One incoming transition of a destination row: source state, `rate·d`,
@@ -259,10 +245,6 @@ struct Incoming {
 /// Compute one destination row of the next grid layer from the current
 /// layer: the self term (stay in `to` for another `d` time units) followed
 /// by every incoming transition in ascending source order.
-///
-/// Each cell's terms are accumulated in the same fixed order no matter
-/// which worker runs the row, so the sweep is bit-identical at every
-/// thread count.
 #[allow(clippy::too_many_arguments)] // the sweep's full per-row context
 fn update_row(
     to: usize,
@@ -303,12 +285,9 @@ fn update_row(
 /// re-run the same problem at `2d`.
 ///
 /// The density grid is one flat `n·width` buffer (state-major), double
-/// buffered. Transitions are stored incoming-major: each destination row
-/// depends only on the *current* layer, so rows of the next layer are
-/// independent and the sweep parallelizes over disjoint row blocks with no
-/// reduction step at all — and since every row accumulates its terms in a
-/// fixed order (self term, then sources ascending), the computed grid is
-/// bit-identical at every thread count.
+/// buffered. Transitions are stored incoming-major, so each destination row
+/// of the next layer is one pass over the *current* layer in a fixed order
+/// (self term, then sources ascending).
 fn evolve_grid(g: &GridProblem<'_>, d: f64) -> Result<(f64, usize, usize), NumericsError> {
     let n = g.absorbed.num_states();
     let exit = g.absorbed.ctmc().exit_rates();
@@ -355,15 +334,6 @@ fn evolve_grid(g: &GridProblem<'_>, d: f64) -> Result<(f64, usize, usize), Numer
         current[g.start * width + rho[g.start]] = 1.0 / d;
     }
 
-    let threads = if g.threads == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        g.threads
-    };
-    // Rows per worker block; below 2 blocks the scope overhead cannot pay off.
-    let block_rows = n.div_ceil(threads.max(1));
-    let parallel = threads > 1 && block_rows < n;
-
     // Progress is throttled by step count (at most ~100 events per run) so
     // the emitted sequence is reproducible run-to-run.
     let progress_step = (time_steps as u64).div_ceil(100).max(1);
@@ -375,44 +345,17 @@ fn evolve_grid(g: &GridProblem<'_>, d: f64) -> Result<(f64, usize, usize), Numer
                 total: time_steps as u64,
             });
         }
-        if parallel {
-            // Disjoint contiguous row blocks of the next layer, one worker
-            // each; all reads go to the immutable current layer.
-            let src = &current[..];
-            std::thread::scope(|scope| {
-                for (block, dst_block) in next.chunks_mut(block_rows * width).enumerate() {
-                    let (rho, stay, incoming) = (&rho, &stay, &incoming);
-                    scope.spawn(move || {
-                        let base = block * block_rows;
-                        for (i, dst) in dst_block.chunks_mut(width).enumerate() {
-                            let to = base + i;
-                            update_row(
-                                to,
-                                dst,
-                                src,
-                                width,
-                                reward_cells,
-                                stay[to],
-                                rho[to],
-                                &incoming[to],
-                            );
-                        }
-                    });
-                }
-            });
-        } else {
-            for (to, dst) in next.chunks_mut(width).enumerate() {
-                update_row(
-                    to,
-                    dst,
-                    &current,
-                    width,
-                    reward_cells,
-                    stay[to],
-                    rho[to],
-                    &incoming[to],
-                );
-            }
+        for (to, dst) in next.chunks_mut(width).enumerate() {
+            update_row(
+                to,
+                dst,
+                &current,
+                width,
+                reward_cells,
+                stay[to],
+                rho[to],
+                &incoming[to],
+            );
         }
         std::mem::swap(&mut current, &mut next);
     }
@@ -514,29 +457,6 @@ mod tests {
             "errors should shrink with d: {errors:?}"
         );
         assert!(errors[2] < 0.01, "final error too large: {errors:?}");
-    }
-
-    #[test]
-    fn grid_sweep_is_bitwise_identical_across_thread_counts() {
-        let m = wavelan();
-        let phi = m.labeling().states_with("idle");
-        let psi = m.labeling().states_with("busy");
-        let base = DiscretizationOptions::with_step(1.0 / 64.0);
-        let serial = until_probability(&m, &phi, &psi, 2.0, 2000.0, 2, base).unwrap();
-        for threads in [2, 4, 8, 0] {
-            let par = until_probability(&m, &phi, &psi, 2.0, 2000.0, 2, base.with_threads(threads))
-                .unwrap();
-            assert_eq!(
-                serial.probability.to_bits(),
-                par.probability.to_bits(),
-                "threads = {threads}"
-            );
-            assert_eq!(
-                serial.budget.discretization.to_bits(),
-                par.budget.discretization.to_bits(),
-                "threads = {threads}"
-            );
-        }
     }
 
     #[test]

@@ -3,9 +3,6 @@
 //! The path-exploration engine accumulates millions of tiny path
 //! probabilities into per-class totals and into the Eq. 4.6 error bound;
 //! compensated summation keeps those folds accurate independent of length.
-//! Just as important for this workspace: the *same* [`KahanSum`] is used by
-//! the serial engine and by the parallel engine's ordered replay reduction,
-//! so equality of addition order implies bit-for-bit equality of results.
 
 /// A running compensated sum.
 ///

@@ -72,7 +72,6 @@ pub mod expected;
 pub mod kahan;
 pub mod monte_carlo;
 pub mod omega;
-pub mod parallel;
 mod path_classes;
 pub mod path_semantics;
 pub mod reward_structure;

@@ -161,7 +161,7 @@ fn sample_exp(rng: &mut Xoshiro256StarStar, rate: f64) -> f64 {
 }
 
 /// Pick the successor of `state` according to the race semantics.
-fn sample_successor(mrm: &Mrm, rng: &mut Xoshiro256StarStar, state: usize, exit: f64) -> usize {
+fn sample_next_state(mrm: &Mrm, rng: &mut Xoshiro256StarStar, state: usize, exit: f64) -> usize {
     let mut u = rng.next_f64() * exit;
     let mut last = state;
     for (target, rate) in mrm.ctmc().rates().row(state) {
@@ -211,7 +211,7 @@ fn simulate_until(
         }
         time += sojourn;
         reward += mrm.state_reward(state) * sojourn;
-        let next = sample_successor(mrm, rng, state, exit);
+        let next = sample_next_state(mrm, rng, state, exit);
         reward += mrm.impulse_reward(state, next);
         state = next;
     }
@@ -341,7 +341,7 @@ fn sample_accumulated_reward(mrm: &Mrm, rng: &mut Xoshiro256StarStar, start: usi
         }
         time += sojourn;
         reward += mrm.state_reward(state) * sojourn;
-        let next = sample_successor(mrm, rng, state, exit);
+        let next = sample_next_state(mrm, rng, state, exit);
         reward += mrm.impulse_reward(state, next);
         state = next;
     }
@@ -398,7 +398,7 @@ fn sample_path_with(
         }
         time += sojourn;
         sojourns.push(sojourn);
-        states.push(sample_successor(mrm, rng, state, exit));
+        states.push(sample_next_state(mrm, rng, state, exit));
     }
     TimedPath::new(states, sojourns).expect("sampled path is well-formed")
 }

@@ -303,6 +303,73 @@ pub fn cache_installed() -> bool {
     CACHE.with(|c| c.borrow().is_some())
 }
 
+/// One Eq. 4.5 term request: threshold `r'`, Omega counts `k`, and the
+/// weight `ψ_n(Λt)·P(σ)` the conditional probability is multiplied by.
+pub(crate) struct TermRequest<'a> {
+    /// Effective Omega threshold `r'` (Eq. 4.10); may be `+∞`.
+    pub r_prime: f64,
+    /// Residence counts per reward class.
+    pub k: &'a [u32],
+    /// `ψ_n(Λt) · P(σ)`.
+    pub weight: f64,
+}
+
+/// Compute `weight · Ω(r', k)` for every request, in request order, with
+/// one memoizing [`OmegaEvaluator`].
+///
+/// When a term cache is installed ([`with_omega_cache`]), known `Ω` values
+/// are served from it and only the misses run the recursion — the emitted
+/// `OmegaTable` event then reports the miss count as `requests` (the table
+/// work actually performed), and a cumulative `omega_cache_hits` counter is
+/// emitted. Ω is pure, so cached runs return bit-identical terms to
+/// uncached ones.
+pub(crate) fn omega_terms(
+    requests: &[TermRequest<'_>],
+    coefficients: Vec<f64>,
+) -> Result<Vec<f64>, NumericsError> {
+    let _span = mrmc_obs::span("omega");
+    // Validate the coefficients even when every request hits the cache, so
+    // the cached path rejects exactly what the uncached path rejects.
+    let mut omega = OmegaEvaluator::new(coefficients)?;
+    let cache = installed_cache()
+        .map(|cache| (cache, OmegaTermCache::coefficient_key(omega.coefficients())));
+    let mut values: Vec<Option<f64>> = requests
+        .iter()
+        .map(|rq| {
+            let (cache, key) = cache.as_ref()?;
+            cache.get(key, rq.r_prime, rq.k)
+        })
+        .collect();
+    let mut misses = 0u64;
+    for (rq, value) in requests.iter().zip(&mut values) {
+        if value.is_none() {
+            let v = omega.evaluate(rq.r_prime, rq.k);
+            if let Some((cache, key)) = &cache {
+                cache.insert(key, rq.r_prime, rq.k, v);
+            }
+            *value = Some(v);
+            misses += 1;
+        }
+    }
+    mrmc_obs::record(|| mrmc_obs::Event::OmegaTable {
+        coefficients: omega.coefficients().len() as u64,
+        requests: misses,
+        cache_entries: omega.cache_len() as u64,
+        max_recursion_depth: omega.max_recursion_depth(),
+    });
+    if let Some((cache, _)) = &cache {
+        mrmc_obs::record(|| mrmc_obs::Event::Counter {
+            name: mrmc_obs::counters::OMEGA_CACHE_HITS,
+            value: cache.hits(),
+        });
+    }
+    Ok(requests
+        .iter()
+        .zip(values)
+        .map(|(rq, v)| rq.weight * v.expect("every request resolved"))
+        .collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,15 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_threads_do_not_inherit_the_cache() {
-        with_omega_cache(Arc::new(OmegaTermCache::new()), || {
-            std::thread::scope(|scope| {
-                scope.spawn(|| assert!(!cache_installed()));
-            });
-        });
-    }
-
-    #[test]
     fn invalid_coefficients_rejected() {
         assert!(OmegaEvaluator::new(vec![]).is_err());
         assert!(OmegaEvaluator::new(vec![1.0, 1.0]).is_err());
@@ -561,5 +619,72 @@ mod tests {
         }
         // And mass on the zero coefficient alone is certain at r ≥ 0.
         assert_eq!(with_zero.evaluate(0.0, &[0, 0, 2]), 1.0);
+    }
+
+    fn term_requests(counts: &[Vec<u32>], r0: f64, dr: f64) -> Vec<TermRequest<'_>> {
+        counts
+            .iter()
+            .enumerate()
+            .map(|(i, k)| TermRequest {
+                r_prime: r0 + dr * i as f64,
+                k,
+                weight: 1.0 / (1 + i) as f64,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cached_omega_terms_are_bitwise_identical_and_reuse_tables() {
+        let coeffs = vec![4.0, 1.5, 0.0];
+        let counts: Vec<Vec<u32>> = (0..40)
+            .map(|i| vec![1 + (i % 3) as u32, (i % 4) as u32, 1 + (i % 2) as u32])
+            .collect();
+        let requests = term_requests(&counts, 0.3, 0.1);
+        let uncached = omega_terms(&requests, coeffs.clone()).unwrap();
+
+        let cache = Arc::new(OmegaTermCache::new());
+        let (cold, warm) = with_omega_cache(cache.clone(), || {
+            let cold = omega_terms(&requests, coeffs.clone()).unwrap();
+            let warm = omega_terms(&requests, coeffs.clone()).unwrap();
+            (cold, warm)
+        });
+        for (i, (u, c)) in uncached.iter().zip(&cold).enumerate() {
+            assert_eq!(u.to_bits(), c.to_bits(), "cold term {i}");
+        }
+        for (i, (u, w)) in uncached.iter().zip(&warm).enumerate() {
+            assert_eq!(u.to_bits(), w.to_bits(), "warm term {i}");
+        }
+        // The second pass was served entirely from the cache.
+        assert_eq!(cache.hits(), requests.len() as u64);
+        assert_eq!(cache.len(), requests.len());
+    }
+
+    #[test]
+    fn cached_runs_report_misses_not_total_requests() {
+        use mrmc_obs::{with_recorder, MetricsRecorder};
+
+        let coeffs = vec![3.0, 1.0, 0.0];
+        let counts: Vec<Vec<u32>> = (0..12).map(|i| vec![1, 1 + (i % 3) as u32, 1]).collect();
+        let requests = term_requests(&counts, 0.2, 0.15);
+
+        let cache = Arc::new(OmegaTermCache::new());
+        let first = Arc::new(MetricsRecorder::new());
+        let second = Arc::new(MetricsRecorder::new());
+        with_omega_cache(cache.clone(), || {
+            with_recorder(first.clone(), || {
+                omega_terms(&requests, coeffs.clone()).unwrap();
+            });
+            with_recorder(second.clone(), || {
+                omega_terms(&requests, coeffs.clone()).unwrap();
+            });
+        });
+        let cold = first.snapshot();
+        let warm = second.snapshot();
+        assert_eq!(cold.omega_requests, requests.len() as u64);
+        assert_eq!(warm.omega_requests, 0, "warm run must be all cache hits");
+        assert_eq!(
+            warm.counters[mrmc_obs::counters::OMEGA_CACHE_HITS],
+            requests.len() as u64
+        );
     }
 }

@@ -32,9 +32,7 @@ impl PathClassKey {
 pub struct PathClasses {
     /// Ordered map so iteration (and hence floating-point summation order
     /// in Eq. 4.5) is deterministic across runs. Per-class probabilities
-    /// are Kahan-compensated: together with the parallel engine's ordered
-    /// event replay, identical addition order yields bit-identical values
-    /// at any thread count.
+    /// are Kahan-compensated.
     classes: BTreeMap<PathClassKey, KahanSum>,
     error_bound: KahanSum,
     stored_paths: u64,
@@ -70,15 +68,6 @@ impl PathClasses {
     pub fn count_node(&mut self, depth: u64) {
         self.explored_nodes += 1;
         self.max_depth = self.max_depth.max(depth);
-    }
-
-    /// Merge bulk exploration statistics (explored-node count and deepest
-    /// level). Used by the parallel engine's reduction, where workers count
-    /// nodes locally — both quantities are order-insensitive integers, so
-    /// bulk merging cannot perturb determinism.
-    pub fn add_node_stats(&mut self, explored_nodes: u64, max_depth: u64) {
-        self.explored_nodes += explored_nodes;
-        self.max_depth = self.max_depth.max(max_depth);
     }
 
     /// Iterate `(class, accumulated P(σ))` pairs.
@@ -155,15 +144,5 @@ mod tests {
         assert_eq!(pc.truncated_paths(), 2);
         assert_eq!(pc.explored_nodes(), 3);
         assert_eq!(pc.max_depth(), 5);
-    }
-
-    #[test]
-    fn bulk_node_stats_merge() {
-        let mut pc = PathClasses::new();
-        pc.count_node(2);
-        pc.add_node_stats(10, 7);
-        pc.add_node_stats(5, 3);
-        assert_eq!(pc.explored_nodes(), 16);
-        assert_eq!(pc.max_depth(), 7);
     }
 }

@@ -20,53 +20,9 @@ use mrmc_mrm::{transform::make_absorbing, Mrm, UniformizedMrm};
 use crate::budget::ErrorBudget;
 use crate::error::NumericsError;
 use crate::kahan::KahanSum;
-use crate::parallel::{self, TermRequest};
+use crate::omega::{self, TermRequest};
 use crate::path_classes::PathClasses;
 use crate::reward_structure::RewardClasses;
-
-/// Threading options for the path-exploration engine.
-///
-/// The parallel engine (module [`parallel`]) is
-/// **deterministic**: for any `threads` and `chunk_size` the result is
-/// bit-for-bit identical to the serial engine, so these knobs only trade
-/// wall-clock time, never accuracy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelOptions {
-    /// Number of worker threads. `1` (the default) runs the serial engine;
-    /// `0` auto-detects the available CPU parallelism.
-    pub threads: usize,
-    /// Target number of work items *per thread*: the sequential frontier
-    /// pass is deepened until at least `threads × chunk_size` subtrees are
-    /// available, so the atomic work queue can balance uneven subtree
-    /// sizes. Default `8`.
-    pub chunk_size: usize,
-}
-
-impl ParallelOptions {
-    /// Serial defaults: one thread, chunk size 8.
-    pub fn new() -> Self {
-        ParallelOptions {
-            threads: 1,
-            chunk_size: 8,
-        }
-    }
-
-    /// The actual worker count: resolves `threads == 0` to the available
-    /// CPU parallelism (at least 1).
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-        } else {
-            self.threads
-        }
-    }
-}
-
-impl Default for ParallelOptions {
-    fn default() -> Self {
-        ParallelOptions::new()
-    }
-}
 
 /// Options for the uniformization engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,9 +47,6 @@ pub struct UniformOptions {
     /// when `P(σ)·max_{m ≥ n} ψ_m(Λt) < w`. Off by default for fidelity;
     /// the ablation bench compares both rules.
     pub improved_pruning: bool,
-    /// Threading configuration; serial by default. Any setting produces
-    /// bit-identical results (see [`ParallelOptions`]).
-    pub parallel: ParallelOptions,
 }
 
 impl UniformOptions {
@@ -104,7 +57,6 @@ impl UniformOptions {
             lambda: None,
             max_depth: 1_000_000,
             improved_pruning: false,
-            parallel: ParallelOptions::new(),
         }
     }
 
@@ -124,18 +76,6 @@ impl UniformOptions {
     /// [`improved_pruning`](UniformOptions::improved_pruning)).
     pub fn with_improved_pruning(mut self) -> Self {
         self.improved_pruning = true;
-        self
-    }
-
-    /// Set the worker-thread count (`0` = auto-detect, `1` = serial).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.parallel.threads = threads;
-        self
-    }
-
-    /// Replace the full threading configuration.
-    pub fn with_parallel(mut self, parallel: ParallelOptions) -> Self {
-        self.parallel = parallel;
         self
     }
 }
@@ -283,14 +223,7 @@ pub fn until_probability(
         &options,
     );
     record_exploration(start, &classes);
-    evaluate_classes(
-        &classes,
-        &classes_def,
-        uni.lambda() * t,
-        t,
-        r,
-        options.parallel.effective_threads(),
-    )
+    evaluate_classes(&classes, &classes_def, uni.lambda() * t, t, r)
 }
 
 /// Emit the path-exploration telemetry for one start state (no-op without
@@ -351,14 +284,7 @@ pub fn until_probabilities_all(
             let classes =
                 generate_path_classes(&uni, &classes_def, phi, psi, s, lambda_t, &options);
             record_exploration(s, &classes);
-            out.push(evaluate_classes(
-                &classes,
-                &classes_def,
-                lambda_t,
-                t,
-                r,
-                options.parallel.effective_threads(),
-            )?);
+            out.push(evaluate_classes(&classes, &classes_def, lambda_t, t, r)?);
         }
         if (s as u64 + 1).is_multiple_of(progress_step) || s + 1 == n {
             mrmc_obs::record(|| mrmc_obs::Event::Progress {
@@ -401,23 +327,12 @@ pub fn performability(
         &options,
     );
     record_exploration(start, &classes);
-    evaluate_classes(
-        &classes,
-        &classes_def,
-        uni.lambda() * t,
-        t,
-        r,
-        options.parallel.effective_threads(),
-    )
+    evaluate_classes(&classes, &classes_def, uni.lambda() * t, t, r)
 }
 
 /// Run Algorithm 4.7 (depth-first path generation) and return the aggregated
 /// path classes. Exposed publicly so the exploration itself can be tested
 /// and benchmarked (Figure 4.3).
-///
-/// With `options.parallel.threads > 1` the exploration runs on the
-/// multi-threaded engine of the [`parallel`] module; the
-/// result is bit-for-bit identical to the serial run.
 #[allow(clippy::too_many_arguments)]
 pub fn generate_path_classes(
     uni: &UniformizedMrm,
@@ -428,24 +343,131 @@ pub fn generate_path_classes(
     lambda_t: f64,
     options: &UniformOptions,
 ) -> PathClasses {
-    parallel::explore(uni, classes_def, phi, psi, start, lambda_t, options)
+    let dfs = PathDfs {
+        uni,
+        rc: classes_def,
+        phi,
+        psi,
+        lambda_t,
+        w: options.truncation,
+        max_depth: options.max_depth,
+        mode_pmf: options
+            .improved_pruning
+            .then(|| poisson::pmf(lambda_t, lambda_t.floor() as u64)),
+    };
+
+    let mut out = PathClasses::new();
+    if !phi[start] && !psi[start] {
+        return out;
+    }
+    let root_weight = (-lambda_t).exp();
+    let root_pruned = match dfs.mode_pmf {
+        None => root_weight < dfs.w,
+        Some(mode) => mode < dfs.w,
+    };
+    if root_pruned {
+        // Even the empty path is below the truncation probability: the
+        // whole computation is truncated mass.
+        out.add_error(1.0);
+        return out;
+    }
+
+    let mut counts = Counts {
+        k: vec![0; classes_def.num_state_classes()],
+        j: vec![0; classes_def.num_impulse_classes()],
+    };
+    counts.k[classes_def.state_class(start)] = 1;
+    dfs.visit(&mut out, &mut counts, start, 0, 1.0, root_weight);
+    out
+}
+
+/// Everything the depth-first search of Algorithm 4.7 reads.
+struct PathDfs<'a> {
+    uni: &'a UniformizedMrm,
+    rc: &'a RewardClasses,
+    phi: &'a [bool],
+    psi: &'a [bool],
+    lambda_t: f64,
+    w: f64,
+    max_depth: u64,
+    /// `max_m ψ_m(Λt)` for potential-based pruning (`None` = literal rule).
+    mode_pmf: Option<f64>,
+}
+
+/// The `(k, j)` reward-count vectors of the prefix being expanded. Kept
+/// behind one reference so the recursive `visit` passes few arguments.
+struct Counts {
+    k: Vec<u32>,
+    j: Vec<u32>,
+}
+
+impl PathDfs<'_> {
+    /// Expand the prefix ending in `s` at depth `n`, with
+    /// `path_prob = P(σ)` and `weighted = P(σ, t)`.
+    fn visit(
+        &self,
+        out: &mut PathClasses,
+        counts: &mut Counts,
+        s: usize,
+        n: u64,
+        path_prob: f64,
+        weighted: f64,
+    ) {
+        out.count_node(n);
+        if self.psi[s] {
+            out.store(&counts.k, &counts.j, path_prob);
+        }
+        let next_factor = self.lambda_t / (n + 1) as f64;
+        for (target, p, impulse) in self.uni.transitions(s) {
+            // Line 1 of Algorithm 4.7: (¬Φ ∧ ¬Ψ)-states end exploration and
+            // can never satisfy the formula — no error contribution either.
+            if !self.phi[target] && !self.psi[target] {
+                continue;
+            }
+            let child_path = path_prob * p;
+            let child_weighted = weighted * next_factor * p;
+            // Literal rule: prune on P(σ, t) < w. Potential rule: prune only
+            // when no extension of σ can reach weight w any more.
+            let prune = match self.mode_pmf {
+                None => child_weighted < self.w,
+                Some(mode) => {
+                    let best = if (n + 1) as f64 >= self.lambda_t {
+                        child_weighted
+                    } else {
+                        child_path * mode
+                    };
+                    best < self.w
+                }
+            };
+            if prune || n + 1 > self.max_depth {
+                // Eq. 4.6: discarding σ' and all suffixes loses at most
+                // P(σ')·Pr{N ≥ n + 1} probability mass.
+                out.add_error(child_path * poisson::upper_tail(self.lambda_t, n + 1));
+                continue;
+            }
+            let sc = self.rc.state_class(target);
+            let ic = self.rc.impulse_class(impulse);
+            counts.k[sc] += 1;
+            counts.j[ic] += 1;
+            self.visit(out, counts, target, n + 1, child_path, child_weighted);
+            counts.k[sc] -= 1;
+            counts.j[ic] -= 1;
+        }
+    }
 }
 
 /// Combine stored path classes into the final probability (Eq. 4.5) using
 /// the Omega algorithm for the conditional probabilities (Eq. 4.9).
 ///
-/// Two phases: the per-class terms `ψ_n(Λt)·P(σ)·Ω(r', k)` are pure
-/// functions of their class and may be computed by parallel workers
-/// ([`parallel::omega_terms`]); the final fold is a single ordered
-/// Kahan-compensated sum over classes in `BTreeMap` key order, so the
-/// result does not depend on the thread count.
+/// Two phases: the per-class terms `ψ_n(Λt)·P(σ)·Ω(r', k)`
+/// ([`omega::omega_terms`]), then a single ordered Kahan-compensated sum
+/// over classes in `BTreeMap` key order.
 fn evaluate_classes(
     classes: &PathClasses,
     classes_def: &RewardClasses,
     lambda_t: f64,
     t: f64,
     r: f64,
-    threads: usize,
 ) -> Result<UntilResult, NumericsError> {
     let r_min = classes_def.min_state_reward();
 
@@ -467,7 +489,7 @@ fn evaluate_classes(
             }
         })
         .collect();
-    let terms = parallel::omega_terms(&requests, classes_def.omega_coefficients(), threads)?;
+    let terms = omega::omega_terms(&requests, classes_def.omega_coefficients())?;
 
     // First-order floating-point error model alongside the Eq. 4.5 fold:
     // each term `ψ_n(Λt)·P(σ)·Ω(r', k)` is produced by O(n + L) operations
@@ -475,8 +497,7 @@ fn evaluate_classes(
     // relative to the term's magnitude; the compensated fold itself adds at
     // most `2ε` per unit of summed magnitude, and the log-space Poisson pmf
     // carries ~1e-13 relative error from the Lanczos `ln_gamma` — budgeted
-    // at 1e-12 for headroom. Pure post-processing of the ordered term list,
-    // so the parallel-determinism guarantee is untouched.
+    // at 1e-12 for headroom. Pure post-processing of the ordered term list.
     let eps = f64::EPSILON;
     let num_coeffs = classes_def.omega_coefficients().len() as f64;
     let mut probability = KahanSum::new();

@@ -13,10 +13,6 @@
 //! [`RunMetrics`](crate::RunMetrics), so emitters report cumulative
 //! totals and may safely re-emit.
 
-/// Number of color classes the multicolor Gauss–Seidel solver partitioned
-/// the system's rows into (emitted once per solve).
-pub const SOLVER_COLORS: &str = "solver_colors";
-
 /// Cumulative Omega-term cache hits: per-class conditional probabilities
 /// `Ω(r', k)` served from an installed cache instead of being recomputed
 /// by the Omega recursion.
@@ -64,7 +60,6 @@ pub const SLICE_STATES_REMOVED: &str = "slice_states_removed";
 
 /// Every counter name the engines emit, for doc-sync and validation.
 pub const COUNTER_NAMES: &[&str] = &[
-    SOLVER_COLORS,
     OMEGA_CACHE_HITS,
     SAT_CACHE_HITS,
     SAT_CACHE_MISSES,

@@ -16,7 +16,6 @@ pub const EVENT_KINDS: &[&str] = &[
     "solver_done",
     "poisson_window",
     "path_exploration",
-    "parallel_task",
     "omega_table",
     "discretization_grid",
     "adaptive_attempt",
@@ -80,17 +79,6 @@ pub enum Event {
         num_classes: u64,
         /// Truncated probability mass charged by Eq. 4.6.
         truncated_mass: f64,
-    },
-    /// One parallel exploration subtree, reported by the coordinator
-    /// during the deterministic ordered replay (so task order — and hence
-    /// trace order — is identical for every thread count).
-    ParallelTask {
-        /// Task index in frontier (= replay) order.
-        task: u64,
-        /// Nodes visited inside the subtree.
-        nodes: u64,
-        /// Deepest node of the subtree.
-        deepest: u64,
     },
     /// Omega-algorithm table statistics for one batch of conditional
     /// probabilities (Algorithm 4.8).
@@ -187,7 +175,6 @@ impl Event {
             Event::SolverDone { .. } => "solver_done",
             Event::PoissonWindow { .. } => "poisson_window",
             Event::PathExploration { .. } => "path_exploration",
-            Event::ParallelTask { .. } => "parallel_task",
             Event::OmegaTable { .. } => "omega_table",
             Event::DiscretizationGrid { .. } => "discretization_grid",
             Event::AdaptiveAttempt { .. } => "adaptive_attempt",
@@ -249,17 +236,6 @@ impl Event {
                 )
                 .unwrap();
                 push_f64(out, *truncated_mass);
-            }
-            Event::ParallelTask {
-                task,
-                nodes,
-                deepest,
-            } => {
-                write!(
-                    out,
-                    ",\"task\":{task},\"nodes\":{nodes},\"deepest\":{deepest}"
-                )
-                .unwrap();
             }
             Event::OmegaTable {
                 coefficients,
@@ -387,11 +363,6 @@ mod tests {
                 num_classes: 3,
                 truncated_mass: 1e-9,
             },
-            Event::ParallelTask {
-                task: 0,
-                nodes: 7,
-                deepest: 4,
-            },
             Event::OmegaTable {
                 coefficients: 3,
                 requests: 12,
@@ -427,7 +398,7 @@ mod tests {
                 end_s: 1.25,
             },
             Event::Counter {
-                name: "threads",
+                name: "models_loaded",
                 value: 4,
             },
             Event::RunSummary {

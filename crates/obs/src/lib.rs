@@ -20,13 +20,9 @@
 //! Instrumentation is **observation-only**: emitting events never reorders
 //! a floating-point operation, takes a different branch, or perturbs a
 //! seed, so verdicts, probabilities, and error budgets are bit-for-bit
-//! identical whether recording is on or off, at every thread count.
-//! Concretely:
+//! identical whether recording is on or off. Concretely:
 //!
 //! * emission sites only *read* values the engines computed anyway;
-//! * parallel workers never emit from their own threads — per-subtree
-//!   counters are reported by the coordinator during the deterministic
-//!   ordered replay, so even the trace's event order is reproducible;
 //! * wall-clock data appears only in [`Event::Span`] payloads (and the
 //!   `phases` map of [`RunMetrics`]) — never in anything a verdict
 //!   depends on.

@@ -49,8 +49,6 @@ pub struct RunMetrics {
     pub path_classes: u64,
     /// Largest Eq. 4.6 truncated mass of any exploration.
     pub truncated_mass: f64,
-    /// Parallel subtree tasks replayed.
-    pub parallel_tasks: u64,
     /// Omega conditional probabilities requested.
     pub omega_requests: u64,
     /// Omega memo-table entries (summed over evaluators).
@@ -115,7 +113,6 @@ impl RunMetrics {
                 self.path_classes += num_classes;
                 self.truncated_mass = self.truncated_mass.max(*truncated_mass);
             }
-            Event::ParallelTask { .. } => self.parallel_tasks += 1,
             Event::OmegaTable {
                 requests,
                 cache_entries,
@@ -155,7 +152,7 @@ impl RunMetrics {
     /// order (the golden-shape contract pinned by the CLI tests).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{");
-        let counts: [(&str, u64); 18] = [
+        let counts: [(&str, u64); 17] = [
             ("solver_solves", self.solver_solves),
             ("solver_iterations", self.solver_iterations),
             ("poisson_windows", self.poisson_windows),
@@ -166,7 +163,6 @@ impl RunMetrics {
             ("paths_pruned", self.paths_pruned),
             ("path_max_depth", self.path_max_depth),
             ("path_classes", self.path_classes),
-            ("parallel_tasks", self.parallel_tasks),
             ("omega_requests", self.omega_requests),
             ("omega_cache_entries", self.omega_cache_entries),
             ("omega_max_depth", self.omega_max_depth),
@@ -225,7 +221,6 @@ impl RunMetrics {
             ("nodes explored", self.nodes_explored),
             ("path classes", self.path_classes),
             ("max path depth", self.path_max_depth),
-            ("parallel tasks", self.parallel_tasks),
             ("omega requests", self.omega_requests),
             ("omega cache entries", self.omega_cache_entries),
             ("omega max depth", self.omega_max_depth),

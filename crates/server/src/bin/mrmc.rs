@@ -17,15 +17,6 @@
 //! * `--json` — machine-readable output: one JSON object per formula with
 //!   the satisfied/unknown state sets and per-state probability, verdict
 //!   and error-budget breakdown;
-//! * `--threads N` (or `--threads=N`) — run the uniformization path
-//!   exploration, the discretization grid sweep, and the colored linear
-//!   solver on `N` worker threads (`0` = auto-detect). Results are
-//!   bit-identical to the serial run at any thread count;
-//! * `--solver M` (or `--solver=M`) — iteration scheme for the
-//!   reachability linear systems (unbounded until, and the per-BSCC
-//!   reachability solves inside steady-state analysis): `gs` (plain
-//!   Gauss–Seidel, the default) or `colored` (multicolor Gauss–Seidel,
-//!   which honors `--threads`);
 //! * `--no-reduction` — always check on the full model; by default, the
 //!   checker runs on a certified lumping quotient when one exists for the
 //!   formula (the reduction is exact, so results are unchanged);
@@ -123,7 +114,6 @@ use mrmc_obs::{
     Recorder, RunMetrics,
 };
 use mrmc_server::{connect_with_retry, RunTotals, Server, ServerConfig};
-use mrmc_sparse::solver::SolverMethod;
 
 #[derive(Debug)]
 struct Cli {
@@ -132,8 +122,6 @@ struct Cli {
     rewr: String,
     rewi: String,
     engine: UntilEngine,
-    threads: usize,
-    solver: SolverMethod,
     tolerance: Option<f64>,
     json: bool,
     print_probabilities: bool,
@@ -148,7 +136,7 @@ struct Cli {
 }
 
 fn usage() -> &'static str {
-    "usage: mrmc [check] <model.tra> <model.lab> <model.rewr> <model.rewi> [u=<w>|d=<d>] [--tolerance E] [--json] [--threads N] [--solver M] [--no-reduction] [--no-slicing] [--metrics] [--trace FILE] [--progress] [--profile[=FILE]] [NP]\n\
+    "usage: mrmc [check] <model.tra> <model.lab> <model.rewr> <model.rewi> [u=<w>|d=<d>] [--tolerance E] [--json] [--no-reduction] [--no-slicing] [--metrics] [--trace FILE] [--progress] [--profile[=FILE]] [NP]\n\
      \x20      mrmc lint <model.tra> <model.lab> <model.rewr> <model.rewi> [u=<w>|d=<d>|s=<n>] [--lumping] [--dataflow] [--verbose] [--json] [--deny warnings]\n\
      \x20      mrmc serve [--listen ADDR] [--workers N] [--connections N]\n\
      \x20      mrmc batch <ADDR>\n\
@@ -166,14 +154,6 @@ fn usage() -> &'static str {
      \x20              budget is <= E; exit code 3 if that cannot be achieved\n\
      --json         one JSON object per formula (states, probabilities,\n\
      \x20              verdicts, error-budget breakdown)\n\
-     --threads N    worker threads for the uniformization engine, the\n\
-     \x20              discretization grid sweep, and the colored linear\n\
-     \x20              solver (0 = auto, default 1); results are\n\
-     \x20              bit-identical at any thread count\n\
-     --solver M     iteration scheme for the reachability linear systems\n\
-     \x20              (unbounded until, per-BSCC reachability of steady\n\
-     \x20              state): gs (plain Gauss-Seidel, default) or colored\n\
-     \x20              (multicolor Gauss-Seidel, honors --threads)\n\
      --no-reduction always check on the full model; by default the checker\n\
      \x20              runs on a certified lumping quotient when one exists\n\
      \x20              (exact, results unchanged)\n\
@@ -273,8 +253,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         rewr: args[2].clone(),
         rewi: args[3].clone(),
         engine: UntilEngine::default(),
-        threads: 1,
-        solver: SolverMethod::default(),
         tolerance: None,
         json: false,
         print_probabilities: true,
@@ -318,34 +296,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 return Err("--trace requires a non-empty file path".to_string());
             }
             cli.trace = Some(value);
-        } else if arg == "--threads" || arg.starts_with("--threads=") {
-            let value = match arg.strip_prefix("--threads=") {
-                Some(v) => v.to_string(),
-                None => rest
-                    .next()
-                    .ok_or_else(|| "--threads requires a value".to_string())?
-                    .clone(),
-            };
-            cli.threads = value
-                .parse()
-                .map_err(|_| format!("invalid thread count `{value}`"))?;
-        } else if arg == "--solver" || arg.starts_with("--solver=") {
-            let value = match arg.strip_prefix("--solver=") {
-                Some(v) => v.to_string(),
-                None => rest
-                    .next()
-                    .ok_or_else(|| "--solver requires a value (`gs` or `colored`)".to_string())?
-                    .clone(),
-            };
-            cli.solver = match value.as_str() {
-                "gs" => SolverMethod::GaussSeidel,
-                "colored" => SolverMethod::ColoredGaussSeidel,
-                other => {
-                    return Err(format!(
-                        "--solver only supports `gs` or `colored`, got `{other}`"
-                    ))
-                }
-            };
         } else if arg == "--tolerance" || arg.starts_with("--tolerance=") {
             let value = match arg.strip_prefix("--tolerance=") {
                 Some(v) => v.to_string(),
@@ -364,7 +314,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         } else if let Some(engine) = parse_engine_switch(arg) {
             cli.engine = engine?;
         } else {
-            return Err(format!("unrecognized argument `{arg}`\n\n{}", usage()));
+            return Err(format!("unrecognized argument `{arg}` (see `mrmc --help`)"));
         }
     }
     Ok(cli)
@@ -921,10 +871,7 @@ fn run() -> Result<ExitCode, String> {
         );
     }
 
-    let mut options = CheckOptions::new()
-        .with_engine(cli.engine)
-        .with_threads(cli.threads)
-        .with_solver_method(cli.solver);
+    let mut options = CheckOptions::new().with_engine(cli.engine);
     if let Some(e) = cli.tolerance {
         options = options.with_tolerance(e);
     }
@@ -1087,92 +1034,6 @@ mod tests {
     fn json_flag_parses() {
         let cli = parse_args(&args(&["a.tra", "a.lab", "a.rewr", "a.rewi", "--json"])).unwrap();
         assert!(cli.json);
-    }
-
-    #[test]
-    fn threads_flag_parses_in_both_spellings() {
-        let cli = parse_args(&args(&["a.tra", "a.lab", "a.rewr", "a.rewi"])).unwrap();
-        assert_eq!(cli.threads, 1);
-        let cli = parse_args(&args(&[
-            "a.tra",
-            "a.lab",
-            "a.rewr",
-            "a.rewi",
-            "--threads",
-            "4",
-        ]))
-        .unwrap();
-        assert_eq!(cli.threads, 4);
-        let cli = parse_args(&args(&[
-            "a.tra",
-            "a.lab",
-            "a.rewr",
-            "a.rewi",
-            "--threads=0",
-        ]))
-        .unwrap();
-        assert_eq!(cli.threads, 0);
-        // Composes with an engine switch and NP.
-        let cli = parse_args(&args(&[
-            "a.tra",
-            "a.lab",
-            "a.rewr",
-            "a.rewi",
-            "u=1e-10",
-            "--threads=2",
-            "NP",
-        ]))
-        .unwrap();
-        assert_eq!(cli.threads, 2);
-        assert!(!cli.print_probabilities);
-    }
-
-    #[test]
-    fn solver_flag_parses_in_both_spellings() {
-        let cli = parse_args(&args(&["a.tra", "a.lab", "a.rewr", "a.rewi"])).unwrap();
-        assert_eq!(cli.solver, SolverMethod::GaussSeidel);
-        let cli = parse_args(&args(&[
-            "a.tra", "a.lab", "a.rewr", "a.rewi", "--solver", "colored",
-        ]))
-        .unwrap();
-        assert_eq!(cli.solver, SolverMethod::ColoredGaussSeidel);
-        let cli = parse_args(&args(&[
-            "a.tra",
-            "a.lab",
-            "a.rewr",
-            "a.rewi",
-            "--solver=gs",
-        ]))
-        .unwrap();
-        assert_eq!(cli.solver, SolverMethod::GaussSeidel);
-        // Composes with --threads.
-        let cli = parse_args(&args(&[
-            "a.tra",
-            "a.lab",
-            "a.rewr",
-            "a.rewi",
-            "--solver=colored",
-            "--threads=4",
-        ]))
-        .unwrap();
-        assert_eq!(cli.solver, SolverMethod::ColoredGaussSeidel);
-        assert_eq!(cli.threads, 4);
-    }
-
-    #[test]
-    fn bad_solver_values_are_rejected() {
-        assert!(parse_args(&args(&["a", "b", "c", "d", "--solver"])).is_err());
-        assert!(parse_args(&args(&["a", "b", "c", "d", "--solver", "jacobi"])).is_err());
-        assert!(parse_args(&args(&["a", "b", "c", "d", "--solver="])).is_err());
-        // --solver belongs to check mode, not lint.
-        assert!(parse_lint_args(&args(&["a", "b", "c", "d", "--solver", "gs"])).is_err());
-    }
-
-    #[test]
-    fn bad_threads_values_are_rejected() {
-        assert!(parse_args(&args(&["a", "b", "c", "d", "--threads"])).is_err());
-        assert!(parse_args(&args(&["a", "b", "c", "d", "--threads", "x"])).is_err());
-        assert!(parse_args(&args(&["a", "b", "c", "d", "--threads=-2"])).is_err());
     }
 
     #[test]

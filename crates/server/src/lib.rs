@@ -28,8 +28,8 @@
 //!   error) object with `"id"` (echoed verbatim) and `"model"` prepended.
 //!   Responses arrive in *completion* order — use `"id"` to correlate.
 //!   `options` accepts `engine` (`"u=1e-8"` / `"d=0.05"` / `"s=10000"`),
-//!   `threads`, `solver` (`"gs"`/`"colored"`), `tolerance`,
-//!   `no_reduction`, and `metrics` (embed the per-request metrics object).
+//!   `tolerance`, `no_reduction`, and `metrics` (embed the per-request
+//!   metrics object).
 //! * `{"stats": true}` — answered in line order with the session's
 //!   cumulative cache counters (`sat_cache_hits`, `sat_cache_misses`,
 //!   `cert_cache_hits`, `models_loaded`, `omega_cache_hits`, …), each
@@ -74,7 +74,6 @@ use mrmc::{
     CheckError, CheckOptions, CheckSession, ModelHandle, Reduction, SessionStats, UntilEngine,
 };
 use mrmc_obs::{Histogram, MetricsRecorder, Recorder};
-use mrmc_sparse::solver::SolverMethod;
 
 use json::Value;
 
@@ -551,20 +550,6 @@ fn parse_options(options: Option<&Value>) -> Result<(CheckOptions, bool), String
                 let text = value.as_str().ok_or("`engine` must be a string")?;
                 out = out.with_engine(parse_engine(text)?);
             }
-            "threads" => {
-                let n = value
-                    .as_u64()
-                    .ok_or("`threads` must be a non-negative integer")?;
-                out = out.with_threads(n as usize);
-            }
-            "solver" => {
-                let method = match value.as_str() {
-                    Some("gs") => SolverMethod::GaussSeidel,
-                    Some("colored") => SolverMethod::ColoredGaussSeidel,
-                    _ => return Err("`solver` must be \"gs\" or \"colored\"".to_string()),
-                };
-                out = out.with_solver_method(method);
-            }
             "tolerance" => {
                 let e = value.as_f64().ok_or("`tolerance` must be a number")?;
                 if !(e > 0.0 && e < 1.0) {
@@ -583,9 +568,6 @@ fn parse_options(options: Option<&Value>) -> Result<(CheckOptions, bool), String
             other => return Err(format!("unrecognized option `{other}`")),
         }
     }
-    // `threads` must be applied after the engine switch so it reaches the
-    // engine actually configured — BTreeMap iteration already visits
-    // `engine` before `threads`, which the conformance tests pin.
     Ok((out, metrics))
 }
 
@@ -807,7 +789,7 @@ mod tests {
     #[test]
     fn option_objects_parse() {
         let v = json::parse(
-            r#"{"engine":"d=0.1","threads":4,"solver":"colored","tolerance":1e-4,"no_reduction":true,"metrics":true}"#,
+            r#"{"engine":"d=0.1","tolerance":1e-4,"no_reduction":true,"metrics":true}"#,
         )
         .unwrap();
         let (options, metrics) = parse_options(Some(&v)).unwrap();
@@ -818,14 +800,19 @@ mod tests {
         ));
         assert_eq!(options.tolerance, Some(1e-4));
         assert_eq!(options.reduction, Reduction::Off);
-        assert_eq!(options.solver.method, SolverMethod::ColoredGaussSeidel);
-        assert_eq!(options.solver.threads, 4);
         // Defaults with no options at all.
         let (options, metrics) = parse_options(None).unwrap();
         assert_eq!(options, CheckOptions::new());
         assert!(!metrics);
-        // Unknown keys are rejected, not ignored.
-        let v = json::parse(r#"{"frobnicate":1}"#).unwrap();
-        assert!(parse_options(Some(&v)).is_err());
+        // Unknown keys are rejected, not ignored — including the removed
+        // thread-count and solver-method knobs.
+        for text in [
+            r#"{"frobnicate":1}"#,
+            r#"{"threads":4}"#,
+            r#"{"solver":"gs"}"#,
+        ] {
+            let v = json::parse(text).unwrap();
+            assert!(parse_options(Some(&v)).is_err(), "{text}");
+        }
     }
 }

@@ -177,6 +177,37 @@ fn missing_files_fail_cleanly() {
 }
 
 #[test]
+fn removed_threads_and_solver_flags_fail_with_one_line() {
+    let dir = temp_dir("removed-flags");
+    let [tra, lab, rewr, rewi] = write_tmr_like_model(&dir);
+    let p = [
+        tra.to_str().unwrap(),
+        lab.to_str().unwrap(),
+        rewr.to_str().unwrap(),
+        rewi.to_str().unwrap(),
+    ];
+    for flag in [
+        &["--threads", "2"][..],
+        &["--threads=2"],
+        &["--solver", "colored"],
+        &["--solver=gs"],
+    ] {
+        let mut args = vec!["check", p[0], p[1], p[2], p[3]];
+        args.extend_from_slice(flag);
+        // The flag is rejected before stdin is read, so send no formulas.
+        let (stdout, stderr, code) = run_mrmc_code(&args, "");
+        assert_eq!(code, Some(1), "{flag:?}: {stderr}");
+        assert!(stdout.is_empty(), "{flag:?}: {stdout}");
+        assert_eq!(stderr.lines().count(), 1, "{flag:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unrecognized argument `{}`", flag[0])),
+            "{flag:?}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn help_prints_usage() {
     let (stdout, _, ok) = run_mrmc(&["--help"], "");
     assert!(ok);
@@ -615,7 +646,6 @@ fn metrics_flag_reports_run_metrics() {
         "\"paths_pruned\":",
         "\"path_max_depth\":",
         "\"path_classes\":",
-        "\"parallel_tasks\":",
         "\"omega_requests\":",
         "\"omega_cache_entries\":",
         "\"omega_max_depth\":",

@@ -197,3 +197,43 @@ fn batch_reports_failures_in_exit_code() {
     assert!(server.wait().unwrap().success());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn removed_threads_option_is_an_error_reply_and_the_connection_keeps_serving() {
+    let dir = temp_dir("removed-option");
+    let [tra, lab, rewr, rewi] = write_tmr_like_model(&dir);
+    let (mut server, addr) = spawn_server(1, 1);
+
+    let requests = format!(
+        "{{\"load\":{{\"model\":\"m\",\"tra\":\"{}\",\"lab\":\"{}\",\"rewr\":\"{}\",\"rewi\":\"{}\"}}}}\n\
+         {{\"check\":{{\"model\":\"m\",\"formula\":\"S(> 0.5) (up)\",\"options\":{{\"threads\":4}}}},\"id\":1}}\n\
+         {{\"check\":{{\"model\":\"m\",\"formula\":\"S(> 0.5) (up)\"}},\"id\":2}}\n",
+        tra.display(),
+        lab.display(),
+        rewr.display(),
+        rewi.display()
+    );
+    let (lines, code) = run_batch(&addr, &requests);
+    assert_eq!(code, Some(1), "{lines:#?}");
+    assert!(
+        lines
+            .iter()
+            .any(|l| l.contains("unrecognized option `threads`")
+                && l.contains("\"error_kind\":\"request\"")),
+        "{lines:#?}"
+    );
+    // The rejected request does not end the conversation.
+    assert!(
+        lines
+            .iter()
+            .any(|l| l.starts_with("{\"id\":2,") && !l.contains("\"error\"")),
+        "{lines:#?}"
+    );
+    let summary = lines.last().expect("nonempty response stream");
+    assert!(
+        summary.starts_with("{\"kind\":\"run_summary\",") && summary.contains("\"failures\":1,"),
+        "{lines:#?}"
+    );
+    assert!(server.wait().unwrap().success());
+    std::fs::remove_dir_all(&dir).ok();
+}

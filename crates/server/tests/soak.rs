@@ -103,7 +103,7 @@ fn run_client(addr: &str, client: usize, paths: &[std::path::PathBuf; 4]) -> Cli
             let id = round * FORMULAS.len() + slot;
             id_to_formula.insert(id as u64, formula.to_string());
             send(format!(
-                "{{\"check\":{{\"model\":\"tmr\",\"formula\":\"{formula}\",\"options\":{{\"threads\":2}}}},\"id\":{id}}}"
+                "{{\"check\":{{\"model\":\"tmr\",\"formula\":\"{formula}\"}},\"id\":{id}}}"
             ));
         }
         send("{\"stats\":true}".to_string());

@@ -9,7 +9,7 @@
 //!   matrices;
 //! * [`DenseMatrix`] — small dense matrices with Gaussian elimination, used
 //!   for direct solutions and for cross-checking the iterative solvers;
-//! * [`solver`] — iterative solvers (Gauss–Seidel, Jacobi, power iteration)
+//! * [`solver`] — iterative solvers (Gauss–Seidel, power iteration)
 //!   for the linear systems arising in steady-state and unbounded-reachability
 //!   analysis;
 //! * [`vector`] — the handful of dense-vector kernels everything shares;

@@ -1,48 +1,18 @@
 //! Iterative solvers for the linear systems that model checking produces.
 //!
-//! Five iteration schemes are provided:
+//! Two iteration schemes are provided:
 //!
-//! * [`gauss_seidel`] — the thesis' default method for the linear systems of
+//! * [`gauss_seidel`] — the thesis' method for the linear systems of
 //!   unbounded reachability (Eq. 3.8) and per-BSCC steady state;
-//! * [`gauss_seidel_colored`] — multicolor Gauss–Seidel: rows partitioned
-//!   into dependency-free color classes, each class swept by a deterministic
-//!   worker pool — bitwise identical across thread counts;
-//! * [`jacobi`] — a slower but order-independent alternative used for
-//!   cross-checking;
 //! * [`power_iteration`] — power iteration `x ← x·P` for the stationary vector of an
 //!   aperiodic stochastic matrix (the uniformized DTMC is always aperiodic
-//!   when `Λ` strictly exceeds the maximal exit rate);
-//! * [`sor`] — successive over-relaxation generalizing Gauss–Seidel, used
-//!   by the solver-choice ablation.
-//!
-//! Callers that should honor a user-selected method go through [`solve`],
-//! which dispatches on [`SolverOptions::method`].
+//!   when `Λ` strictly exceeds the maximal exit rate).
 
-mod colored;
 mod gauss_seidel;
-mod jacobi;
 mod power;
-mod sor;
 
-pub use colored::gauss_seidel_colored;
 pub use gauss_seidel::gauss_seidel;
-pub use jacobi::jacobi;
 pub use power::power_iteration;
-pub use sor::sor;
-
-use crate::error::SolveError;
-use crate::CsrMatrix;
-
-/// Which linear-system iteration [`solve`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverMethod {
-    /// Plain row-order Gauss–Seidel ([`gauss_seidel`]).
-    #[default]
-    GaussSeidel,
-    /// Multicolor Gauss–Seidel with parallel class sweeps
-    /// ([`gauss_seidel_colored`]); honors [`SolverOptions::threads`].
-    ColoredGaussSeidel,
-}
 
 /// Convergence controls shared by the iterative solvers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,23 +21,15 @@ pub struct SolverOptions {
     pub max_iterations: usize,
     /// Declare convergence when the maximum absolute update falls below this.
     pub tolerance: f64,
-    /// Iteration scheme used by [`solve`] call sites.
-    pub method: SolverMethod,
-    /// Worker threads for the colored solver; `0` means the host's
-    /// available parallelism. Ignored by the serial methods.
-    pub threads: usize,
 }
 
 impl SolverOptions {
     /// `max_iterations = 100_000`, `tolerance = 1e-12` — tight enough for the
-    /// probabilities the checker compares against bounds — with the plain
-    /// Gauss–Seidel method on one thread.
+    /// probabilities the checker compares against bounds.
     pub fn new() -> Self {
         SolverOptions {
             max_iterations: 100_000,
             tolerance: 1e-12,
-            method: SolverMethod::default(),
-            threads: 1,
         }
     }
 
@@ -82,19 +44,6 @@ impl SolverOptions {
         self.tolerance = tol;
         self
     }
-
-    /// Replace the iteration scheme [`solve`] dispatches to.
-    pub fn with_method(mut self, method: SolverMethod) -> Self {
-        self.method = method;
-        self
-    }
-
-    /// Replace the worker-thread count for the colored solver
-    /// (`0` = available parallelism).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
 }
 
 impl Default for SolverOptions {
@@ -103,65 +52,17 @@ impl Default for SolverOptions {
     }
 }
 
-/// Solve `A·x = b` with the iteration scheme selected by
-/// [`SolverOptions::method`].
-///
-/// # Errors
-///
-/// Propagates the selected solver's failures (dimension mismatch, zero
-/// diagonal, non-convergence).
-pub fn solve(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    options: SolverOptions,
-) -> Result<Vec<f64>, SolveError> {
-    match options.method {
-        SolverMethod::GaussSeidel => gauss_seidel(a, b, x0, options),
-        SolverMethod::ColoredGaussSeidel => gauss_seidel_colored(a, b, x0, options),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CooBuilder;
 
     #[test]
     fn options_builder() {
         let o = SolverOptions::new()
             .with_max_iterations(5)
-            .with_tolerance(1e-3)
-            .with_method(SolverMethod::ColoredGaussSeidel)
-            .with_threads(4);
+            .with_tolerance(1e-3);
         assert_eq!(o.max_iterations, 5);
         assert_eq!(o.tolerance, 1e-3);
-        assert_eq!(o.method, SolverMethod::ColoredGaussSeidel);
-        assert_eq!(o.threads, 4);
         assert_eq!(SolverOptions::default(), SolverOptions::new());
-        assert_eq!(SolverOptions::new().method, SolverMethod::GaussSeidel);
-        assert_eq!(SolverOptions::new().threads, 1);
-    }
-
-    #[test]
-    fn solve_dispatches_on_method() {
-        // 4x - y = 7 ; -x + 3y = 3  =>  x = 24/11, y = 19/11
-        let mut b = CooBuilder::new(2, 2);
-        b.push(0, 0, 4.0)
-            .push(0, 1, -1.0)
-            .push(1, 0, -1.0)
-            .push(1, 1, 3.0);
-        let a = b.build().unwrap();
-        for method in [SolverMethod::GaussSeidel, SolverMethod::ColoredGaussSeidel] {
-            let x = solve(
-                &a,
-                &[7.0, 3.0],
-                &[0.0, 0.0],
-                SolverOptions::new().with_method(method),
-            )
-            .unwrap();
-            assert!((x[0] - 24.0 / 11.0).abs() < 1e-10, "{method:?}");
-            assert!((x[1] - 19.0 / 11.0).abs() < 1e-10, "{method:?}");
-        }
     }
 }

@@ -3,15 +3,12 @@
 //! same values, and both must degenerate to the state-reward-free baseline
 //! when the reward bound is loose.
 
-use mrmc::{CheckOptions, CheckOutcome, ModelChecker};
 use mrmc_models::cluster::{cluster, ClusterConfig};
 use mrmc_models::tmr::{tmr, TmrConfig};
 use mrmc_models::{phone, random, wavelan};
-use mrmc_mrm::Mrm;
 use mrmc_numerics::baseline;
 use mrmc_numerics::discretization::{self, DiscretizationOptions};
 use mrmc_numerics::uniformization::{self, UniformOptions};
-use mrmc_sparse::solver::SolverMethod;
 
 #[test]
 fn tmr_engines_agree_at_several_horizons() {
@@ -54,65 +51,7 @@ fn tmr_engines_agree_at_several_horizons() {
 }
 
 #[test]
-fn tmr_parallel_uniformization_is_bitwise_serial_and_agrees_with_discretization() {
-    // The parallel engine promises *bit-for-bit* equality with the serial
-    // engine at any thread count, and both must stay within the Eq. 4.6
-    // truncation error bound of the independent discretization engine.
-    let config = TmrConfig::classic();
-    let m = tmr(&config);
-    let phi = m.labeling().states_with("Sup");
-    let psi = m.labeling().states_with("failed");
-    let start = config.state_with_working(3);
-    let (t, r) = (100.0, 3000.0);
-    let base = UniformOptions::new()
-        .with_truncation(1e-11)
-        .with_lambda(0.0505);
-
-    let serial = uniformization::until_probability(&m, &phi, &psi, t, r, start, base).unwrap();
-    for threads in [2, 4, 8] {
-        let parallel = uniformization::until_probability(
-            &m,
-            &phi,
-            &psi,
-            t,
-            r,
-            start,
-            base.with_threads(threads),
-        )
-        .unwrap();
-        assert_eq!(
-            serial.probability.to_bits(),
-            parallel.probability.to_bits(),
-            "threads = {threads}: {} vs {}",
-            serial.probability,
-            parallel.probability
-        );
-        assert_eq!(serial.error_bound.to_bits(), parallel.error_bound.to_bits());
-        assert_eq!(serial.num_classes, parallel.num_classes);
-        assert_eq!(serial.explored_nodes, parallel.explored_nodes);
-    }
-
-    let disc = discretization::until_probability(
-        &m,
-        &phi,
-        &psi,
-        t,
-        r,
-        start,
-        DiscretizationOptions::with_step(0.25),
-    )
-    .unwrap();
-    assert!(
-        (serial.probability - disc.probability).abs() < 5e-4 + serial.error_bound,
-        "uniformization {} (±{}) vs discretization {}",
-        serial.probability,
-        serial.error_bound,
-        disc.probability
-    );
-}
-
-#[test]
-fn cluster_parallel_uniformization_is_bitwise_serial_and_agrees_with_discretization() {
+fn cluster_uniformization_agrees_with_discretization() {
     // Same contract on a structurally different model: the workstation
     // cluster with repair impulses (larger state space, denser branching).
     let config = ClusterConfig::new(2);
@@ -122,35 +61,12 @@ fn cluster_parallel_uniformization_is_bitwise_serial_and_agrees_with_discretizat
     let psi: Vec<bool> = premium.iter().map(|&p| !p).collect();
     let start = config.all_up();
     let (t, r) = (10.0, 25.0);
-    let base = UniformOptions::new()
+    let options = UniformOptions::new()
         .with_truncation(1e-9)
         .with_improved_pruning();
 
-    let serial = uniformization::until_probability(&m, &phi, &psi, t, r, start, base).unwrap();
-    assert!(serial.probability > 0.0, "degradation must be reachable");
-    for threads in [2, 4, 8] {
-        let parallel = uniformization::until_probability(
-            &m,
-            &phi,
-            &psi,
-            t,
-            r,
-            start,
-            base.with_threads(threads),
-        )
-        .unwrap();
-        assert_eq!(
-            serial.probability.to_bits(),
-            parallel.probability.to_bits(),
-            "threads = {threads}: {} vs {}",
-            serial.probability,
-            parallel.probability
-        );
-        assert_eq!(serial.error_bound.to_bits(), parallel.error_bound.to_bits());
-        assert_eq!(serial.stored_paths, parallel.stored_paths);
-        assert_eq!(serial.truncated_paths, parallel.truncated_paths);
-    }
-
+    let uni = uniformization::until_probability(&m, &phi, &psi, t, r, start, options).unwrap();
+    assert!(uni.probability > 0.0, "degradation must be reachable");
     let disc = discretization::until_probability(
         &m,
         &phi,
@@ -162,10 +78,10 @@ fn cluster_parallel_uniformization_is_bitwise_serial_and_agrees_with_discretizat
     )
     .unwrap();
     assert!(
-        (serial.probability - disc.probability).abs() < 5e-3 + serial.error_bound,
+        (uni.probability - disc.probability).abs() < 5e-3 + uni.error_bound,
         "uniformization {} (±{}) vs discretization {}",
-        serial.probability,
-        serial.error_bound,
+        uni.probability,
+        uni.error_bound,
         disc.probability
     );
 }
@@ -274,87 +190,6 @@ fn zero_impulse_models_agree_with_impulse_api() {
         a.probability,
         b.probability
     );
-}
-
-/// Check `formula` with the colored Gauss–Seidel solver at every thread
-/// count and assert the outcomes are *identical* (`CheckOutcome` derives
-/// `PartialEq`, so this compares satisfying sets, unknown sets, and every
-/// probability bit for bit). Also sanity-check the colored solution
-/// against the plain serial solver — same verdicts, probabilities within
-/// solver tolerance (the two iteration orders legitimately differ in the
-/// last few ulps, so this comparison is approximate by design).
-fn assert_colored_solver_is_deterministic(name: &str, mrm: &Mrm, formula: &str) {
-    let solve = |method: SolverMethod, threads: usize| -> CheckOutcome {
-        let options = CheckOptions::new()
-            .with_solver_method(method)
-            .with_threads(threads);
-        ModelChecker::new(mrm.clone(), options)
-            .check_str(formula)
-            .unwrap_or_else(|e| panic!("model {name}, `{formula}`: {e}"))
-    };
-
-    let reference = solve(SolverMethod::ColoredGaussSeidel, 1);
-    for threads in [2, 4, 8] {
-        let outcome = solve(SolverMethod::ColoredGaussSeidel, threads);
-        assert_eq!(
-            reference, outcome,
-            "colored solver diverged at {threads} threads: model {name}, `{formula}`"
-        );
-    }
-
-    let plain = solve(SolverMethod::GaussSeidel, 1);
-    assert_eq!(
-        plain.sat(),
-        reference.sat(),
-        "solver methods disagree on the satisfying set: model {name}, `{formula}`"
-    );
-    if let (Some(p), Some(c)) = (plain.probabilities(), reference.probabilities()) {
-        for (s, (a, b)) in p.iter().zip(c).enumerate() {
-            assert!(
-                (a - b).abs() < 1e-6,
-                "model {name}, `{formula}`, state {s}: plain {a} vs colored {b}"
-            );
-        }
-    }
-}
-
-#[test]
-fn colored_solver_is_deterministic_on_the_paper_models() {
-    // Steady-state and unbounded-until formulas route through the linear
-    // solver (`steady` and `reachability` engines); these are the paths the
-    // multicolor Gauss–Seidel schedule must keep bit-stable under
-    // parallelism.
-    let tmr_model = tmr(&TmrConfig::classic());
-    assert_colored_solver_is_deterministic("tmr", &tmr_model, "S(> 0.5) (allUp)");
-    assert_colored_solver_is_deterministic("tmr", &tmr_model, "P(> 0.1) [TT U failed]");
-
-    let cluster_model = cluster(&ClusterConfig::new(2));
-    assert_colored_solver_is_deterministic("cluster", &cluster_model, "S(> 0.0) (premium)");
-    assert_colored_solver_is_deterministic("cluster", &cluster_model, "P(>= 0.0) [premium U down]");
-
-    let wavelan_model = wavelan();
-    assert_colored_solver_is_deterministic("wavelan", &wavelan_model, "S(> 0.1) (idle)");
-    assert_colored_solver_is_deterministic("wavelan", &wavelan_model, "P(> 0.01) [TT U busy]");
-}
-
-#[test]
-fn colored_solver_is_deterministic_on_random_models() {
-    // 32 seeded random MRMs: irregular sparsity patterns give the greedy
-    // coloring more classes to schedule than the structured paper models.
-    let cfg = random::RandomMrmConfig {
-        states: 6,
-        extra_transitions_per_state: 1.0,
-        max_rate: 2.0,
-        reward_levels: vec![0.0, 1.0, 3.0],
-        impulse_levels: vec![0.0, 0.5],
-        goal_fraction: 0.3,
-    };
-    for seed in 0u64..32 {
-        let m = random::random_mrm(seed, &cfg);
-        let name = format!("random{seed}");
-        assert_colored_solver_is_deterministic(&name, &m, "P(>= 0.0) [TT U goal]");
-        assert_colored_solver_is_deterministic(&name, &m, "S(>= 0.0) (goal)");
-    }
 }
 
 #[test]

@@ -6,8 +6,8 @@
 //! must agree within the *sum* of the error budgets both runs report
 //! (each run is within its own budget of the truth), and definite
 //! verdicts must never contradict. The corpus covers the paper's models
-//! and 32 seeded random MRMs, each at 1 and 4 threads, plus a mutation
-//! corpus the independent certificate verifier must reject.
+//! and 32 seeded random MRMs, plus a mutation corpus the independent
+//! certificate verifier must reject.
 
 use mrmc::{CheckOptions, CheckOutcome, ModelChecker, Reduction, UntilEngine};
 use mrmc_models::cluster::{cluster, ClusterConfig};
@@ -100,10 +100,6 @@ fn assert_slicing_agrees(name: &str, mrm: &Mrm, formulas: &[&str], options: Chec
     }
 }
 
-fn thread_counts() -> [usize; 2] {
-    [1, 4]
-}
-
 #[test]
 fn tmr_sliced_runs_agree_with_full() {
     let mrm = tmr(&TmrConfig::classic());
@@ -114,14 +110,7 @@ fn tmr_sliced_runs_agree_with_full() {
         "P(< 0.05) [Sup U[0,2][0,10] failed]",
         "P(> 0.1) [TT U[0,1][0,10] failed]",
     ];
-    for threads in thread_counts() {
-        assert_slicing_agrees(
-            "tmr",
-            &mrm,
-            &formulas,
-            CheckOptions::new().with_threads(threads),
-        );
-    }
+    assert_slicing_agrees("tmr", &mrm, &formulas, CheckOptions::new());
 }
 
 #[test]
@@ -132,14 +121,7 @@ fn cluster_sliced_runs_agree_with_full() {
         "P(>= 0.1) [TT U[0,1] down]",
         "P(>= 0.0) [backbone_up U[0,1][0,5] down]",
     ];
-    for threads in thread_counts() {
-        assert_slicing_agrees(
-            "cluster",
-            &mrm,
-            &formulas,
-            CheckOptions::new().with_threads(threads),
-        );
-    }
+    assert_slicing_agrees("cluster", &mrm, &formulas, CheckOptions::new());
 }
 
 #[test]
@@ -150,14 +132,7 @@ fn wavelan_sliced_runs_agree_with_full() {
         "P(> 0.01) [TT U[0,0.5][0,2] busy]",
         "P(> 0.01) [idle U[0,0.5][0,2] busy]",
     ];
-    for threads in thread_counts() {
-        assert_slicing_agrees(
-            "wavelan",
-            &mrm,
-            &formulas,
-            CheckOptions::new().with_threads(threads),
-        );
-    }
+    assert_slicing_agrees("wavelan", &mrm, &formulas, CheckOptions::new());
 }
 
 #[test]
@@ -166,16 +141,12 @@ fn discretization_sliced_runs_agree_with_full() {
     // phi-restricted invariants make that set nonempty on these models.
     let formulas = ["P(> 0.01) [Sup U[0,1][0,10] failed]"];
     let mrm = tmr(&TmrConfig::classic());
-    for threads in thread_counts() {
-        assert_slicing_agrees(
-            "tmr/d",
-            &mrm,
-            &formulas,
-            CheckOptions::new()
-                .with_engine(UntilEngine::discretization(0.05))
-                .with_threads(threads),
-        );
-    }
+    assert_slicing_agrees(
+        "tmr/d",
+        &mrm,
+        &formulas,
+        CheckOptions::new().with_engine(UntilEngine::discretization(0.05)),
+    );
 }
 
 #[test]
@@ -191,14 +162,12 @@ fn random_models_sliced_runs_agree_with_full() {
     ];
     for seed in 0..32 {
         let mrm = random_mrm(seed, &config);
-        for threads in thread_counts() {
-            assert_slicing_agrees(
-                &format!("random-{seed}"),
-                &mrm,
-                &formulas,
-                CheckOptions::new().with_threads(threads),
-            );
-        }
+        assert_slicing_agrees(
+            &format!("random-{seed}"),
+            &mrm,
+            &formulas,
+            CheckOptions::new(),
+        );
     }
 }
 

@@ -1,7 +1,6 @@
 //! The session/server conformance contract: checking through a
-//! [`CheckSession`] — cold caches, hot caches, shared across thread
-//! counts, or over the JSONL wire — is bit-for-bit identical to a fresh
-//! one-shot [`ModelChecker`] run.
+//! [`CheckSession`] — cold caches, hot caches, or over the JSONL wire —
+//! is bit-for-bit identical to a fresh one-shot [`ModelChecker`] run.
 //!
 //! This is the load-bearing guarantee behind `mrmc serve`: every cache in
 //! the session (memoized `Sat` sub-results, verified lumping
@@ -69,41 +68,38 @@ fn one_shot(mrm: &Mrm, options: CheckOptions, formula: &str) -> CheckOutcome {
         .unwrap_or_else(|e| panic!("one-shot `{formula}` failed: {e}"))
 }
 
-/// Check every formula twice through one session per thread count —
-/// caches cold, then hot — asserting each result bitwise-equal to a fresh
-/// one-shot run, and that the hot pass was actually served from the
-/// cache.
+/// Check every formula twice through one session — caches cold, then hot
+/// — asserting each result bitwise-equal to a fresh one-shot run, and that
+/// the hot pass was actually served from the cache.
 fn assert_session_conforms(name: &str, mrm: &Mrm, formulas: &[&str]) {
-    for threads in [1usize, 4] {
-        let options = CheckOptions::new().with_threads(threads);
-        let session = CheckSession::new();
-        let handle = session.insert(mrm.clone());
-        for pass in ["cold", "hot"] {
-            let before = session.stats();
-            for formula in formulas {
-                let ctx = format!("model {name}, threads {threads}, {pass}, `{formula}`");
-                let expected = one_shot(mrm, options, formula);
-                let got = session
-                    .check_str(&handle, formula, &options)
-                    .unwrap_or_else(|e| panic!("session check failed: {ctx}: {e}"));
-                assert_eq!(expected, got, "session result differs: {ctx}");
-            }
-            let after = session.stats();
-            if pass == "cold" {
-                assert!(
-                    after.sat_cache_misses > before.sat_cache_misses,
-                    "cold pass must populate the cache: {name} at {threads} threads"
-                );
-            } else {
-                assert!(
-                    after.sat_cache_hits > before.sat_cache_hits,
-                    "hot pass must hit the cache: {name} at {threads} threads"
-                );
-                assert_eq!(
-                    after.sat_cache_misses, before.sat_cache_misses,
-                    "hot pass must not recompute: {name} at {threads} threads"
-                );
-            }
+    let options = CheckOptions::new();
+    let session = CheckSession::new();
+    let handle = session.insert(mrm.clone());
+    for pass in ["cold", "hot"] {
+        let before = session.stats();
+        for formula in formulas {
+            let ctx = format!("model {name}, {pass}, `{formula}`");
+            let expected = one_shot(mrm, options, formula);
+            let got = session
+                .check_str(&handle, formula, &options)
+                .unwrap_or_else(|e| panic!("session check failed: {ctx}: {e}"));
+            assert_eq!(expected, got, "session result differs: {ctx}");
+        }
+        let after = session.stats();
+        if pass == "cold" {
+            assert!(
+                after.sat_cache_misses > before.sat_cache_misses,
+                "cold pass must populate the cache: {name}"
+            );
+        } else {
+            assert!(
+                after.sat_cache_hits > before.sat_cache_hits,
+                "hot pass must hit the cache: {name}"
+            );
+            assert_eq!(
+                after.sat_cache_misses, before.sat_cache_misses,
+                "hot pass must not recompute: {name}"
+            );
         }
     }
 }
@@ -125,30 +121,6 @@ fn session_conforms_on_32_random_models() {
             &["P(< 0.5) [TT U[0,1][0,4] goal]", "goal"],
         );
     }
-}
-
-/// The cache key deliberately excludes thread counts (the parallel
-/// engines are bit-identical at every count), so one session serves both:
-/// a result computed at 1 thread is returned, bitwise-correct, to a
-/// 4-thread request.
-#[test]
-fn one_session_is_exact_across_thread_counts() {
-    let m = tmr(&TmrConfig::classic());
-    let formula = "P(> 0.1) [TT U[0,1][0,10] failed]";
-    let session = CheckSession::new();
-    let handle = session.insert(m.clone());
-
-    let serial = CheckOptions::new().with_threads(1);
-    let parallel = CheckOptions::new().with_threads(4);
-    let primed = session.check_str(&handle, formula, &serial).unwrap();
-    let hits_before = session.stats().sat_cache_hits;
-    let served = session.check_str(&handle, formula, &parallel).unwrap();
-    assert!(
-        session.stats().sat_cache_hits > hits_before,
-        "the 4-thread request must be served from the 1-thread entry"
-    );
-    assert_eq!(primed, served);
-    assert_eq!(served, one_shot(&m, parallel, formula));
 }
 
 fn write_model(dir: &std::path::Path, mrm: &Mrm) -> [std::path::PathBuf; 4] {
@@ -248,15 +220,16 @@ fn talk(server_addr: &str, requests: &[String]) -> Vec<String> {
 
 /// Server-mode batches are bitwise-identical to one-shot runs: each wire
 /// response embeds exactly the `--json` object a one-shot CLI run would
-/// print for the same model, formula, and options, at 1 and 4 threads.
+/// print for the same model, formula, and options, with 1 and 4 server
+/// workers.
 #[test]
 fn wire_batches_embed_the_one_shot_json_objects() {
     let dir = std::env::temp_dir().join(format!("mrmc-conf-wire-{}", std::process::id()));
-    for threads in [1usize, 4] {
+    for workers in [1usize, 4] {
         let server = Server::bind(
             "127.0.0.1:0",
             ServerConfig {
-                workers: threads,
+                workers,
                 ..ServerConfig::default()
             },
         )
@@ -266,7 +239,7 @@ fn wire_batches_embed_the_one_shot_json_objects() {
         let mut requests = Vec::new();
         let mut expected: Vec<(String, String)> = Vec::new();
         for (name, mrm, formulas) in paper_models() {
-            let model_dir = dir.join(format!("{name}-{threads}"));
+            let model_dir = dir.join(format!("{name}-{workers}"));
             std::fs::create_dir_all(&model_dir).unwrap();
             let [tra, lab, rewr, rewi] = write_model(&model_dir, &mrm);
             requests.push(format!(
@@ -276,15 +249,14 @@ fn wire_batches_embed_the_one_shot_json_objects() {
                 rewr.display(),
                 rewi.display()
             ));
-            let options = CheckOptions::new().with_threads(threads);
             for formula in formulas {
                 let id = expected.len();
                 requests.push(format!(
-                    "{{\"check\":{{\"model\":\"{name}\",\"formula\":\"{formula}\",\"options\":{{\"threads\":{threads}}}}},\"id\":{id}}}"
+                    "{{\"check\":{{\"model\":\"{name}\",\"formula\":\"{formula}\"}},\"id\":{id}}}"
                 ));
                 expected.push((
                     format!("\"id\":{id},"),
-                    json_outcome(formula, &one_shot(&mrm, options, formula), None),
+                    json_outcome(formula, &one_shot(&mrm, CheckOptions::new(), formula), None),
                 ));
             }
         }
@@ -315,7 +287,7 @@ fn wire_batches_embed_the_one_shot_json_objects() {
                 .unwrap_or_else(|| panic!("no response for {id_tag}: {responses:#?}"));
             assert!(
                 line.ends_with(&one_shot_line[1..]),
-                "wire result differs from one-shot --json at {threads} threads:\n\
+                "wire result differs from one-shot --json with {workers} workers:\n\
                  wire: {line}\none-shot: {one_shot_line}"
             );
             // And it is valid JSON as a whole.

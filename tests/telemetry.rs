@@ -1,7 +1,7 @@
 //! The telemetry determinism contract, tested end to end: checking any
 //! model with any recorder installed — the no-op sink, the in-memory
 //! metrics aggregator, or the JSONL trace writer — yields outcomes
-//! bit-for-bit identical to an uninstrumented run, at every thread count.
+//! bit-for-bit identical to an uninstrumented run.
 //!
 //! This is the workspace's load-bearing guarantee that instrumentation is
 //! observation-only (`mrmc-obs` crate docs): `CheckOutcome` derives
@@ -30,8 +30,8 @@ fn random_cfg() -> RandomMrmConfig {
     }
 }
 
-fn check(mrm: &Mrm, threads: usize, formula: &str) -> CheckOutcome {
-    let checker = ModelChecker::new(mrm.clone(), CheckOptions::new().with_threads(threads));
+fn check(mrm: &Mrm, formula: &str) -> CheckOutcome {
+    let checker = ModelChecker::new(mrm.clone(), CheckOptions::new());
     checker
         .check_str(formula)
         .unwrap_or_else(|e| panic!("`{formula}` failed: {e}"))
@@ -55,64 +55,58 @@ fn assert_profile_invariants(node: &ProfileNode, ctx: &str) {
 
 /// Check every formula on `mrm` five ways — uninstrumented, under the
 /// null sink, under the metrics aggregator, under the wall-time profiler,
-/// and under a trace writer — at 1 and 4 worker threads, asserting
-/// bitwise-identical outcomes.
+/// and under a trace writer — asserting bitwise-identical outcomes.
 fn assert_recording_is_invisible(name: &str, mrm: &Mrm, formulas: &[&str]) {
-    for threads in [1usize, 4] {
-        for (i, formula) in formulas.iter().enumerate() {
-            let ctx = format!("model {name}, threads {threads}, formula `{formula}`");
-            let plain = check(mrm, threads, formula);
+    for (i, formula) in formulas.iter().enumerate() {
+        let ctx = format!("model {name}, formula `{formula}`");
+        let plain = check(mrm, formula);
 
-            let nulled =
-                mrmc_obs::with_recorder(Arc::new(NullRecorder), || check(mrm, threads, formula));
-            assert_eq!(plain, nulled, "null recorder changed the outcome: {ctx}");
+        let nulled = mrmc_obs::with_recorder(Arc::new(NullRecorder), || check(mrm, formula));
+        assert_eq!(plain, nulled, "null recorder changed the outcome: {ctx}");
 
-            let metrics = Arc::new(MetricsRecorder::new());
-            let metered = mrmc_obs::with_recorder(metrics.clone(), || check(mrm, threads, formula));
-            assert_eq!(
-                plain, metered,
-                "metrics recorder changed the outcome: {ctx}"
-            );
+        let metrics = Arc::new(MetricsRecorder::new());
+        let metered = mrmc_obs::with_recorder(metrics.clone(), || check(mrm, formula));
+        assert_eq!(
+            plain, metered,
+            "metrics recorder changed the outcome: {ctx}"
+        );
 
-            let profiler = Arc::new(ProfileRecorder::new());
-            let profiled =
-                mrmc_obs::with_recorder(profiler.clone(), || check(mrm, threads, formula));
-            assert_eq!(
-                plain, profiled,
-                "profile recorder changed the outcome: {ctx}"
-            );
-            // While we're here: the reconstructed tree is structurally
-            // sound — engines always emit spans, and a child phase can
-            // never out-total its parent.
-            let report = profiler.report();
-            assert!(!report.roots.is_empty(), "no spans recorded: {ctx}");
-            for root in &report.roots {
-                assert_profile_invariants(root, &ctx);
-            }
-
-            let path = std::env::temp_dir().join(format!(
-                "mrmc-telemetry-{name}-{threads}-{i}-{}.jsonl",
-                std::process::id()
-            ));
-            let trace = Arc::new(JsonlTraceRecorder::create(&path).expect("create trace"));
-            let traced = mrmc_obs::with_recorder(trace.clone(), || check(mrm, threads, formula));
-            drop(trace);
-            assert_eq!(plain, traced, "trace recorder changed the outcome: {ctx}");
-
-            // While we're here: the trace is well-formed JSONL with
-            // consecutive sequence numbers.
-            let text = std::fs::read_to_string(&path).expect("trace written");
-            let lines: Vec<&str> = text.lines().collect();
-            assert!(!lines.is_empty(), "empty trace: {ctx}");
-            for (seq, line) in lines.iter().enumerate() {
-                assert!(
-                    line.starts_with(&format!("{{\"seq\":{seq},\"kind\":\""))
-                        && line.ends_with('}'),
-                    "malformed trace line {seq} ({ctx}): {line}"
-                );
-            }
-            std::fs::remove_file(&path).ok();
+        let profiler = Arc::new(ProfileRecorder::new());
+        let profiled = mrmc_obs::with_recorder(profiler.clone(), || check(mrm, formula));
+        assert_eq!(
+            plain, profiled,
+            "profile recorder changed the outcome: {ctx}"
+        );
+        // While we're here: the reconstructed tree is structurally
+        // sound — engines always emit spans, and a child phase can
+        // never out-total its parent.
+        let report = profiler.report();
+        assert!(!report.roots.is_empty(), "no spans recorded: {ctx}");
+        for root in &report.roots {
+            assert_profile_invariants(root, &ctx);
         }
+
+        let path = std::env::temp_dir().join(format!(
+            "mrmc-telemetry-{name}-{i}-{}.jsonl",
+            std::process::id()
+        ));
+        let trace = Arc::new(JsonlTraceRecorder::create(&path).expect("create trace"));
+        let traced = mrmc_obs::with_recorder(trace.clone(), || check(mrm, formula));
+        drop(trace);
+        assert_eq!(plain, traced, "trace recorder changed the outcome: {ctx}");
+
+        // While we're here: the trace is well-formed JSONL with
+        // consecutive sequence numbers.
+        let text = std::fs::read_to_string(&path).expect("trace written");
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(!lines.is_empty(), "empty trace: {ctx}");
+        for (seq, line) in lines.iter().enumerate() {
+            assert!(
+                line.starts_with(&format!("{{\"seq\":{seq},\"kind\":\"")) && line.ends_with('}'),
+                "malformed trace line {seq} ({ctx}): {line}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
     }
 }
 
