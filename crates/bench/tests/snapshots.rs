@@ -22,10 +22,6 @@ const SNAPSHOTS: &[&str] = &[
     "BENCH_server_baseline.json",
 ];
 
-/// Id prefixes of benchmarks whose code was deleted while their frozen
-/// baseline rows were kept: the multicolor Gauss–Seidel solver.
-const RETIRED: &[&str] = &["solver/colored_gs/"];
-
 fn load(name: &str) -> Value {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
@@ -174,8 +170,7 @@ fn committed_pairs_pass_the_regression_sentinel() {
 /// renamed id silently breaks the perf comparison. A snapshot may gain
 /// benchmarks after its baseline was frozen, so the requirement is
 /// one-directional: every baseline id must still exist in the current
-/// snapshot, unless it belongs to a deliberately retired benchmark
-/// ([`RETIRED`]), which `mrmc bench diff` reports as `removed`.
+/// snapshot.
 #[test]
 fn every_baseline_benchmark_still_exists_in_its_snapshot() {
     for (current, baseline) in [
@@ -195,7 +190,6 @@ fn every_baseline_benchmark_still_exists_in_its_snapshot() {
         let orphaned: Vec<String> = ids(baseline)
             .into_iter()
             .filter(|id| !current_ids.contains(id))
-            .filter(|id| !RETIRED.iter().any(|prefix| id.starts_with(prefix)))
             .collect();
         assert!(
             orphaned.is_empty(),

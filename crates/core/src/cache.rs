@@ -1,4 +1,5 @@
-//! Session-scoped memoization of `Sat` sub-results.
+//! Session memoization: `Sat` sub-results, SCC condensations and lumping
+//! certificates.
 //!
 //! A [`SatCache`] stores the full result of every engine-backed subformula
 //! (`S`/`P` operators) the recursion in `crate::sat` evaluates, keyed by
@@ -19,22 +20,26 @@
 //!
 //! Serving a hit is exact: the engines are deterministic functions of
 //! `(model, subformula, options)`, so a cached triple is bit-for-bit the
-//! triple a fresh run would produce. The cache is installed with dynamic
-//! scoping ([`with_sat_cache`]), mirroring `mrmc_obs::with_recorder` and
-//! `mrmc_numerics::omega::with_omega_cache`: one-shot callers
-//! ([`crate::ModelChecker`]) install nothing and keep the exact historical
-//! behavior, while [`crate::CheckSession`] installs its cache around each
-//! request.
+//! triple a fresh run would produce.
+//!
+//! The caches reach the recursion explicitly, not through thread-local
+//! installs: [`crate::CheckSession`] bundles them with the model hash
+//! and options fingerprint into a `Memo` and passes it down the check
+//! pipeline, the `Sat` recursion and the until operators. One-shot
+//! checks ([`crate::ModelChecker`]) pass no memo, hash nothing, and
+//! compute every result fresh.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use mrmc_csrl::StateFormula;
 use mrmc_mrm::Mrm;
 
+use crate::error::CheckError;
 use crate::options::CheckOptions;
 use crate::sat::Extras;
+use crate::session::CertOutcome;
 
 /// 64-bit FNV-1a, the workspace's hermetic content digest.
 #[derive(Debug, Clone, Copy)]
@@ -117,17 +122,6 @@ pub fn options_fingerprint(options: &CheckOptions) -> u64 {
     hash_bytes(format!("{options:?}").as_bytes())
 }
 
-/// The cache context: which model (by content hash) and which options the
-/// results being read/written belong to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SatCtx {
-    /// Content hash of the model the recursion is running on (the
-    /// quotient's hash when checking on a certified quotient).
-    pub model_hash: u64,
-    /// [`options_fingerprint`] of the active [`CheckOptions`].
-    pub options_fp: u64,
-}
-
 /// One memoized sub-result: the full triple the recursion produced.
 pub(crate) type CachedSat = (Vec<bool>, Vec<bool>, Option<Extras>);
 
@@ -154,14 +148,12 @@ impl SatCache {
         SatCache::default()
     }
 
-    pub(crate) fn get(&self, ctx: SatCtx, formula: &str) -> Option<CachedSat> {
-        let entries = self.entries.lock().expect("sat cache poisoned");
-        let v = entries
-            .get(&SatKey {
-                model_hash: ctx.model_hash,
-                options_fp: ctx.options_fp,
-                formula: formula.to_string(),
-            })
+    fn get(&self, key: &SatKey) -> Option<CachedSat> {
+        let v = self
+            .entries
+            .lock()
+            .expect("sat cache poisoned")
+            .get(key)
             .cloned();
         if v.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -171,16 +163,11 @@ impl SatCache {
         v
     }
 
-    pub(crate) fn insert(&self, ctx: SatCtx, formula: String, value: CachedSat) {
-        let mut entries = self.entries.lock().expect("sat cache poisoned");
-        entries.insert(
-            SatKey {
-                model_hash: ctx.model_hash,
-                options_fp: ctx.options_fp,
-                formula,
-            },
-            value,
-        );
+    fn insert(&self, key: SatKey, value: CachedSat) {
+        self.entries
+            .lock()
+            .expect("sat cache poisoned")
+            .insert(key, value);
     }
 
     /// Number of memoized sub-results.
@@ -202,41 +189,6 @@ impl SatCache {
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
-}
-
-thread_local! {
-    static INSTALLED: RefCell<Option<(Arc<SatCache>, SatCtx)>> = const { RefCell::new(None) };
-}
-
-/// Install `cache` (with its model/options context) as this thread's
-/// `Sat` memo for the duration of `f`.
-///
-/// Scoping is dynamic and re-entrant, mirroring
-/// [`mrmc_numerics::omega::with_omega_cache`]: nested calls shadow the
-/// outer cache and restore it on exit (also on unwind). While installed,
-/// the recursion in `crate::sat` serves engine-backed subformulas from
-/// the cache and stores misses — results are bit-identical to an uncached
-/// run.
-pub fn with_sat_cache<T>(cache: Arc<SatCache>, ctx: SatCtx, f: impl FnOnce() -> T) -> T {
-    struct Restore {
-        previous: Option<(Arc<SatCache>, SatCtx)>,
-    }
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            INSTALLED.with(|c| *c.borrow_mut() = self.previous.take());
-        }
-    }
-    let restore = Restore {
-        previous: INSTALLED.with(|c| c.borrow_mut().replace((cache, ctx))),
-    };
-    let out = f();
-    drop(restore);
-    out
-}
-
-/// The cache and context installed on this thread, if any.
-pub(crate) fn installed() -> Option<(Arc<SatCache>, SatCtx)> {
-    INSTALLED.with(|c| c.borrow().clone())
 }
 
 /// A shareable store of Tarjan SCC decompositions keyed by
@@ -305,40 +257,116 @@ impl SccCache {
     }
 }
 
-thread_local! {
-    static INSTALLED_SCC: RefCell<Option<Arc<SccCache>>> = const { RefCell::new(None) };
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct CertKey {
+    model_hash: u64,
+    formula: String,
 }
 
-/// Install `cache` as this thread's condensation store for the duration
-/// of `f` — dynamic scoping exactly like [`with_sat_cache`]. One-shot
-/// callers install nothing and recompute per request;
-/// [`crate::CheckSession`] installs its cache around each check so the
-/// Tarjan pass runs once per model hash.
-pub fn with_scc_cache<T>(cache: Arc<SccCache>, f: impl FnOnce() -> T) -> T {
-    struct Restore {
-        previous: Option<Arc<SccCache>>,
+/// A shareable store of resolved reductions keyed by `(model hash,
+/// formula)`, with hit accounting (the `cert_cache_hits` counter).
+///
+/// Negative results are stored too: re-running partition refinement to
+/// re-discover that no quotient exists (or that verification fails) is
+/// exactly the kind of per-request work a session exists to amortize.
+#[derive(Debug, Default)]
+pub(crate) struct CertCache {
+    entries: Mutex<BTreeMap<CertKey, CertOutcome>>,
+    hits: AtomicU64,
+}
+
+impl CertCache {
+    pub(crate) fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
     }
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            INSTALLED_SCC.with(|c| *c.borrow_mut() = self.previous.take());
+
+    fn get_or_analyze(&self, key: CertKey, analyze: impl FnOnce() -> CertOutcome) -> CertOutcome {
+        let cached = self
+            .entries
+            .lock()
+            .expect("cert cache poisoned")
+            .get(&key)
+            .cloned();
+        if let Some(outcome) = cached {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return outcome;
         }
+        let outcome = analyze();
+        self.entries
+            .lock()
+            .expect("cert cache poisoned")
+            .entry(key)
+            .or_insert(outcome)
+            .clone()
     }
-    let restore = Restore {
-        previous: INSTALLED_SCC.with(|c| c.borrow_mut().replace(cache)),
-    };
-    let out = f();
-    drop(restore);
-    out
 }
 
-/// The SCC decomposition of `mrm`'s rate graph: served from the installed
-/// [`SccCache`] (keyed by [`model_hash`]) when one is in scope, computed
-/// fresh otherwise. The decomposition is a pure function of the rate
-/// graph, so a cached value is identical to a recomputed one.
-pub(crate) fn condensation_for(mrm: &Mrm) -> Arc<mrmc_ctmc::bscc::SccDecomposition> {
+/// The session memos one check reads and writes, scoped to the model
+/// the recursion runs on and the active options. It is passed by value
+/// from [`crate::CheckSession::check`] through the `Sat` recursion into
+/// the until operators; one-shot checks pass none and compute everything
+/// fresh.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Memo<'a> {
+    pub(crate) sat: &'a SatCache,
+    pub(crate) scc: &'a SccCache,
+    pub(crate) certs: &'a CertCache,
+    /// Content hash of the model the recursion runs on (the quotient's
+    /// hash when checking on a certified quotient).
+    pub(crate) model_hash: u64,
+    /// [`options_fingerprint`] of the active [`CheckOptions`].
+    pub(crate) options_fp: u64,
+}
+
+impl Memo<'_> {
+    /// The memoized result of the engine-backed subformula `formula`,
+    /// computed by `compute` and stored on a miss.
+    pub(crate) fn sat(
+        &self,
+        formula: &StateFormula,
+        compute: impl FnOnce() -> Result<CachedSat, CheckError>,
+    ) -> Result<CachedSat, CheckError> {
+        let key = SatKey {
+            model_hash: self.model_hash,
+            options_fp: self.options_fp,
+            formula: formula.to_string(),
+        };
+        if let Some(hit) = self.sat.get(&key) {
+            return Ok(hit);
+        }
+        let value = compute()?;
+        self.sat.insert(key, value.clone());
+        Ok(value)
+    }
+
+    /// The resolved reduction for `formula` on this memo's model,
+    /// computed by `analyze` on a miss.
+    pub(crate) fn certificate(
+        &self,
+        formula: &StateFormula,
+        analyze: impl FnOnce() -> CertOutcome,
+    ) -> CertOutcome {
+        self.certs.get_or_analyze(
+            CertKey {
+                model_hash: self.model_hash,
+                formula: formula.to_string(),
+            },
+            analyze,
+        )
+    }
+}
+
+/// The SCC decomposition of `mrm`'s rate graph: served from the memo's
+/// [`SccCache`] under its model hash when there is a memo, computed fresh
+/// otherwise. The decomposition is a pure function of the rate graph, so
+/// a cached value is identical to a recomputed one.
+pub(crate) fn condensation_for(
+    mrm: &Mrm,
+    memo: Option<Memo<'_>>,
+) -> Arc<mrmc_ctmc::bscc::SccDecomposition> {
     let compute = || mrmc_ctmc::bscc::SccDecomposition::new(mrm.ctmc().rates());
-    match INSTALLED_SCC.with(|c| c.borrow().clone()) {
-        Some(cache) => cache.get_or_compute(model_hash(mrm), compute),
+    match memo {
+        Some(memo) => memo.scc.get_or_compute(memo.model_hash, compute),
         None => Arc::new(compute()),
     }
 }
@@ -395,32 +423,45 @@ mod tests {
         );
     }
 
+    /// Fresh session caches, viewed through a memo per model hash.
+    #[derive(Default)]
+    struct Caches {
+        sat: SatCache,
+        scc: SccCache,
+        certs: CertCache,
+    }
+
+    impl Caches {
+        fn memo(&self, model_hash: u64) -> Memo<'_> {
+            Memo {
+                sat: &self.sat,
+                scc: &self.scc,
+                certs: &self.certs,
+                model_hash,
+                options_fp: 9,
+            }
+        }
+    }
+
     #[test]
     fn cache_counts_hits_and_misses() {
-        let cache = SatCache::new();
-        let ctx = SatCtx {
-            model_hash: 7,
-            options_fp: 9,
-        };
-        assert!(cache.get(ctx, "S(> 0.5) (up)").is_none());
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        cache.insert(
-            ctx,
-            "S(> 0.5) (up)".to_string(),
-            (vec![true], vec![false], None),
-        );
-        let (sat, unknown, extras) = cache.get(ctx, "S(> 0.5) (up)").unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        let caches = Caches::default();
+        let formula = mrmc_csrl::parse("S(> 0.5) (up)").unwrap();
+        let compute = || Ok((vec![true], vec![false], None));
+        caches.memo(7).sat(&formula, compute).unwrap();
+        assert_eq!((caches.sat.hits(), caches.sat.misses()), (0, 1));
+        let (sat, unknown, extras) = caches
+            .memo(7)
+            .sat(&formula, || panic!("a hit must not recompute"))
+            .unwrap();
+        assert_eq!((caches.sat.hits(), caches.sat.misses()), (1, 1));
         assert_eq!(sat, vec![true]);
         assert_eq!(unknown, vec![false]);
         assert!(extras.is_none());
         // A different model hash misses.
-        let other = SatCtx {
-            model_hash: 8,
-            options_fp: 9,
-        };
-        assert!(cache.get(other, "S(> 0.5) (up)").is_none());
-        assert_eq!(cache.len(), 1);
+        caches.memo(8).sat(&formula, compute).unwrap();
+        assert_eq!((caches.sat.hits(), caches.sat.misses()), (1, 2));
+        assert_eq!(caches.sat.len(), 2);
     }
 
     #[test]
@@ -429,37 +470,20 @@ mod tests {
         let mut b = CtmcBuilder::new(2);
         b.transition(0, 1, 1.0).transition(1, 0, 1.0);
         let m = Mrm::without_rewards(b.build().unwrap());
-        let cache = Arc::new(SccCache::new());
-        assert!(cache.is_empty());
-        let (a, b) = with_scc_cache(cache.clone(), || {
-            (condensation_for(&m), condensation_for(&m))
-        });
+        let caches = Caches::default();
+        assert!(caches.scc.is_empty());
+        let memo = caches.memo(model_hash(&m));
+        let (a, b) = (
+            condensation_for(&m, Some(memo)),
+            condensation_for(&m, Some(memo)),
+        );
         assert!(Arc::ptr_eq(&a, &b), "second lookup must be served");
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert_eq!(cache.len(), 1);
+        assert_eq!((caches.scc.hits(), caches.scc.misses()), (1, 1));
+        assert_eq!(caches.scc.len(), 1);
         assert_eq!(a.num_components(), 1);
-        // Uninstalled: computed fresh, cache untouched.
-        let fresh = condensation_for(&m);
+        // Without a memo: computed fresh, cache untouched.
+        let fresh = condensation_for(&m, None);
         assert_eq!(fresh.num_components(), 1);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn install_is_scoped_and_reentrant() {
-        let outer = Arc::new(SatCache::new());
-        let inner = Arc::new(SatCache::new());
-        let ctx = SatCtx {
-            model_hash: 1,
-            options_fp: 2,
-        };
-        assert!(installed().is_none());
-        with_sat_cache(outer.clone(), ctx, || {
-            assert!(Arc::ptr_eq(&installed().unwrap().0, &outer));
-            with_sat_cache(inner.clone(), ctx, || {
-                assert!(Arc::ptr_eq(&installed().unwrap().0, &inner));
-            });
-            assert!(Arc::ptr_eq(&installed().unwrap().0, &outer));
-        });
-        assert!(installed().is_none());
+        assert_eq!(caches.scc.len(), 1);
     }
 }

@@ -54,13 +54,12 @@ mod steady;
 mod until;
 pub mod witness;
 
-pub use cache::{model_hash, options_fingerprint, with_sat_cache, SatCache, SatCtx};
+pub use cache::{model_hash, options_fingerprint, SatCache};
 pub use error::CheckError;
 pub use next::next_probabilities;
 pub use options::{CheckOptions, Reduction, UntilEngine};
 pub use outcome::{CheckOutcome, DataflowInfo, ReductionInfo, Verdict};
 pub use session::{CheckSession, ModelHandle, SessionStats};
-pub use until::{until_probabilities, UntilAnalysis};
 pub use witness::{most_probable_witness, Witness};
 
 pub use mrmc_numerics::ErrorBudget;
@@ -129,55 +128,7 @@ impl ModelChecker {
     /// codes), [`CheckError::Reduction`] under [`Reduction::Require`] when
     /// no verified quotient exists, or numerical failures.
     pub fn check(&self, formula: &StateFormula) -> Result<CheckOutcome, CheckError> {
-        if self.options.preflight {
-            let _span = mrmc_obs::span("preflight");
-            let report = self.preflight(formula);
-            if report.has_errors() {
-                return Err(CheckError::Preflight(report));
-            }
-        }
-        let cert = {
-            let _span = mrmc_obs::span("reduction");
-            self.reduction_certificate(formula)?
-        };
-        if let Some(cert) = cert {
-            let info = ReductionInfo {
-                original_states: self.mrm.num_states(),
-                reduced_states: cert.quotient.num_states(),
-            };
-            let _span = mrmc_obs::span("engine");
-            let outcome = sat::satisfy(&cert.quotient, &self.options, formula)?;
-            return Ok(outcome.lift(&cert.partition, info));
-        }
-        let _span = mrmc_obs::span("engine");
-        sat::satisfy(&self.mrm, &self.options, formula)
-    }
-
-    /// The verified lumping certificate `check` would reduce with, or
-    /// `None` when checking runs on the full model. Errors only under
-    /// [`Reduction::Require`].
-    fn reduction_certificate(
-        &self,
-        formula: &StateFormula,
-    ) -> Result<Option<lumping::LumpingCertificate>, CheckError> {
-        let require = match self.options.reduction {
-            Reduction::Off => return Ok(None),
-            Reduction::Auto => false,
-            Reduction::Require => true,
-        };
-        match lumping::analyze(&self.mrm, formula).certificate {
-            Some(cert) => match cert.verify(&self.mrm) {
-                Ok(()) => Ok(Some(cert)),
-                Err(e) if require => Err(CheckError::Reduction {
-                    reason: format!("lumping certificate failed verification: {e}"),
-                }),
-                Err(_) => Ok(None),
-            },
-            None if require => Err(CheckError::Reduction {
-                reason: "no nontrivial quotient exists for this formula".into(),
-            }),
-            None => Ok(None),
-        }
+        session::run_check(&self.mrm, &self.options, formula, None)
     }
 
     /// Parse and check a formula given in concrete syntax.

@@ -14,11 +14,18 @@
 //! engine on the definite set (lower) and on definite ∪ unknown (upper)
 //! brackets the true probability. The midpoint is reported, and the
 //! half-width is charged to the budget's `propagation` component.
+//!
+//! The recursion is a method of [`Ctx`]: the model, the options and,
+//! inside a [`CheckSession`](crate::CheckSession), the session's memo.
+//! Engine-backed nodes are served from that memo, and the until operators
+//! receive the same context, so every cache a check touches is visible in
+//! the signatures; none is reached through thread-local state.
 
 use mrmc_csrl::{CompareOp, PathFormula, StateFormula};
 use mrmc_mrm::Mrm;
 use mrmc_numerics::ErrorBudget;
 
+use crate::cache::{CachedSat, Memo};
 use crate::error::CheckError;
 use crate::next::next_probabilities;
 use crate::options::CheckOptions;
@@ -36,25 +43,13 @@ pub(crate) struct Extras {
     pub(crate) dataflow: Option<DataflowInfo>,
 }
 
-/// Compute `Sat(Φ)` with a post-order traversal of the formula.
-pub fn satisfy(
-    mrm: &Mrm,
-    options: &CheckOptions,
-    formula: &StateFormula,
-) -> Result<CheckOutcome, CheckError> {
-    let (sat, unknown, extras) = sat_rec(mrm, options, formula)?;
-    Ok(match extras {
-        Some(e) => CheckOutcome::with_probabilities(
-            sat,
-            unknown,
-            e.probabilities,
-            e.error_bounds,
-            e.budgets,
-            e.engine,
-            e.dataflow,
-        ),
-        None => CheckOutcome::with_unknown(sat, unknown),
-    })
+/// One `Sat(Φ)` run: the model it checks, the options, and — inside a
+/// [`CheckSession`](crate::CheckSession) — the session's memos.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ctx<'a> {
+    pub(crate) mrm: &'a Mrm,
+    pub(crate) options: &'a CheckOptions,
+    pub(crate) memo: Option<Memo<'a>>,
 }
 
 /// `a ∪ b` as characteristic vectors.
@@ -133,135 +128,111 @@ fn threshold_verdicts(
     }
 }
 
-/// One recursion step, with the session memo consulted first.
-///
-/// Engine-backed nodes (`S`/`P` operators) are served from the installed
-/// [`SatCache`](crate::cache::SatCache) when a session scoped one in
-/// ([`crate::cache::with_sat_cache`]); boolean nodes are recomputed — they
-/// cost a vector scan, less than a cache round-trip. With no cache
-/// installed (the one-shot [`ModelChecker`](crate::ModelChecker) path)
-/// this is exactly [`sat_node`].
-#[allow(clippy::type_complexity)]
-fn sat_rec(
-    mrm: &Mrm,
-    options: &CheckOptions,
-    formula: &StateFormula,
-) -> Result<(Vec<bool>, Vec<bool>, Option<Extras>), CheckError> {
-    let engine_backed = matches!(
-        formula,
-        StateFormula::Steady { .. } | StateFormula::Prob { .. }
-    );
-    if engine_backed {
-        if let Some((cache, ctx)) = crate::cache::installed() {
-            let key = formula.to_string();
-            if let Some(cached) = cache.get(ctx, &key) {
-                return Ok(cached);
-            }
-            let value = sat_node(mrm, options, formula)?;
-            cache.insert(ctx, key, value.clone());
-            return Ok(value);
-        }
-    }
-    sat_node(mrm, options, formula)
-}
-
-#[allow(clippy::type_complexity)]
-fn sat_node(
-    mrm: &Mrm,
-    options: &CheckOptions,
-    formula: &StateFormula,
-) -> Result<(Vec<bool>, Vec<bool>, Option<Extras>), CheckError> {
-    let n = mrm.num_states();
-    match formula {
-        StateFormula::True => Ok((vec![true; n], vec![false; n], None)),
-        StateFormula::False => Ok((vec![false; n], vec![false; n], None)),
-        StateFormula::Ap(name) => {
-            let sat = mrm.labeling().states_with(name);
-            if !any(&sat) {
-                return Err(CheckError::UnknownProposition { name: name.clone() });
-            }
-            Ok((sat, vec![false; n], None))
-        }
-        StateFormula::Not(inner) => {
-            let (isat, iunk, _) = sat_rec(mrm, options, inner)?;
-            // ¬unknown stays unknown; only definite-false flips to true.
-            let sat = isat.iter().zip(&iunk).map(|(&s, &u)| !s && !u).collect();
-            Ok((sat, iunk, None))
-        }
-        StateFormula::Or(a, b) => {
-            let (sa, ua, _) = sat_rec(mrm, options, a)?;
-            let (sb, ub, _) = sat_rec(mrm, options, b)?;
-            let sat: Vec<bool> = union(&sa, &sb);
-            let unknown = sat
-                .iter()
-                .zip(ua.iter().zip(&ub))
-                .map(|(&s, (&x, &y))| !s && (x || y))
-                .collect();
-            Ok((sat, unknown, None))
-        }
-        StateFormula::And(a, b) => {
-            let (sa, ua, _) = sat_rec(mrm, options, a)?;
-            let (sb, ub, _) = sat_rec(mrm, options, b)?;
-            let mut sat = Vec::with_capacity(n);
-            let mut unknown = Vec::with_capacity(n);
-            for s in 0..n {
-                let both = sa[s] && sb[s];
-                // Definitely false as soon as either side definitely fails.
-                let def_false = (!sa[s] && !ua[s]) || (!sb[s] && !ub[s]);
-                sat.push(both);
-                unknown.push(!both && !def_false);
-            }
-            Ok((sat, unknown, None))
-        }
-        StateFormula::Implies(a, b) => {
-            // a ⇒ b ≡ ¬a ∨ b in Kleene logic.
-            let (sa, ua, _) = sat_rec(mrm, options, a)?;
-            let (sb, ub, _) = sat_rec(mrm, options, b)?;
-            let mut sat = Vec::with_capacity(n);
-            let mut unknown = Vec::with_capacity(n);
-            for s in 0..n {
-                let holds = (!sa[s] && !ua[s]) || sb[s];
-                sat.push(holds);
-                unknown.push(!holds && (ua[s] || ub[s]));
-            }
-            Ok((sat, unknown, None))
-        }
-        StateFormula::Steady { op, bound, inner } => {
-            let (isat, iunk, _) = sat_rec(mrm, options, inner)?;
-            let (probabilities, budgets) = if any(&iunk) {
-                let lo = steady_probabilities(mrm, options, &isat)?;
-                let hi = steady_probabilities(mrm, options, &union(&isat, &iunk))?;
-                widen(lo, hi, None, None)
-            } else {
-                (steady_probabilities(mrm, options, &isat)?, None)
-            };
-            let (sat, unknown) =
-                threshold_verdicts(*op, *bound, &probabilities, budgets.as_deref());
-            Ok((
+impl Ctx<'_> {
+    /// Compute `Sat(Φ)` with a post-order traversal of the formula.
+    pub(crate) fn satisfy(&self, formula: &StateFormula) -> Result<CheckOutcome, CheckError> {
+        let (sat, unknown, extras) = self.sat_rec(formula)?;
+        Ok(match extras {
+            Some(e) => CheckOutcome::with_probabilities(
                 sat,
                 unknown,
-                Some(Extras {
-                    probabilities,
-                    error_bounds: None,
-                    budgets,
-                    engine: "steady",
-                    dataflow: None,
-                }),
-            ))
+                e.probabilities,
+                e.error_bounds,
+                e.budgets,
+                e.engine,
+                e.dataflow,
+            ),
+            None => CheckOutcome::with_unknown(sat, unknown),
+        })
+    }
+
+    /// One recursion step, with the session memo consulted first.
+    ///
+    /// Engine-backed nodes (`S`/`P` operators) are served from the memo's
+    /// [`SatCache`](crate::cache::SatCache) when there is a memo; boolean
+    /// nodes are recomputed — they cost a vector scan, less than a cache
+    /// round-trip. Without a memo (the one-shot
+    /// [`ModelChecker`](crate::ModelChecker) path) this is exactly
+    /// [`sat_node`](Ctx::sat_node).
+    fn sat_rec(&self, formula: &StateFormula) -> Result<CachedSat, CheckError> {
+        match self.memo {
+            Some(memo)
+                if matches!(
+                    formula,
+                    StateFormula::Steady { .. } | StateFormula::Prob { .. }
+                ) =>
+            {
+                memo.sat(formula, || self.sat_node(formula))
+            }
+            _ => self.sat_node(formula),
         }
-        StateFormula::Prob { op, bound, path } => match path.as_ref() {
-            PathFormula::Next {
-                time,
-                reward,
-                inner,
-            } => {
-                let (isat, iunk, _) = sat_rec(mrm, options, inner)?;
+    }
+
+    fn sat_node(&self, formula: &StateFormula) -> Result<CachedSat, CheckError> {
+        let Ctx { mrm, options, .. } = *self;
+        let n = mrm.num_states();
+        match formula {
+            StateFormula::True => Ok((vec![true; n], vec![false; n], None)),
+            StateFormula::False => Ok((vec![false; n], vec![false; n], None)),
+            StateFormula::Ap(name) => {
+                let sat = mrm.labeling().states_with(name);
+                if !any(&sat) {
+                    return Err(CheckError::UnknownProposition { name: name.clone() });
+                }
+                Ok((sat, vec![false; n], None))
+            }
+            StateFormula::Not(inner) => {
+                let (isat, iunk, _) = self.sat_rec(inner)?;
+                // ¬unknown stays unknown; only definite-false flips to true.
+                let sat = isat.iter().zip(&iunk).map(|(&s, &u)| !s && !u).collect();
+                Ok((sat, iunk, None))
+            }
+            StateFormula::Or(a, b) => {
+                let (sa, ua, _) = self.sat_rec(a)?;
+                let (sb, ub, _) = self.sat_rec(b)?;
+                let sat: Vec<bool> = union(&sa, &sb);
+                let unknown = sat
+                    .iter()
+                    .zip(ua.iter().zip(&ub))
+                    .map(|(&s, (&x, &y))| !s && (x || y))
+                    .collect();
+                Ok((sat, unknown, None))
+            }
+            StateFormula::And(a, b) => {
+                let (sa, ua, _) = self.sat_rec(a)?;
+                let (sb, ub, _) = self.sat_rec(b)?;
+                let mut sat = Vec::with_capacity(n);
+                let mut unknown = Vec::with_capacity(n);
+                for s in 0..n {
+                    let both = sa[s] && sb[s];
+                    // Definitely false as soon as either side definitely fails.
+                    let def_false = (!sa[s] && !ua[s]) || (!sb[s] && !ub[s]);
+                    sat.push(both);
+                    unknown.push(!both && !def_false);
+                }
+                Ok((sat, unknown, None))
+            }
+            StateFormula::Implies(a, b) => {
+                // a ⇒ b ≡ ¬a ∨ b in Kleene logic.
+                let (sa, ua, _) = self.sat_rec(a)?;
+                let (sb, ub, _) = self.sat_rec(b)?;
+                let mut sat = Vec::with_capacity(n);
+                let mut unknown = Vec::with_capacity(n);
+                for s in 0..n {
+                    let holds = (!sa[s] && !ua[s]) || sb[s];
+                    sat.push(holds);
+                    unknown.push(!holds && (ua[s] || ub[s]));
+                }
+                Ok((sat, unknown, None))
+            }
+            StateFormula::Steady { op, bound, inner } => {
+                let (isat, iunk, _) = self.sat_rec(inner)?;
                 let (probabilities, budgets) = if any(&iunk) {
-                    let lo = next_probabilities(mrm, time, reward, &isat)?;
-                    let hi = next_probabilities(mrm, time, reward, &union(&isat, &iunk))?;
+                    let lo = steady_probabilities(mrm, options, &isat)?;
+                    let hi = steady_probabilities(mrm, options, &union(&isat, &iunk))?;
                     widen(lo, hi, None, None)
                 } else {
-                    (next_probabilities(mrm, time, reward, &isat)?, None)
+                    (steady_probabilities(mrm, options, &isat)?, None)
                 };
                 let (sat, unknown) =
                     threshold_verdicts(*op, *bound, &probabilities, budgets.as_deref());
@@ -272,68 +243,96 @@ fn sat_node(
                         probabilities,
                         error_bounds: None,
                         budgets,
-                        engine: "next",
+                        engine: "steady",
                         dataflow: None,
                     }),
                 ))
             }
-            PathFormula::Until {
-                time,
-                reward,
-                lhs,
-                rhs,
-            } => {
-                let (phi, phi_u, _) = sat_rec(mrm, options, lhs)?;
-                let (psi, psi_u, _) = sat_rec(mrm, options, rhs)?;
-                let (probabilities, error_bounds, budgets, engine, dataflow) =
-                    if any(&phi_u) || any(&psi_u) {
-                        let lo = until_probabilities(mrm, options, time, reward, &phi, &psi)?;
-                        let hi = until_probabilities(
-                            mrm,
-                            options,
-                            time,
-                            reward,
-                            &union(&phi, &phi_u),
-                            &union(&psi, &psi_u),
-                        )?;
-                        let engine = lo.engine;
-                        // Report the lower run's pre-pass: it analyzed the
-                        // definite argument sets the verdicts are anchored to.
-                        let dataflow = lo.dataflow;
-                        let error_bounds = match (lo.error_bounds, hi.error_bounds) {
-                            (Some(l), Some(h)) => {
-                                Some(l.iter().zip(&h).map(|(&a, &b)| a.max(b)).collect())
-                            }
-                            _ => None,
-                        };
-                        let (probabilities, budgets) =
-                            widen(lo.probabilities, hi.probabilities, lo.budgets, hi.budgets);
-                        (probabilities, error_bounds, budgets, engine, dataflow)
+            StateFormula::Prob { op, bound, path } => match path.as_ref() {
+                PathFormula::Next {
+                    time,
+                    reward,
+                    inner,
+                } => {
+                    let (isat, iunk, _) = self.sat_rec(inner)?;
+                    let (probabilities, budgets) = if any(&iunk) {
+                        let lo = next_probabilities(mrm, time, reward, &isat)?;
+                        let hi = next_probabilities(mrm, time, reward, &union(&isat, &iunk))?;
+                        widen(lo, hi, None, None)
                     } else {
-                        let analysis = until_probabilities(mrm, options, time, reward, &phi, &psi)?;
-                        (
-                            analysis.probabilities,
-                            analysis.error_bounds,
-                            analysis.budgets,
-                            analysis.engine,
-                            analysis.dataflow,
-                        )
+                        (next_probabilities(mrm, time, reward, &isat)?, None)
                     };
-                let (sat, unknown) =
-                    threshold_verdicts(*op, *bound, &probabilities, budgets.as_deref());
-                Ok((
-                    sat,
-                    unknown,
-                    Some(Extras {
-                        probabilities,
-                        error_bounds,
-                        budgets,
-                        engine,
-                        dataflow,
-                    }),
-                ))
-            }
-        },
+                    let (sat, unknown) =
+                        threshold_verdicts(*op, *bound, &probabilities, budgets.as_deref());
+                    Ok((
+                        sat,
+                        unknown,
+                        Some(Extras {
+                            probabilities,
+                            error_bounds: None,
+                            budgets,
+                            engine: "next",
+                            dataflow: None,
+                        }),
+                    ))
+                }
+                PathFormula::Until {
+                    time,
+                    reward,
+                    lhs,
+                    rhs,
+                } => {
+                    let (phi, phi_u, _) = self.sat_rec(lhs)?;
+                    let (psi, psi_u, _) = self.sat_rec(rhs)?;
+                    let (probabilities, error_bounds, budgets, engine, dataflow) =
+                        if any(&phi_u) || any(&psi_u) {
+                            let lo = until_probabilities(self, time, reward, &phi, &psi)?;
+                            let hi = until_probabilities(
+                                self,
+                                time,
+                                reward,
+                                &union(&phi, &phi_u),
+                                &union(&psi, &psi_u),
+                            )?;
+                            let engine = lo.engine;
+                            // Report the lower run's pre-pass: it analyzed the
+                            // definite argument sets the verdicts are anchored to.
+                            let dataflow = lo.dataflow;
+                            let error_bounds = match (lo.error_bounds, hi.error_bounds) {
+                                (Some(l), Some(h)) => {
+                                    Some(l.iter().zip(&h).map(|(&a, &b)| a.max(b)).collect())
+                                }
+                                _ => None,
+                            };
+                            let (probabilities, budgets) =
+                                widen(lo.probabilities, hi.probabilities, lo.budgets, hi.budgets);
+                            (probabilities, error_bounds, budgets, engine, dataflow)
+                        } else {
+                            let analysis = until_probabilities(self, time, reward, &phi, &psi)?;
+                            (
+                                analysis.probabilities,
+                                analysis.error_bounds,
+                                analysis.budgets,
+                                analysis.engine,
+                                analysis.dataflow,
+                            )
+                        };
+                    let (sat, unknown) =
+                        threshold_verdicts(*op, *bound, &probabilities, budgets.as_deref());
+                    Ok((
+                        sat,
+                        unknown,
+                        Some(Extras {
+                            probabilities,
+                            error_bounds,
+                            budgets,
+                            engine,
+                            dataflow,
+                        }),
+                    ))
+                }
+            },
+        }
     }
 }
 

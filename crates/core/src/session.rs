@@ -28,6 +28,13 @@
 //!   [`crate::cache::SccCache`]) is a pure function of the rate graph
 //!   and is computed once per model hash.
 //!
+//! Both entry points run one pipeline, `run_check`: the pre-flight gate,
+//! the certified reduction, then the `Sat` recursion. A session passes it
+//! a `Memo` over its Sat, SCC and certificate caches explicitly;
+//! `ModelChecker` passes none. Only the Ω cache is still dynamically
+//! scoped (`with_omega_cache`), because the numerics engine entry points
+//! carry it implicitly in their signatures.
+//!
 //! Every cache is exact: the engines are deterministic functions of
 //! `(model, formula, options)`, so session results are bit-for-bit
 //! identical to fresh one-shot runs (pinned by
@@ -46,11 +53,12 @@ use mrmc_mrm::Mrm;
 use mrmc_numerics::omega::{with_omega_cache, OmegaTermCache};
 use mrmc_obs::{counters, Event};
 
-use crate::cache::{self, SatCache, SatCtx, SccCache};
+use crate::cache::{self, CertCache, Memo, SatCache, SccCache};
 use crate::error::CheckError;
+use crate::lumping;
 use crate::options::{CheckOptions, Reduction};
 use crate::outcome::{CheckOutcome, ReductionInfo};
-use crate::{lumping, sat};
+use crate::sat::Ctx;
 
 /// A model registered with a [`CheckSession`]: the parsed MRM plus its
 /// content hash (see [`crate::cache::model_hash`]).
@@ -108,29 +116,117 @@ pub struct SessionStats {
     pub scc_cache_hits: u64,
 }
 
-/// What the certificate cache remembers for one `(model, formula)` pair.
-///
-/// Negative results are cached too: re-running partition refinement to
-/// re-discover that no quotient exists (or that verification fails) is
-/// exactly the kind of per-request work a session exists to amortize.
+/// What lumping analysis plus independent verification concluded for one
+/// `(model, formula)` pair; sessions cache it, negative results included.
 #[derive(Debug, Clone)]
-enum CertOutcome {
-    /// A verified, strictly smaller quotient, with the quotient's own
-    /// content hash (the `Sat` cache context when checking on it).
+pub(crate) enum CertOutcome {
+    /// A verified, strictly smaller quotient. Inside a session it carries
+    /// the quotient's content hash, the memo key when checking on it.
     Verified {
         cert: Arc<lumping::LumpingCertificate>,
-        quotient_hash: u64,
+        quotient_hash: Option<u64>,
     },
     /// A certificate existed but failed independent verification.
-    FailedVerify { reason: String },
+    FailedVerify { error: String },
     /// No nontrivial quotient exists for this formula.
     NoQuotient,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct CertKey {
-    model_hash: u64,
-    formula: String,
+impl CertOutcome {
+    /// Run the lumping analysis and verify its certificate against `mrm`;
+    /// `hash_quotient` also records the quotient's content hash.
+    fn analyze(mrm: &Mrm, formula: &StateFormula, hash_quotient: bool) -> Self {
+        match lumping::analyze(mrm, formula).certificate {
+            Some(cert) => match cert.verify(mrm) {
+                Ok(()) => CertOutcome::Verified {
+                    quotient_hash: hash_quotient.then(|| cache::model_hash(&cert.quotient)),
+                    cert: Arc::new(cert),
+                },
+                Err(e) => CertOutcome::FailedVerify {
+                    error: e.to_string(),
+                },
+            },
+            None => CertOutcome::NoQuotient,
+        }
+    }
+}
+
+/// The one check pipeline behind [`CheckSession::check`] and
+/// [`ModelChecker::check`](crate::ModelChecker::check): the pre-flight
+/// gate, the certified reduction and the `Sat` recursion, each under its
+/// telemetry span. `memo` carries a session's caches keyed to `mrm`'s
+/// content hash; one-shot checks pass `None` and compute everything
+/// fresh.
+pub(crate) fn run_check(
+    mrm: &Mrm,
+    options: &CheckOptions,
+    formula: &StateFormula,
+    memo: Option<Memo<'_>>,
+) -> Result<CheckOutcome, CheckError> {
+    if options.preflight {
+        let _span = mrmc_obs::span("preflight");
+        let report = mrmc_analysis::preflight(mrm, formula, options.engine_hint());
+        if report.has_errors() {
+            return Err(CheckError::Preflight(report));
+        }
+    }
+    let reduced = {
+        let _span = mrmc_obs::span("reduction");
+        reduction(mrm, options.reduction, formula, memo)?
+    };
+    let _span = mrmc_obs::span("engine");
+    match reduced {
+        Some((cert, quotient_hash)) => {
+            let info = ReductionInfo {
+                original_states: mrm.num_states(),
+                reduced_states: cert.quotient.num_states(),
+            };
+            let ctx = Ctx {
+                mrm: &cert.quotient,
+                options,
+                memo: memo
+                    .zip(quotient_hash)
+                    .map(|(memo, model_hash)| Memo { model_hash, ..memo }),
+            };
+            Ok(ctx.satisfy(formula)?.lift(&cert.partition, info))
+        }
+        None => Ctx { mrm, options, memo }.satisfy(formula),
+    }
+}
+
+/// The verified certificate a check reduces with (plus the quotient's
+/// content hash when there is a memo), resolved through the memo's
+/// certificate cache when there is one. `None` when checking runs on the
+/// full model; errors only under [`Reduction::Require`].
+#[allow(clippy::type_complexity)]
+fn reduction(
+    mrm: &Mrm,
+    policy: Reduction,
+    formula: &StateFormula,
+    memo: Option<Memo<'_>>,
+) -> Result<Option<(Arc<lumping::LumpingCertificate>, Option<u64>)>, CheckError> {
+    let require = match policy {
+        Reduction::Off => return Ok(None),
+        Reduction::Auto => false,
+        Reduction::Require => true,
+    };
+    let outcome = match memo {
+        Some(memo) => memo.certificate(formula, || CertOutcome::analyze(mrm, formula, true)),
+        None => CertOutcome::analyze(mrm, formula, false),
+    };
+    match outcome {
+        CertOutcome::Verified {
+            cert,
+            quotient_hash,
+        } => Ok(Some((cert, quotient_hash))),
+        CertOutcome::FailedVerify { error } if require => Err(CheckError::Reduction {
+            reason: format!("lumping certificate failed verification: {error}"),
+        }),
+        CertOutcome::NoQuotient if require => Err(CheckError::Reduction {
+            reason: "no nontrivial quotient exists for this formula".into(),
+        }),
+        CertOutcome::FailedVerify { .. } | CertOutcome::NoQuotient => Ok(None),
+    }
 }
 
 /// A reusable checking engine with session-scoped caches; see the module
@@ -142,13 +238,12 @@ pub struct CheckSession {
     /// Structural store: model content hash → handle (dedups
     /// [`insert`](CheckSession::insert) and byte-different reloads).
     by_content: Mutex<BTreeMap<u64, ModelHandle>>,
-    certs: Mutex<BTreeMap<CertKey, CertOutcome>>,
-    sat_cache: Arc<SatCache>,
+    sat_cache: SatCache,
+    scc: SccCache,
+    certs: CertCache,
     omega: Arc<OmegaTermCache>,
-    scc: Arc<SccCache>,
     requests: AtomicU64,
     models_loaded: AtomicU64,
-    cert_cache_hits: AtomicU64,
 }
 
 impl CheckSession {
@@ -276,122 +371,16 @@ impl CheckSession {
         formula: &StateFormula,
         options: &CheckOptions,
     ) -> Result<CheckOutcome, CheckError> {
-        if options.preflight {
-            let _span = mrmc_obs::span("preflight");
-            let report = self.preflight(model, formula, options);
-            if report.has_errors() {
-                return Err(CheckError::Preflight(report));
-            }
-        }
-        let cert = {
-            let _span = mrmc_obs::span("reduction");
-            self.certificate(model, formula, options)?
-        };
-        let options_fp = cache::options_fingerprint(options);
-        if let Some((cert, quotient_hash)) = cert {
-            let info = ReductionInfo {
-                original_states: model.mrm().num_states(),
-                reduced_states: cert.quotient.num_states(),
-            };
-            let ctx = SatCtx {
-                model_hash: quotient_hash,
-                options_fp,
-            };
-            let outcome = self.run(&cert.quotient, options, formula, ctx)?;
-            return Ok(outcome.lift(&cert.partition, info));
-        }
-        let ctx = SatCtx {
+        let memo = Memo {
+            sat: &self.sat_cache,
+            scc: &self.scc,
+            certs: &self.certs,
             model_hash: model.content_hash(),
-            options_fp,
+            options_fp: cache::options_fingerprint(options),
         };
-        self.run(model.mrm(), options, formula, ctx)
-    }
-
-    /// Run the recursion with the session caches installed.
-    fn run(
-        &self,
-        mrm: &Mrm,
-        options: &CheckOptions,
-        formula: &StateFormula,
-        ctx: SatCtx,
-    ) -> Result<CheckOutcome, CheckError> {
-        let _span = mrmc_obs::span("engine");
         with_omega_cache(self.omega.clone(), || {
-            cache::with_scc_cache(self.scc.clone(), || {
-                cache::with_sat_cache(self.sat_cache.clone(), ctx, || {
-                    sat::satisfy(mrm, options, formula)
-                })
-            })
+            run_check(model.mrm(), options, formula, Some(memo))
         })
-    }
-
-    /// The verified certificate `check` reduces with (plus the quotient's
-    /// content hash), resolved through the session's certificate cache.
-    /// Mirrors `ModelChecker::reduction_certificate` exactly, including
-    /// the error messages under [`Reduction::Require`].
-    #[allow(clippy::type_complexity)]
-    fn certificate(
-        &self,
-        model: &ModelHandle,
-        formula: &StateFormula,
-        options: &CheckOptions,
-    ) -> Result<Option<(Arc<lumping::LumpingCertificate>, u64)>, CheckError> {
-        let require = match options.reduction {
-            Reduction::Off => return Ok(None),
-            Reduction::Auto => false,
-            Reduction::Require => true,
-        };
-        let key = CertKey {
-            model_hash: model.content_hash(),
-            formula: formula.to_string(),
-        };
-        let outcome = {
-            let cached = self
-                .certs
-                .lock()
-                .expect("session poisoned")
-                .get(&key)
-                .cloned();
-            match cached {
-                Some(outcome) => {
-                    self.cert_cache_hits.fetch_add(1, Ordering::Relaxed);
-                    outcome
-                }
-                None => {
-                    let outcome = match lumping::analyze(model.mrm(), formula).certificate {
-                        Some(cert) => match cert.verify(model.mrm()) {
-                            Ok(()) => CertOutcome::Verified {
-                                quotient_hash: cache::model_hash(&cert.quotient),
-                                cert: Arc::new(cert),
-                            },
-                            Err(e) => CertOutcome::FailedVerify {
-                                reason: format!("lumping certificate failed verification: {e}"),
-                            },
-                        },
-                        None => CertOutcome::NoQuotient,
-                    };
-                    self.certs
-                        .lock()
-                        .expect("session poisoned")
-                        .entry(key)
-                        .or_insert(outcome)
-                        .clone()
-                }
-            }
-        };
-        match outcome {
-            CertOutcome::Verified {
-                cert,
-                quotient_hash,
-            } => Ok(Some((cert, quotient_hash))),
-            CertOutcome::FailedVerify { reason } if require => {
-                Err(CheckError::Reduction { reason })
-            }
-            CertOutcome::NoQuotient if require => Err(CheckError::Reduction {
-                reason: "no nontrivial quotient exists for this formula".into(),
-            }),
-            CertOutcome::FailedVerify { .. } | CertOutcome::NoQuotient => Ok(None),
-        }
     }
 
     /// Report the cumulative cache counters to the installed telemetry
@@ -425,7 +414,7 @@ impl CheckSession {
             models_loaded: self.models_loaded.load(Ordering::Relaxed),
             sat_cache_hits: self.sat_cache.hits(),
             sat_cache_misses: self.sat_cache.misses(),
-            cert_cache_hits: self.cert_cache_hits.load(Ordering::Relaxed),
+            cert_cache_hits: self.certs.hits(),
             omega_cache_entries: self.omega.len() as u64,
             omega_cache_hits: self.omega.hits(),
             scc_cache_hits: self.scc.hits(),
@@ -438,6 +427,9 @@ mod tests {
     use super::*;
     use crate::ModelChecker;
     use mrmc_ctmc::CtmcBuilder;
+    use mrmc_models::cluster::{cluster, ClusterConfig};
+    use mrmc_models::tmr::{tmr, TmrConfig};
+    use mrmc_models::wavelan::wavelan;
 
     fn two_state(rate: f64) -> Mrm {
         let mut b = CtmcBuilder::new(2);
@@ -560,5 +552,79 @@ mod tests {
             .unwrap_err();
         assert_eq!(format!("{e}"), format!("{e2}"));
         assert!(session.stats().cert_cache_hits > 0);
+    }
+
+    /// Run `check` under a metrics recorder: its outcome, and how many
+    /// times each telemetry phase was entered.
+    fn with_phase_counts(
+        check: impl FnOnce() -> Result<CheckOutcome, CheckError>,
+    ) -> (CheckOutcome, Vec<(&'static str, u64)>) {
+        let metrics = Arc::new(mrmc_obs::MetricsRecorder::new());
+        let outcome = mrmc_obs::with_recorder(metrics.clone(), check).unwrap();
+        let phases = metrics
+            .snapshot()
+            .phases
+            .into_iter()
+            .map(|(name, (count, _))| (name, count))
+            .collect();
+        (outcome, phases)
+    }
+
+    #[test]
+    fn one_shot_and_cold_session_run_the_same_pipeline() {
+        // No formula repeats a subformula, so a cold session computes
+        // every node exactly as the one-shot checker does.
+        let cases = [
+            (
+                tmr(&TmrConfig::classic()),
+                vec![
+                    "P(> 0.1) [TT U[0,1][0,10] failed]",
+                    "P(> 0.01) [allUp U[0,2] failed]",
+                    "S(> 0.5) (allUp)",
+                ],
+            ),
+            (
+                cluster(&ClusterConfig::new(2)),
+                vec![
+                    "P(>= 0.1) [TT U[0,1] down]",
+                    "P(>= 0.0) [backbone_up U[0,1][0,5] down]",
+                    "P(>= 0.5) [TT U down]",
+                ],
+            ),
+            (
+                wavelan(),
+                vec!["P(> 0.01) [TT U[0,0.5][0,2] busy]", "S(> 0.1) (idle)"],
+            ),
+        ];
+        let options = CheckOptions::new();
+        let mut reduced = 0;
+        for (mrm, formulas) in cases {
+            for formula in formulas {
+                let one_shot = with_phase_counts(|| {
+                    ModelChecker::new(mrm.clone(), options).check_str(formula)
+                });
+                let session = CheckSession::new();
+                let handle = session.insert(mrm.clone());
+                let cold = with_phase_counts(|| session.check_str(&handle, formula, &options));
+                assert_eq!(one_shot, cold, "`{formula}`");
+                reduced += usize::from(cold.0.reduction().is_some());
+            }
+        }
+        assert!(reduced > 0, "no case exercised the quotient path");
+    }
+
+    #[test]
+    fn memo_reaches_nested_recursion() {
+        let session = CheckSession::new();
+        let handle = session.insert(two_state(0.1));
+        session
+            .check_str(
+                &handle,
+                "(S(>= 0.85) (up)) && (S(>= 0.85) (up))",
+                &CheckOptions::new(),
+            )
+            .unwrap();
+        let stats = session.stats();
+        assert_eq!((stats.sat_cache_misses, stats.sat_cache_hits), (1, 1));
     }
 }

@@ -20,41 +20,41 @@
 use mrmc_analysis::dataflow as qual;
 use mrmc_csrl::Interval;
 use mrmc_ctmc::reach;
-use mrmc_mrm::Mrm;
 use mrmc_numerics::{adaptive, baseline, discretization, monte_carlo, uniformization, ErrorBudget};
 use mrmc_obs::counters;
 
 use crate::cache;
 use crate::error::CheckError;
-use crate::options::{CheckOptions, UntilEngine};
+use crate::options::UntilEngine;
 use crate::outcome::DataflowInfo;
+use crate::sat::Ctx;
 
 /// Per-state until probabilities plus (engine-dependent) error bounds.
 #[derive(Debug, Clone, PartialEq)]
-pub struct UntilAnalysis {
+pub(crate) struct UntilAnalysis {
     /// `P^M(s, Φ U^I_J Ψ)` per state.
-    pub probabilities: Vec<f64>,
+    pub(crate) probabilities: Vec<f64>,
     /// Truncation error bounds per state when the uniformization engine
     /// ran; `None` for the other property classes. Kept with its original
     /// engine-native meaning (Eq. 4.6 truncation mass / standard error);
     /// the full decomposition lives in [`budgets`](UntilAnalysis::budgets).
-    pub error_bounds: Option<Vec<f64>>,
+    pub(crate) error_bounds: Option<Vec<f64>>,
     /// Per-state error budgets: `None` only for the property classes
     /// solved exactly (to solver tolerance) — unbounded until over the
     /// embedded DTMC. Statistical components hold at the simulation
     /// confidence level rather than with certainty.
-    pub budgets: Option<Vec<ErrorBudget>>,
+    pub(crate) budgets: Option<Vec<ErrorBudget>>,
     /// The engine that actually ran, which the bound shape can override
     /// away from the configured [`UntilEngine`](crate::UntilEngine):
     /// `"reachability"` (P0), `"baseline"` (P1 / trivial-reward windows),
     /// `"uniformization"`, `"discretization"`, or `"simulation"` (P2).
-    pub engine: &'static str,
+    pub(crate) engine: &'static str,
     /// The qualitative dataflow pre-pass result, when slicing ran for
-    /// this operator (see [`CheckOptions::slicing`]); `None` for
+    /// this operator (see [`crate::CheckOptions::slicing`]); `None` for
     /// `--no-slicing` runs, the property classes the slicer leaves
     /// untouched (P1 and lower-bound decompositions), and the defensive
     /// fallback after a failed certificate re-verification.
-    pub dataflow: Option<DataflowInfo>,
+    pub(crate) dataflow: Option<DataflowInfo>,
 }
 
 /// Compute `P^M(s, Φ U^I_J Ψ)` for every state.
@@ -63,14 +63,14 @@ pub struct UntilAnalysis {
 ///
 /// [`CheckError::UnsupportedBounds`] for non-zero lower bounds or a bounded
 /// reward with unbounded time; numerical failures are propagated.
-pub fn until_probabilities(
-    mrm: &Mrm,
-    options: &CheckOptions,
+pub(crate) fn until_probabilities(
+    ctx: &Ctx<'_>,
     time: &Interval,
     reward: &Interval,
     phi: &[bool],
     psi: &[bool],
 ) -> Result<UntilAnalysis, CheckError> {
+    let Ctx { mrm, options, .. } = *ctx;
     if let Some(eps) = options.tolerance {
         if !(eps > 0.0 && eps < 1.0) {
             return Err(CheckError::Numerics(
@@ -178,7 +178,7 @@ pub fn until_probabilities(
         // exact to the solver's convergence tolerance (no budget).
         (true, true) => {
             let _span = mrmc_obs::span("until/reachability");
-            let df = dataflow_prepass(mrm, options, phi, psi, true);
+            let df = dataflow_prepass(ctx, phi, psi, true);
             let embedded = mrm.ctmc().embedded_dtmc();
             // The certificate's certain-one set enlarges the solver's
             // sure set: those states are pre-assigned probability 1 and
@@ -230,7 +230,7 @@ pub fn until_probabilities(
         // P2: time and reward bounds — run the configured engine per state,
         // under the adaptive driver when a tolerance was requested.
         (false, false) => {
-            let df = dataflow_prepass(mrm, options, phi, psi, false);
+            let df = dataflow_prepass(ctx, phi, psi, false);
             let t = time.hi();
             let r = reward.hi();
             let n = mrm.num_states();
@@ -346,24 +346,24 @@ pub fn until_probabilities(
 }
 
 /// The qualitative dataflow pre-pass for one until operator: the model's
-/// condensation (served from the session's [`cache::SccCache`] when one
-/// is installed), the Prob0/Prob1 fixpoints, and the certificate —
+/// condensation (served from the session's [`cache::SccCache`] when the
+/// context carries a memo), the Prob0/Prob1 fixpoints, and the certificate —
 /// **independently re-verified** before any engine may prune with it.
 ///
 /// `None` when slicing is off, and — mirroring the lumping `Auto`
 /// fallback — when re-verification fails: the engines then solve the
 /// full model, trading the pruning for safety.
 fn dataflow_prepass(
-    mrm: &Mrm,
-    options: &CheckOptions,
+    ctx: &Ctx<'_>,
     phi: &[bool],
     psi: &[bool],
     unbounded: bool,
 ) -> Option<(qual::QualitativeCertificate, DataflowInfo)> {
+    let Ctx { mrm, options, memo } = *ctx;
     if !options.slicing {
         return None;
     }
-    let scc = cache::condensation_for(mrm);
+    let scc = cache::condensation_for(mrm, memo);
     let cert = qual::qualitative_until(mrm, phi, psi, unbounded);
     if cert.verify(mrm).is_err() {
         return None;
@@ -417,8 +417,27 @@ fn simulation_samples(base: u64, tolerance: Option<f64>) -> Result<u64, CheckErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::CheckOptions;
     use mrmc_ctmc::CtmcBuilder;
+    use mrmc_mrm::Mrm;
     use mrmc_numerics::uniformization::UniformOptions;
+
+    /// [`until_probabilities`] on a one-shot context (no session memo).
+    fn until(
+        mrm: &Mrm,
+        options: &CheckOptions,
+        time: &Interval,
+        reward: &Interval,
+        phi: &[bool],
+        psi: &[bool],
+    ) -> Result<UntilAnalysis, CheckError> {
+        let ctx = Ctx {
+            mrm,
+            options,
+            memo: None,
+        };
+        until_probabilities(&ctx, time, reward, phi, psi)
+    }
 
     fn triangle() -> Mrm {
         let mut b = CtmcBuilder::new(3);
@@ -434,7 +453,7 @@ mod tests {
         let m = triangle();
         let phi = m.labeling().states_with("a");
         let psi = m.labeling().states_with("goal");
-        let a = until_probabilities(
+        let a = until(
             &m,
             &CheckOptions::new(),
             &Interval::unbounded(),
@@ -455,7 +474,7 @@ mod tests {
         let m = triangle();
         let phi = m.labeling().states_with("a");
         let psi = m.labeling().states_with("goal");
-        let a = until_probabilities(
+        let a = until(
             &m,
             &CheckOptions::new(),
             &Interval::upto(1.0),
@@ -480,11 +499,11 @@ mod tests {
         let uni_opts = CheckOptions::new().with_engine(UntilEngine::Uniformization(
             UniformOptions::new().with_truncation(1e-12),
         ));
-        let u = until_probabilities(&m, &uni_opts, &time, &reward, &phi, &psi).unwrap();
+        let u = until(&m, &uni_opts, &time, &reward, &phi, &psi).unwrap();
         assert!(u.error_bounds.is_some());
 
         let disc_opts = CheckOptions::new().with_engine(UntilEngine::discretization(1.0 / 128.0));
-        let d = until_probabilities(&m, &disc_opts, &time, &reward, &phi, &psi).unwrap();
+        let d = until(&m, &disc_opts, &time, &reward, &phi, &psi).unwrap();
         for s in 0..3 {
             assert!(
                 (u.probabilities[s] - d.probabilities[s]).abs() < 0.01,
@@ -500,7 +519,7 @@ mod tests {
         let m = triangle();
         let phi = vec![false, false, false];
         let psi = vec![false, false, true];
-        let a = until_probabilities(
+        let a = until(
             &m,
             &CheckOptions::new(),
             &Interval::upto(1.0),
@@ -525,7 +544,7 @@ mod tests {
         let phi = vec![true, true];
         let psi = vec![false, true];
         let window = Interval::new(0.5, 1.0).unwrap();
-        let a = until_probabilities(
+        let a = until(
             &m,
             &CheckOptions::new(),
             &window,
@@ -546,7 +565,7 @@ mod tests {
         // And the unbounded-upper variant [0.5, ∞): same value here
         // (goal is absorbing and reached almost surely).
         let tail = Interval::new(0.5, f64::INFINITY).unwrap();
-        let a = until_probabilities(
+        let a = until(
             &m,
             &CheckOptions::new(),
             &tail,
@@ -584,7 +603,7 @@ mod tests {
         let psi = vec![false, true];
         let opts = CheckOptions::new().with_engine(UntilEngine::simulation(60_000));
         let window = Interval::new(0.5, 1.0).unwrap();
-        let a = until_probabilities(&m, &opts, &window, &Interval::upto(0.5), &phi, &psi).unwrap();
+        let a = until(&m, &opts, &window, &Interval::upto(0.5), &phi, &psi).unwrap();
         let exact = 1.0 - (-1.0f64).exp();
         let se = a.error_bounds.as_ref().unwrap()[0];
         assert!(
@@ -602,7 +621,7 @@ mod tests {
         // Time lower bound *with* a reward bound: no exact engine.
         let lower_time = Interval::new(1.0, 2.0).unwrap();
         assert!(matches!(
-            until_probabilities(
+            until(
                 &m,
                 &CheckOptions::new(),
                 &lower_time,
@@ -615,7 +634,7 @@ mod tests {
         ));
         let lower_reward = Interval::new(0.5, 2.0).unwrap();
         assert!(matches!(
-            until_probabilities(
+            until(
                 &m,
                 &CheckOptions::new(),
                 &Interval::unbounded(),
@@ -627,7 +646,7 @@ mod tests {
                 if what.starts_with("reward lower bound")
         ));
         assert!(matches!(
-            until_probabilities(
+            until(
                 &m,
                 &CheckOptions::new(),
                 &Interval::unbounded(),

@@ -114,17 +114,22 @@ pub fn uniformization_until(
     adaptive: AdaptiveOptions,
 ) -> Result<UntilResult, NumericsError> {
     adaptive.validate()?;
-    // Successive rounds tighten `w`, re-generating most of the previous
-    // round's path classes; a per-run Omega-term cache lets re-attempts
-    // reuse the tables already computed (Ω is pure, so results are
-    // bit-identical). An externally installed cache is honored instead,
-    // which also shares tables across runs.
-    if !cache_installed() {
-        return with_omega_cache(Arc::new(OmegaTermCache::new()), || {
-            uniformization_until_rounds(mrm, phi, psi, t, r, start, base, adaptive)
-        });
+    with_run_omega_cache(|| uniformization_until_rounds(mrm, phi, psi, t, r, start, base, adaptive))
+}
+
+/// Run `f` under a per-run Omega-term cache unless one is installed.
+///
+/// Successive rounds tighten `w`, re-generating most of the previous
+/// round's path classes; the per-run cache lets re-attempts reuse the
+/// tables already computed (Ω is pure, so results are bit-identical). An
+/// externally installed cache is honored instead, which also shares
+/// tables across runs.
+fn with_run_omega_cache<T>(f: impl FnOnce() -> T) -> T {
+    if cache_installed() {
+        f()
+    } else {
+        with_omega_cache(Arc::new(OmegaTermCache::new()), f)
     }
-    uniformization_until_rounds(mrm, phi, psi, t, r, start, base, adaptive)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -188,14 +193,9 @@ pub fn uniformization_until_all(
     adaptive: AdaptiveOptions,
 ) -> Result<Vec<UntilResult>, NumericsError> {
     adaptive.validate()?;
-    // Same per-run Omega-term cache as `uniformization_until`; here the
-    // reuse also spans start states within one round.
-    if !cache_installed() {
-        return with_omega_cache(Arc::new(OmegaTermCache::new()), || {
-            uniformization_until_all_rounds(mrm, phi, psi, t, r, base, adaptive)
-        });
-    }
-    uniformization_until_all_rounds(mrm, phi, psi, t, r, base, adaptive)
+    // Here the per-run cache's reuse also spans start states within one
+    // round.
+    with_run_omega_cache(|| uniformization_until_all_rounds(mrm, phi, psi, t, r, base, adaptive))
 }
 
 fn uniformization_until_all_rounds(

@@ -113,7 +113,7 @@ use mrmc_obs::{
     Event, JsonlTraceRecorder, MetricsRecorder, MultiRecorder, ProfileRecorder, ProgressRecorder,
     Recorder, RunMetrics,
 };
-use mrmc_server::{connect_with_retry, RunTotals, Server, ServerConfig};
+use mrmc_server::{connect_with_retry, parse_engine, RunTotals, Server, ServerConfig};
 
 #[derive(Debug)]
 struct Cli {
@@ -212,27 +212,10 @@ fn usage() -> &'static str {
      4 unknown verdicts."
 }
 
-/// Parse a `u=`/`d=`/`s=` engine switch; `None` when `arg` is not one.
-fn parse_engine_switch(arg: &str) -> Option<Result<UntilEngine, String>> {
-    if let Some(w) = arg.strip_prefix("u=") {
-        Some(
-            w.parse()
-                .map(UntilEngine::uniformization)
-                .map_err(|_| format!("invalid truncation probability `{w}`")),
-        )
-    } else if let Some(d) = arg.strip_prefix("d=") {
-        Some(
-            d.parse()
-                .map(UntilEngine::discretization)
-                .map_err(|_| format!("invalid discretization step `{d}`")),
-        )
-    } else {
-        arg.strip_prefix("s=").map(|n| {
-            n.parse()
-                .map(UntilEngine::simulation)
-                .map_err(|_| format!("invalid sample count `{n}`"))
-        })
-    }
+/// `true` for a `u=`/`d=`/`s=` engine switch, which
+/// [`parse_engine`] parses.
+fn is_engine_switch(arg: &str) -> bool {
+    ["u=", "d=", "s="].iter().any(|p| arg.starts_with(p))
 }
 
 /// Strip a `%` comment and surrounding whitespace from a formula line.
@@ -311,8 +294,8 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 return Err(format!("tolerance must be in (0, 1), got `{value}`"));
             }
             cli.tolerance = Some(e);
-        } else if let Some(engine) = parse_engine_switch(arg) {
-            cli.engine = engine?;
+        } else if is_engine_switch(arg) {
+            cli.engine = parse_engine(arg)?;
         } else {
             return Err(format!("unrecognized argument `{arg}` (see `mrmc --help`)"));
         }
@@ -370,8 +353,8 @@ fn parse_lint_args(args: &[String]) -> Result<LintCli, String> {
                 }
             }
             cli.deny_warnings = true;
-        } else if let Some(engine) = parse_engine_switch(arg) {
-            cli.engine = engine?;
+        } else if is_engine_switch(arg) {
+            cli.engine = parse_engine(arg)?;
         } else {
             return Err(format!("unrecognized argument `{arg}`\n\n{}", usage()));
         }
