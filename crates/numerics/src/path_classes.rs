@@ -5,7 +5,7 @@
 //! are summed so the expensive conditional probability is computed once per
 //! class.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::kahan::KahanSum;
 
@@ -28,12 +28,23 @@ impl PathClassKey {
 
 /// The result of a depth-first path generation run: aggregated class
 /// probabilities, the truncation error bound, and exploration statistics.
+///
+/// [`store`](PathClasses::store) allocates only when it creates a class:
+/// an existing class is found through `slot_of` with a key built in a
+/// reused buffer.
 #[derive(Debug, Clone, Default)]
 pub struct PathClasses {
+    /// Per-class Kahan-compensated probabilities, one slot per class in
+    /// order of creation; each slot receives its paths in DFS order.
+    sums: Vec<KahanSum>,
+    /// Slot of each class keyed by `len(k) ‖ k ‖ j` (the length prefix
+    /// keeps the concatenation injective). Only ever keyed lookup.
+    slot_of: HashMap<Box<[u32]>, usize>,
     /// Ordered map so iteration (and hence floating-point summation order
-    /// in Eq. 4.5) is deterministic across runs. Per-class probabilities
-    /// are Kahan-compensated.
-    classes: BTreeMap<PathClassKey, KahanSum>,
+    /// in Eq. 4.5) is deterministic across runs.
+    order: BTreeMap<PathClassKey, usize>,
+    /// Reused buffer for the `slot_of` lookup key.
+    scratch: Vec<u32>,
     error_bound: KahanSum,
     stored_paths: u64,
     truncated_paths: u64,
@@ -50,11 +61,26 @@ impl PathClasses {
     /// Add `path_probability` (`P(σ)`, without the Poisson factor) to the
     /// class `(k, j)`.
     pub fn store(&mut self, k: &[u32], j: &[u32], path_probability: f64) {
-        let key = PathClassKey {
-            k: k.to_vec().into_boxed_slice(),
-            j: j.to_vec().into_boxed_slice(),
+        self.scratch.clear();
+        self.scratch
+            .push(u32::try_from(k.len()).expect("fewer than 2^32 state-reward classes"));
+        self.scratch.extend_from_slice(k);
+        self.scratch.extend_from_slice(j);
+        let slot = match self.slot_of.get(self.scratch.as_slice()) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.sums.len();
+                self.sums.push(KahanSum::new());
+                self.slot_of.insert(self.scratch.as_slice().into(), slot);
+                let key = PathClassKey {
+                    k: k.into(),
+                    j: j.into(),
+                };
+                self.order.insert(key, slot);
+                slot
+            }
         };
-        self.classes.entry(key).or_default().add(path_probability);
+        self.sums[slot].add(path_probability);
         self.stored_paths += 1;
     }
 
@@ -72,12 +98,14 @@ impl PathClasses {
 
     /// Iterate `(class, accumulated P(σ))` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&PathClassKey, f64)> {
-        self.classes.iter().map(|(k, v)| (k, v.value()))
+        self.order
+            .iter()
+            .map(|(key, &slot)| (key, self.sums[slot].value()))
     }
 
     /// Number of distinct `(k, j)` classes.
     pub fn num_classes(&self) -> usize {
-        self.classes.len()
+        self.sums.len()
     }
 
     /// The accumulated truncation error bound `E` of Eq. 4.6.
@@ -144,5 +172,42 @@ mod tests {
         assert_eq!(pc.truncated_paths(), 2);
         assert_eq!(pc.explored_nodes(), 3);
         assert_eq!(pc.max_depth(), 5);
+    }
+
+    /// The slot/index layout accumulates exactly like one ordered map of
+    /// Kahan sums: same iteration order, same bits per class. Lengths of
+    /// `k` and `j` vary so that concatenations like `[1] ‖ [2, 3]` and
+    /// `[1, 2] ‖ [3]` must stay distinct classes.
+    #[test]
+    fn matches_an_ordered_map_of_kahan_sums() {
+        use mrmc_sparse::rng::Xoshiro256StarStar;
+
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x9A7C);
+        let mut pc = PathClasses::new();
+        let mut reference: BTreeMap<PathClassKey, KahanSum> = BTreeMap::new();
+        let draw = |rng: &mut Xoshiro256StarStar| -> Vec<u32> {
+            let len = 1 + rng.range_usize(3);
+            (0..len).map(|_| rng.range_usize(3) as u32).collect()
+        };
+        for _ in 0..10_000 {
+            let k = draw(&mut rng);
+            let j = draw(&mut rng);
+            let p = rng.next_f64() * 10f64.powi(-(rng.range_usize(12) as i32));
+            pc.store(&k, &j, p);
+            let key = PathClassKey {
+                k: k.into(),
+                j: j.into(),
+            };
+            reference.entry(key).or_default().add(p);
+        }
+        assert_eq!(pc.num_classes(), reference.len());
+        assert_eq!(pc.stored_paths(), 10_000);
+        assert!(pc.num_classes() > 1000, "{}", pc.num_classes());
+        let got: Vec<(&PathClassKey, u64)> = pc.iter().map(|(k, p)| (k, p.to_bits())).collect();
+        let want: Vec<(&PathClassKey, u64)> = reference
+            .iter()
+            .map(|(k, v)| (k, v.value().to_bits()))
+            .collect();
+        assert_eq!(got, want);
     }
 }

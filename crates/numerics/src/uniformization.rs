@@ -212,18 +212,11 @@ pub fn until_probability(
     let uni = UniformizedMrm::new(&absorbed, options.lambda)?;
     let classes_def = RewardClasses::new(&uni);
 
+    let mut table = PoissonTable::new(uni.lambda() * t);
     let _span = mrmc_obs::span("path");
-    let classes = generate_path_classes(
-        &uni,
-        &classes_def,
-        phi,
-        psi,
-        start,
-        uni.lambda() * t,
-        &options,
-    );
+    let classes = explore(&uni, &classes_def, phi, psi, start, &mut table, &options);
     record_exploration(start, &classes);
-    evaluate_classes(&classes, &classes_def, uni.lambda() * t, t, r)
+    evaluate_classes(&classes, &classes_def, &mut table, t, r)
 }
 
 /// Emit the path-exploration telemetry for one start state (no-op without
@@ -270,7 +263,8 @@ pub fn until_probabilities_all(
     let absorbed = make_absorbing(mrm, &absorb)?;
     let uni = UniformizedMrm::new(&absorbed, options.lambda)?;
     let classes_def = RewardClasses::new(&uni);
-    let lambda_t = uni.lambda() * t;
+    // λt is the same for every start state, so one table serves them all.
+    let mut table = PoissonTable::new(uni.lambda() * t);
 
     let mut out = Vec::with_capacity(n);
     // Progress is throttled by state count, not wall clock, so the event
@@ -281,10 +275,9 @@ pub fn until_probabilities_all(
             out.push(zero(false));
         } else {
             let _span = mrmc_obs::span("path");
-            let classes =
-                generate_path_classes(&uni, &classes_def, phi, psi, s, lambda_t, &options);
+            let classes = explore(&uni, &classes_def, phi, psi, s, &mut table, &options);
             record_exploration(s, &classes);
-            out.push(evaluate_classes(&classes, &classes_def, lambda_t, t, r)?);
+            out.push(evaluate_classes(&classes, &classes_def, &mut table, t, r)?);
         }
         if (s as u64 + 1).is_multiple_of(progress_step) || s + 1 == n {
             mrmc_obs::record(|| mrmc_obs::Event::Progress {
@@ -317,17 +310,10 @@ pub fn performability(
     }
     let uni = UniformizedMrm::new(mrm, options.lambda)?;
     let classes_def = RewardClasses::new(&uni);
-    let classes = generate_path_classes(
-        &uni,
-        &classes_def,
-        &all,
-        &all,
-        start,
-        uni.lambda() * t,
-        &options,
-    );
+    let mut table = PoissonTable::new(uni.lambda() * t);
+    let classes = explore(&uni, &classes_def, &all, &all, start, &mut table, &options);
     record_exploration(start, &classes);
-    evaluate_classes(&classes, &classes_def, uni.lambda() * t, t, r)
+    evaluate_classes(&classes, &classes_def, &mut table, t, r)
 }
 
 /// Run Algorithm 4.7 (depth-first path generation) and return the aggregated
@@ -343,17 +329,33 @@ pub fn generate_path_classes(
     lambda_t: f64,
     options: &UniformOptions,
 ) -> PathClasses {
-    let dfs = PathDfs {
+    let mut table = PoissonTable::new(lambda_t);
+    explore(uni, classes_def, phi, psi, start, &mut table, options)
+}
+
+/// [`generate_path_classes`] reading its Poisson factors from `table`.
+fn explore(
+    uni: &UniformizedMrm,
+    classes_def: &RewardClasses,
+    phi: &[bool],
+    psi: &[bool],
+    start: usize,
+    table: &mut PoissonTable,
+    options: &UniformOptions,
+) -> PathClasses {
+    let lambda_t = table.lambda_t;
+    let mode_pmf = options
+        .improved_pruning
+        .then(|| table.pmf(lambda_t.floor() as u64));
+    let mut dfs = PathDfs {
         uni,
         rc: classes_def,
         phi,
         psi,
-        lambda_t,
+        table,
         w: options.truncation,
         max_depth: options.max_depth,
-        mode_pmf: options
-            .improved_pruning
-            .then(|| poisson::pmf(lambda_t, lambda_t.floor() as u64)),
+        mode_pmf,
     };
 
     let mut out = PathClasses::new();
@@ -381,13 +383,59 @@ pub fn generate_path_classes(
     out
 }
 
-/// Everything the depth-first search of Algorithm 4.7 reads.
+/// `Pr{N ≥ n}` and `ψ_n(Λt)` for `N ~ Poisson(Λt)`, indexed by the depth
+/// `n` and filled lazily as deep as the DFS goes.
+///
+/// Both depend only on `n`, not on the path, yet the DFS needs a tail for
+/// every pruned child and a pmf for every class. Each entry is the direct
+/// [`poisson::upper_tail`] / [`poisson::pmf`] call — never a ratio
+/// recurrence — so a lookup is bitwise the same as the call it replaces.
+struct PoissonTable {
+    lambda_t: f64,
+    tail: Vec<f64>,
+    pmf: Vec<f64>,
+}
+
+impl PoissonTable {
+    fn new(lambda_t: f64) -> Self {
+        PoissonTable {
+            lambda_t,
+            tail: Vec::new(),
+            pmf: Vec::new(),
+        }
+    }
+
+    /// `Pr{N ≥ n}`.
+    fn tail(&mut self, n: u64) -> f64 {
+        let lambda_t = self.lambda_t;
+        fill_to(&mut self.tail, n, |i| poisson::upper_tail(lambda_t, i))
+    }
+
+    /// `ψ_n(Λt) = Pr{N = n}`.
+    fn pmf(&mut self, n: u64) -> f64 {
+        let lambda_t = self.lambda_t;
+        fill_to(&mut self.pmf, n, |i| poisson::pmf(lambda_t, i))
+    }
+}
+
+/// `column[n]`, first extending `column` with `entry(i)` for each missing
+/// index `i ≤ n`.
+fn fill_to(column: &mut Vec<f64>, n: u64, entry: impl Fn(u64) -> f64) -> f64 {
+    let n = n as usize;
+    if n >= column.len() {
+        column.extend((column.len()..=n).map(|i| entry(i as u64)));
+    }
+    column[n]
+}
+
+/// Everything the depth-first search of Algorithm 4.7 reads, plus the
+/// Poisson table it extends.
 struct PathDfs<'a> {
     uni: &'a UniformizedMrm,
     rc: &'a RewardClasses,
     phi: &'a [bool],
     psi: &'a [bool],
-    lambda_t: f64,
+    table: &'a mut PoissonTable,
     w: f64,
     max_depth: u64,
     /// `max_m ψ_m(Λt)` for potential-based pruning (`None` = literal rule).
@@ -405,7 +453,7 @@ impl PathDfs<'_> {
     /// Expand the prefix ending in `s` at depth `n`, with
     /// `path_prob = P(σ)` and `weighted = P(σ, t)`.
     fn visit(
-        &self,
+        &mut self,
         out: &mut PathClasses,
         counts: &mut Counts,
         s: usize,
@@ -417,7 +465,8 @@ impl PathDfs<'_> {
         if self.psi[s] {
             out.store(&counts.k, &counts.j, path_prob);
         }
-        let next_factor = self.lambda_t / (n + 1) as f64;
+        let lambda_t = self.table.lambda_t;
+        let next_factor = lambda_t / (n + 1) as f64;
         for (target, p, impulse) in self.uni.transitions(s) {
             // Line 1 of Algorithm 4.7: (¬Φ ∧ ¬Ψ)-states end exploration and
             // can never satisfy the formula — no error contribution either.
@@ -431,7 +480,7 @@ impl PathDfs<'_> {
             let prune = match self.mode_pmf {
                 None => child_weighted < self.w,
                 Some(mode) => {
-                    let best = if (n + 1) as f64 >= self.lambda_t {
+                    let best = if (n + 1) as f64 >= lambda_t {
                         child_weighted
                     } else {
                         child_path * mode
@@ -442,7 +491,7 @@ impl PathDfs<'_> {
             if prune || n + 1 > self.max_depth {
                 // Eq. 4.6: discarding σ' and all suffixes loses at most
                 // P(σ')·Pr{N ≥ n + 1} probability mass.
-                out.add_error(child_path * poisson::upper_tail(self.lambda_t, n + 1));
+                out.add_error(child_path * self.table.tail(n + 1));
                 continue;
             }
             let sc = self.rc.state_class(target);
@@ -465,7 +514,7 @@ impl PathDfs<'_> {
 fn evaluate_classes(
     classes: &PathClasses,
     classes_def: &RewardClasses,
-    lambda_t: f64,
+    table: &mut PoissonTable,
     t: f64,
     r: f64,
 ) -> Result<UntilResult, NumericsError> {
@@ -485,7 +534,7 @@ fn evaluate_classes(
             TermRequest {
                 r_prime,
                 k: &key.k,
-                weight: poisson::pmf(lambda_t, n) * path_prob,
+                weight: table.pmf(n) * path_prob,
             }
         })
         .collect();
@@ -889,6 +938,32 @@ mod tests {
             (auto.probability - pinned.probability).abs()
                 <= auto.error_bound + pinned.error_bound + 1e-9
         );
+    }
+
+    /// Every table entry is the direct `poisson` call, bit for bit, on
+    /// both sides of `n = λt` (the `cdf` branch of `upper_tail` below it,
+    /// the right-tail sum above), however the table was extended.
+    #[test]
+    fn poisson_table_entries_are_the_direct_calls() {
+        for &lambda_t in &[0.5, 5.1, 52.07, 520.7] {
+            let mut table = PoissonTable::new(lambda_t);
+            for depth in [0, 3, 64, 1000] {
+                table.tail(depth);
+                table.pmf(depth);
+            }
+            for n in 0..=1000u64 {
+                assert_eq!(
+                    table.tail(n).to_bits(),
+                    poisson::upper_tail(lambda_t, n).to_bits(),
+                    "tail, λt = {lambda_t}, n = {n}"
+                );
+                assert_eq!(
+                    table.pmf(n).to_bits(),
+                    poisson::pmf(lambda_t, n).to_bits(),
+                    "pmf, λt = {lambda_t}, n = {n}"
+                );
+            }
+        }
     }
 }
 
