@@ -13,6 +13,8 @@
 
 use std::fmt;
 
+use mrmc_obs::json;
+
 /// How bad a diagnostic is.
 ///
 /// The ordering is `Note < Warning < Error`, so `report.max_severity()`
@@ -239,7 +241,7 @@ impl Report {
             }
             write!(
                 out,
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"states\":[{}],\"message\":\"{}\"",
+                "{{\"code\":\"{}\",\"severity\":\"{}\",\"states\":[{}],\"message\":",
                 d.code,
                 d.severity,
                 d.states
@@ -247,15 +249,16 @@ impl Report {
                     .map(ToString::to_string)
                     .collect::<Vec<_>>()
                     .join(","),
-                json_escape(&d.message),
             )
             .expect("write to String");
+            json::push_str(&mut out, &d.message);
             match d.line {
                 Some(l) => write!(out, ",\"line\":{l}").expect("write to String"),
                 None => out.push_str(",\"line\":null"),
             }
             if let Some(s) = &d.suggestion {
-                write!(out, ",\"suggestion\":\"{}\"", json_escape(s)).expect("write to String");
+                out.push_str(",\"suggestion\":");
+                json::push_str(&mut out, s);
             }
             out.push('}');
         }
@@ -275,25 +278,6 @@ impl fmt::Display for Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.render_human().trim_end())
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

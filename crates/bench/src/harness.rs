@@ -57,6 +57,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mrmc::report::json_escape;
 use mrmc_obs::{MetricsRecorder, RunMetrics};
 
 /// Prevent the optimizer from deleting a benchmarked computation.
@@ -210,14 +211,14 @@ impl BenchmarkGroup {
 
     fn render_json(&self) -> String {
         let mut s = String::from("{\"group\":\"");
-        push_escaped(&mut s, &self.name);
+        s.push_str(&json_escape(&self.name));
         s.push_str("\",\"benchmarks\":[");
         for (i, r) in self.results.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
             s.push_str("{\"id\":\"");
-            push_escaped(&mut s, &r.id);
+            s.push_str(&json_escape(&r.id));
             write!(
                 s,
                 "\",\"samples\":{},\"min_s\":{:e},\"median_s\":{:e},\"mean_s\":{:e},\"metrics\":",
@@ -251,20 +252,6 @@ fn snapshot_path(group: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join(format!("BENCH_{sanitized}.json"))
-}
-
-/// Minimal JSON string escaping for names and ids.
-fn push_escaped(s: &mut String, text: &str) {
-    for c in text.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                write!(s, "\\u{:04x}", c as u32).unwrap();
-            }
-            c => s.push(c),
-        }
-    }
 }
 
 /// Passed to each benchmark closure; [`Bencher::iter`] does the timing.

@@ -1,7 +1,16 @@
 //! Session memoization: `Sat` sub-results, SCC condensations and lumping
 //! certificates.
 //!
-//! A [`SatCache`] stores the full result of every engine-backed subformula
+//! Every session cache — these three and the session's two model maps —
+//! is one counted store: an ordered map behind a mutex, with hit and miss
+//! counters. A lookup counts a hit or a miss; on a miss the value is
+//! computed outside the lock (so a computation may itself consult the
+//! store) and the first value inserted for a key wins. Entries are never
+//! evicted. The Ω-term cache is not one of these stores: it lives in
+//! `mrmc-numerics`, below this crate, and keys a two-level table by
+//! coefficient list.
+//!
+//! The `Sat` cache stores the full result of every engine-backed subformula
 //! (`S`/`P` operators) the recursion in `crate::sat` evaluates, keyed by
 //! `(model content hash, canonical subformula text, options fingerprint)`.
 //! All three key components pin everything a result depends on:
@@ -30,10 +39,12 @@
 //! compute every result fresh.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use mrmc_csrl::StateFormula;
+use mrmc_ctmc::bscc::SccDecomposition;
 use mrmc_mrm::Mrm;
 
 use crate::error::CheckError;
@@ -122,184 +133,110 @@ pub fn options_fingerprint(options: &CheckOptions) -> u64 {
     hash_bytes(format!("{options:?}").as_bytes())
 }
 
+/// A counted memo table: a mutex-guarded ordered map plus hit and miss
+/// counters. Every session cache is one of these; entries are never
+/// evicted, so `len()` is also the number of distinct keys ever stored.
+#[derive(Debug)]
+pub(crate) struct Store<K, V> {
+    entries: Mutex<BTreeMap<K, V>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl<K, V> Default for Store<K, V> {
+    fn default() -> Self {
+        Store {
+            entries: Mutex::new(BTreeMap::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<K: Ord, V: Clone> Store<K, V> {
+    fn entries(&self) -> MutexGuard<'_, BTreeMap<K, V>> {
+        self.entries.lock().expect("session cache poisoned")
+    }
+
+    /// The value stored under `key`, computed by `compute` and stored on
+    /// a miss.
+    pub(crate) fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
+        match self.get_or_try_insert_with(key, || Ok::<V, Infallible>(compute())) {
+            Ok(value) => value,
+            Err(never) => match never {},
+        }
+    }
+
+    /// As [`get_or_insert_with`](Store::get_or_insert_with) for a
+    /// fallible `compute`. The lookup counts a hit or a miss; a failed
+    /// compute stores nothing. `compute` runs outside the lock, so it
+    /// may itself use the store; when two threads race on one key, both
+    /// get the value the first of them inserted.
+    pub(crate) fn get_or_try_insert_with<E>(
+        &self,
+        key: K,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<V, E> {
+        let cached = self.entries().get(&key).cloned();
+        if let Some(value) = cached {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(value);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let value = compute()?;
+        Ok(self.entries().entry(key).or_insert(value).clone())
+    }
+
+    /// Number of stored entries.
+    pub(crate) fn len(&self) -> usize {
+        self.entries().len()
+    }
+
+    /// Cumulative lookup hits.
+    pub(crate) fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Cumulative lookup misses.
+    pub(crate) fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+}
+
 /// One memoized sub-result: the full triple the recursion produced.
 pub(crate) type CachedSat = (Vec<bool>, Vec<bool>, Option<Extras>);
 
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct SatKey {
+pub(crate) struct SatKey {
     model_hash: u64,
     options_fp: u64,
     formula: String,
 }
 
-/// A shareable store of memoized `Sat` sub-results with hit/miss
-/// accounting (surfaced as the `sat_cache_hits`/`sat_cache_misses`
+/// Memoized `Sat` sub-results (the `sat_cache_hits`/`sat_cache_misses`
 /// counters in the `mrmc_obs::counters` registry).
-#[derive(Debug, Default)]
-pub struct SatCache {
-    entries: Mutex<BTreeMap<SatKey, CachedSat>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
+pub(crate) type SatCache = Store<SatKey, CachedSat>;
 
-impl SatCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        SatCache::default()
-    }
-
-    fn get(&self, key: &SatKey) -> Option<CachedSat> {
-        let v = self
-            .entries
-            .lock()
-            .expect("sat cache poisoned")
-            .get(key)
-            .cloned();
-        if v.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        v
-    }
-
-    fn insert(&self, key: SatKey, value: CachedSat) {
-        self.entries
-            .lock()
-            .expect("sat cache poisoned")
-            .insert(key, value);
-    }
-
-    /// Number of memoized sub-results.
-    pub fn len(&self) -> usize {
-        self.entries.lock().expect("sat cache poisoned").len()
-    }
-
-    /// `true` when nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Cumulative lookup hits.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative lookup misses.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-}
-
-/// A shareable store of Tarjan SCC decompositions keyed by
-/// [`model_hash`], with hit/miss accounting. The condensation depends
-/// only on the model's rate graph (which the hash digests), so one entry
-/// serves every formula and option set checked against the same model —
-/// the qualitative dataflow pre-pass asks for it once per until operator.
-#[derive(Debug, Default)]
-pub struct SccCache {
-    entries: Mutex<BTreeMap<u64, Arc<mrmc_ctmc::bscc::SccDecomposition>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl SccCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        SccCache::default()
-    }
-
-    /// Number of memoized decompositions.
-    pub fn len(&self) -> usize {
-        self.entries.lock().expect("scc cache poisoned").len()
-    }
-
-    /// `true` when nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Cumulative lookup hits.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative lookup misses.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    fn get_or_compute(
-        &self,
-        hash: u64,
-        compute: impl FnOnce() -> mrmc_ctmc::bscc::SccDecomposition,
-    ) -> Arc<mrmc_ctmc::bscc::SccDecomposition> {
-        if let Some(scc) = self
-            .entries
-            .lock()
-            .expect("scc cache poisoned")
-            .get(&hash)
-            .cloned()
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return scc;
-        }
-        // Compute outside the lock; a racing thread may duplicate the
-        // work, but both arrive at the identical decomposition.
-        let scc = Arc::new(compute());
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.entries
-            .lock()
-            .expect("scc cache poisoned")
-            .entry(hash)
-            .or_insert_with(|| scc.clone())
-            .clone()
-    }
-}
+/// Tarjan SCC decompositions keyed by [`model_hash`]. The condensation
+/// depends only on the model's rate graph (which the hash digests), so
+/// one entry serves every formula and option set checked against the
+/// same model — the qualitative dataflow pre-pass asks for it once per
+/// until operator.
+pub(crate) type SccCache = Store<u64, Arc<SccDecomposition>>;
 
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct CertKey {
+pub(crate) struct CertKey {
     model_hash: u64,
     formula: String,
 }
 
-/// A shareable store of resolved reductions keyed by `(model hash,
-/// formula)`, with hit accounting (the `cert_cache_hits` counter).
+/// Resolved reductions keyed by `(model hash, formula)` (the
+/// `cert_cache_hits` counter).
 ///
 /// Negative results are stored too: re-running partition refinement to
 /// re-discover that no quotient exists (or that verification fails) is
 /// exactly the kind of per-request work a session exists to amortize.
-#[derive(Debug, Default)]
-pub(crate) struct CertCache {
-    entries: Mutex<BTreeMap<CertKey, CertOutcome>>,
-    hits: AtomicU64,
-}
-
-impl CertCache {
-    pub(crate) fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    fn get_or_analyze(&self, key: CertKey, analyze: impl FnOnce() -> CertOutcome) -> CertOutcome {
-        let cached = self
-            .entries
-            .lock()
-            .expect("cert cache poisoned")
-            .get(&key)
-            .cloned();
-        if let Some(outcome) = cached {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return outcome;
-        }
-        let outcome = analyze();
-        self.entries
-            .lock()
-            .expect("cert cache poisoned")
-            .entry(key)
-            .or_insert(outcome)
-            .clone()
-    }
-}
+pub(crate) type CertCache = Store<CertKey, CertOutcome>;
 
 /// The session memos one check reads and writes, scoped to the model
 /// the recursion runs on and the active options. It is passed by value
@@ -331,12 +268,7 @@ impl Memo<'_> {
             options_fp: self.options_fp,
             formula: formula.to_string(),
         };
-        if let Some(hit) = self.sat.get(&key) {
-            return Ok(hit);
-        }
-        let value = compute()?;
-        self.sat.insert(key, value.clone());
-        Ok(value)
+        self.sat.get_or_try_insert_with(key, compute)
     }
 
     /// The resolved reduction for `formula` on this memo's model,
@@ -346,13 +278,11 @@ impl Memo<'_> {
         formula: &StateFormula,
         analyze: impl FnOnce() -> CertOutcome,
     ) -> CertOutcome {
-        self.certs.get_or_analyze(
-            CertKey {
-                model_hash: self.model_hash,
-                formula: formula.to_string(),
-            },
-            analyze,
-        )
+        let key = CertKey {
+            model_hash: self.model_hash,
+            formula: formula.to_string(),
+        };
+        self.certs.get_or_insert_with(key, analyze)
     }
 }
 
@@ -360,14 +290,11 @@ impl Memo<'_> {
 /// [`SccCache`] under its model hash when there is a memo, computed fresh
 /// otherwise. The decomposition is a pure function of the rate graph, so
 /// a cached value is identical to a recomputed one.
-pub(crate) fn condensation_for(
-    mrm: &Mrm,
-    memo: Option<Memo<'_>>,
-) -> Arc<mrmc_ctmc::bscc::SccDecomposition> {
-    let compute = || mrmc_ctmc::bscc::SccDecomposition::new(mrm.ctmc().rates());
+pub(crate) fn condensation_for(mrm: &Mrm, memo: Option<Memo<'_>>) -> Arc<SccDecomposition> {
+    let compute = || Arc::new(SccDecomposition::new(mrm.ctmc().rates()));
     match memo {
-        Some(memo) => memo.scc.get_or_compute(memo.model_hash, compute),
-        None => Arc::new(compute()),
+        Some(memo) => memo.scc.get_or_insert_with(memo.model_hash, compute),
+        None => compute(),
     }
 }
 
@@ -423,6 +350,54 @@ mod tests {
         );
     }
 
+    #[test]
+    fn store_counts_hits_and_misses() {
+        let store: Store<u32, &str> = Store::default();
+        assert_eq!(store.get_or_insert_with(1, || "one"), "one");
+        assert_eq!(
+            store.get_or_insert_with(1, || panic!("a hit must not recompute")),
+            "one"
+        );
+        assert_eq!(store.get_or_insert_with(2, || "two"), "two");
+        assert_eq!((store.hits(), store.misses(), store.len()), (1, 2, 2));
+    }
+
+    #[test]
+    fn failed_compute_is_a_miss_and_stores_nothing() {
+        let store: Store<u32, u32> = Store::default();
+        assert_eq!(store.get_or_try_insert_with(1, || Err("boom")), Err("boom"));
+        assert_eq!((store.hits(), store.misses(), store.len()), (0, 1, 0));
+        // The failure is not remembered: the next lookup computes again.
+        assert_eq!(store.get_or_try_insert_with(1, || Ok::<_, ()>(7)), Ok(7));
+        assert_eq!(store.get_or_try_insert_with(1, || Err(())), Ok(7));
+        assert_eq!((store.hits(), store.misses(), store.len()), (1, 2, 1));
+    }
+
+    #[test]
+    fn racing_computes_return_the_first_inserted_value() {
+        use std::sync::mpsc;
+        let store: Store<u32, u32> = Store::default();
+        let (missed_tx, missed_rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel();
+        let (slow, fast) = std::thread::scope(|scope| {
+            // The slow computation misses first and inserts last.
+            let store = &store;
+            let slow = scope.spawn(move || {
+                store.get_or_insert_with(1, || {
+                    missed_tx.send(()).unwrap();
+                    done_rx.recv().unwrap();
+                    10
+                })
+            });
+            missed_rx.recv().unwrap();
+            let fast = store.get_or_insert_with(1, || 20);
+            done_tx.send(()).unwrap();
+            (slow.join().unwrap(), fast)
+        });
+        assert_eq!((slow, fast), (20, 20));
+        assert_eq!((store.hits(), store.misses(), store.len()), (0, 2, 1));
+    }
+
     /// Fresh session caches, viewed through a memo per model hash.
     #[derive(Default)]
     struct Caches {
@@ -471,7 +446,7 @@ mod tests {
         b.transition(0, 1, 1.0).transition(1, 0, 1.0);
         let m = Mrm::without_rewards(b.build().unwrap());
         let caches = Caches::default();
-        assert!(caches.scc.is_empty());
+        assert_eq!(caches.scc.len(), 0);
         let memo = caches.memo(model_hash(&m));
         let (a, b) = (
             condensation_for(&m, Some(memo)),

@@ -54,7 +54,7 @@ mod steady;
 mod until;
 pub mod witness;
 
-pub use cache::{model_hash, options_fingerprint, SatCache};
+pub use cache::{model_hash, options_fingerprint};
 pub use error::CheckError;
 pub use next::next_probabilities;
 pub use options::{CheckOptions, Reduction, UntilEngine};

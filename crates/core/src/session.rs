@@ -24,9 +24,16 @@
 //!   [`crate::cache`]), with `sat_cache_hits`/`sat_cache_misses`
 //!   counters in the [`mrmc_obs::counters`] registry;
 //! * **a session-scoped condensation cache** — the Tarjan SCC
-//!   decomposition the qualitative dataflow pre-pass slices with (see
-//!   [`crate::cache::SccCache`]) is a pure function of the rate graph
-//!   and is computed once per model hash.
+//!   decomposition the qualitative dataflow pre-pass slices with is a
+//!   pure function of the rate graph and is computed once per model hash.
+//!
+//! The two model maps and the Sat, SCC and certificate caches are all one
+//! type, the counted store of [`crate::cache`]: a mutex-guarded ordered
+//! map with hit and miss counters and no eviction. [`SessionStats`] reads
+//! its counters off the stores (`models_loaded` is the content store's
+//! entry count) and lists them by name in one place,
+//! [`SessionStats::counters`]. The Ω-term cache is the exception: it is a
+//! two-level table owned by `mrmc-numerics`, below this crate.
 //!
 //! Both entry points run one pipeline, `run_check`: the pre-flight gate,
 //! the certified reduction, then the `Sat` recursion. A session passes it
@@ -42,10 +49,9 @@
 //! be checked from many threads concurrently, which is what
 //! `mrmc-server` does on its worker pool.
 
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use mrmc_csrl::StateFormula;
 use mrmc_mrm::io::LoadError;
@@ -53,7 +59,7 @@ use mrmc_mrm::Mrm;
 use mrmc_numerics::omega::{with_omega_cache, OmegaTermCache};
 use mrmc_obs::{counters, Event};
 
-use crate::cache::{self, CertCache, Memo, SatCache, SccCache};
+use crate::cache::{self, CertCache, Memo, SatCache, SccCache, Store};
 use crate::error::CheckError;
 use crate::lumping;
 use crate::options::{CheckOptions, Reduction};
@@ -114,6 +120,24 @@ pub struct SessionStats {
     /// SCC condensations served from the session cache instead of being
     /// recomputed by the dataflow pre-pass.
     pub scc_cache_hits: u64,
+}
+
+impl SessionStats {
+    /// Every counter as `(name, value)`, in field order. The server's
+    /// `stats` reply and its `metrics` exposition are both rendered from
+    /// this list, so the names are written in this one place.
+    pub fn counters(&self) -> [(&'static str, u64); 8] {
+        [
+            ("requests", self.requests),
+            (counters::MODELS_LOADED, self.models_loaded),
+            (counters::SAT_CACHE_HITS, self.sat_cache_hits),
+            (counters::SAT_CACHE_MISSES, self.sat_cache_misses),
+            (counters::CERT_CACHE_HITS, self.cert_cache_hits),
+            ("omega_cache_entries", self.omega_cache_entries),
+            (counters::OMEGA_CACHE_HITS, self.omega_cache_hits),
+            ("scc_cache_hits", self.scc_cache_hits),
+        ]
+    }
 }
 
 /// What lumping analysis plus independent verification concluded for one
@@ -234,16 +258,15 @@ fn reduction(
 #[derive(Debug, Default)]
 pub struct CheckSession {
     /// Load-once file store: digest of the four files' bytes → handle.
-    by_file_digest: Mutex<BTreeMap<u64, ModelHandle>>,
+    by_file_digest: Store<u64, ModelHandle>,
     /// Structural store: model content hash → handle (dedups
     /// [`insert`](CheckSession::insert) and byte-different reloads).
-    by_content: Mutex<BTreeMap<u64, ModelHandle>>,
+    by_content: Store<u64, ModelHandle>,
     sat_cache: SatCache,
     scc: SccCache,
     certs: CertCache,
     omega: Arc<OmegaTermCache>,
     requests: AtomicU64,
-    models_loaded: AtomicU64,
 }
 
 impl CheckSession {
@@ -255,17 +278,10 @@ impl CheckSession {
     /// Register an in-memory model, deduplicating by content hash.
     pub fn insert(&self, mrm: Mrm) -> ModelHandle {
         let hash = cache::model_hash(&mrm);
-        let mut by_content = self.by_content.lock().expect("session poisoned");
-        by_content
-            .entry(hash)
-            .or_insert_with(|| {
-                self.models_loaded.fetch_add(1, Ordering::Relaxed);
-                ModelHandle {
-                    mrm: Arc::new(mrm),
-                    hash,
-                }
-            })
-            .clone()
+        self.by_content.get_or_insert_with(hash, || ModelHandle {
+            mrm: Arc::new(mrm),
+            hash,
+        })
     }
 
     /// Load a model from the four files of the thesis' tool, once per
@@ -297,20 +313,9 @@ impl CheckSession {
             digest.write_u64(bytes.len() as u64).write(&bytes);
         }
         let digest = digest.finish();
-        if let Some(handle) = self
-            .by_file_digest
-            .lock()
-            .expect("session poisoned")
-            .get(&digest)
-        {
-            return Ok(handle.clone());
-        }
-        let handle = self.insert(mrmc_mrm::io::load_model(tra, lab, rewr, rewi)?);
-        self.by_file_digest
-            .lock()
-            .expect("session poisoned")
-            .insert(digest, handle.clone());
-        Ok(handle)
+        self.by_file_digest.get_or_try_insert_with(digest, || {
+            Ok(self.insert(mrmc_mrm::io::load_model(tra, lab, rewr, rewi)?))
+        })
     }
 
     /// Run the static pre-flight lint for `formula` against `model` and
@@ -388,22 +393,14 @@ impl CheckSession {
     /// counters by maximum, so re-emitting totals is safe).
     fn emit_counters(&self) {
         let stats = self.stats();
-        mrmc_obs::record(|| Event::Counter {
-            name: counters::SAT_CACHE_HITS,
-            value: stats.sat_cache_hits,
-        });
-        mrmc_obs::record(|| Event::Counter {
-            name: counters::SAT_CACHE_MISSES,
-            value: stats.sat_cache_misses,
-        });
-        mrmc_obs::record(|| Event::Counter {
-            name: counters::CERT_CACHE_HITS,
-            value: stats.cert_cache_hits,
-        });
-        mrmc_obs::record(|| Event::Counter {
-            name: counters::MODELS_LOADED,
-            value: stats.models_loaded,
-        });
+        for (name, value) in [
+            (counters::SAT_CACHE_HITS, stats.sat_cache_hits),
+            (counters::SAT_CACHE_MISSES, stats.sat_cache_misses),
+            (counters::CERT_CACHE_HITS, stats.cert_cache_hits),
+            (counters::MODELS_LOADED, stats.models_loaded),
+        ] {
+            mrmc_obs::record(|| Event::Counter { name, value });
+        }
     }
 
     /// A point-in-time snapshot of the session's cache accounting. Every
@@ -411,7 +408,7 @@ impl CheckSession {
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             requests: self.requests.load(Ordering::Relaxed),
-            models_loaded: self.models_loaded.load(Ordering::Relaxed),
+            models_loaded: self.by_content.len() as u64,
             sat_cache_hits: self.sat_cache.hits(),
             sat_cache_misses: self.sat_cache.misses(),
             cert_cache_hits: self.certs.hits(),

@@ -136,7 +136,7 @@ pub(crate) fn until_probabilities(
         if let UntilEngine::Simulation(sopts) = options.until_engine {
             if !time.is_upper_unbounded() {
                 let _span = mrmc_obs::span("until/simulation");
-                let samples = simulation_samples(sopts.samples, options.tolerance)?;
+                let samples = adaptive::simulation_samples(sopts.samples, options.tolerance)?;
                 let mut sopts = sopts;
                 sopts.samples = samples;
                 let radius = monte_carlo::hoeffding_radius(samples, adaptive::SIMULATION_DELTA);
@@ -311,7 +311,7 @@ pub(crate) fn until_probabilities(
                 }
                 UntilEngine::Simulation(sopts) => {
                     let _span = mrmc_obs::span("until/simulation");
-                    let samples = simulation_samples(sopts.samples, options.tolerance)?;
+                    let samples = adaptive::simulation_samples(sopts.samples, options.tolerance)?;
                     let mut sopts = sopts;
                     sopts.samples = samples;
                     let radius = monte_carlo::hoeffding_radius(samples, adaptive::SIMULATION_DELTA);
@@ -392,26 +392,6 @@ fn dataflow_prepass(
         value: info.slice_states_removed as u64,
     });
     Some((cert, info))
-}
-
-/// Resolve the simulation sample count: the configured base, raised to the
-/// Hoeffding-sized count when a tolerance is requested. Fails upfront with
-/// `ToleranceNotMet` when more than [`adaptive::MAX_SAMPLES`] trajectories
-/// would be needed.
-fn simulation_samples(base: u64, tolerance: Option<f64>) -> Result<u64, CheckError> {
-    match tolerance {
-        None => Ok(base),
-        Some(eps) => match monte_carlo::hoeffding_samples(eps, adaptive::SIMULATION_DELTA) {
-            Some(n) if n <= adaptive::MAX_SAMPLES => Ok(n.max(base)),
-            _ => Err(CheckError::ToleranceNotMet {
-                requested: eps,
-                achieved: monte_carlo::hoeffding_radius(
-                    adaptive::MAX_SAMPLES,
-                    adaptive::SIMULATION_DELTA,
-                ),
-            }),
-        },
-    }
 }
 
 #[cfg(test)]

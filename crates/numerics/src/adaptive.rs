@@ -313,10 +313,30 @@ pub fn discretization_until(
     })
 }
 
-/// Size the Monte-Carlo estimator by the Hoeffding bound: the smallest
-/// sample count with `√(ln(2/δ)/2n) ≤ tolerance` at `δ =`
-/// [`SIMULATION_DELTA`], then run once. The statistical budget component
-/// is the realized radius.
+/// The simulation sample count: `base`, raised to the Hoeffding-sized
+/// count — the smallest `n` with `√(ln(2/δ)/2n) ≤ tolerance` at `δ =`
+/// [`SIMULATION_DELTA`] — when a tolerance is requested.
+///
+/// # Errors
+///
+/// [`NumericsError::ToleranceNotMet`] when more than [`MAX_SAMPLES`]
+/// trajectories would be needed; the achieved bound is the radius at the
+/// cap.
+pub fn simulation_samples(base: u64, tolerance: Option<f64>) -> Result<u64, NumericsError> {
+    let Some(eps) = tolerance else {
+        return Ok(base);
+    };
+    match monte_carlo::hoeffding_samples(eps, SIMULATION_DELTA) {
+        Some(n) if n <= MAX_SAMPLES => Ok(n.max(base)),
+        _ => Err(NumericsError::ToleranceNotMet {
+            requested: eps,
+            achieved: monte_carlo::hoeffding_radius(MAX_SAMPLES, SIMULATION_DELTA),
+        }),
+    }
+}
+
+/// Size the Monte-Carlo estimator by [`simulation_samples`], then run
+/// once. The statistical budget component is the realized radius.
 ///
 /// # Errors
 ///
@@ -336,16 +356,7 @@ pub fn simulation_until(
     adaptive: AdaptiveOptions,
 ) -> Result<Estimate, NumericsError> {
     adaptive.validate()?;
-    let needed = monte_carlo::hoeffding_samples(adaptive.tolerance, SIMULATION_DELTA);
-    let samples = match needed {
-        Some(n) if n <= MAX_SAMPLES => n.max(base.samples),
-        _ => {
-            return Err(NumericsError::ToleranceNotMet {
-                requested: adaptive.tolerance,
-                achieved: monte_carlo::hoeffding_radius(MAX_SAMPLES, SIMULATION_DELTA),
-            })
-        }
-    };
+    let samples = simulation_samples(base.samples, Some(adaptive.tolerance))?;
     let mut opts = base;
     opts.samples = samples;
     mrmc_obs::record(|| mrmc_obs::Event::AdaptiveAttempt {

@@ -156,24 +156,15 @@ impl ServerObs {
     }
 
     /// The Prometheus-style text exposition for the `metrics` request:
-    /// session counters (named after `mrmc_obs::counters`), the uptime
+    /// the session counters ([`SessionStats::counters`]), the uptime
     /// gauge, and the per-kind request-latency histograms.
     fn exposition(&self, stats: &SessionStats) -> String {
-        use mrmc_obs::counters;
-        fn push_counter(out: &mut String, name: &str, value: u64) {
+        let mut out = String::new();
+        for (name, value) in stats.counters() {
             out.push_str(&format!(
                 "# TYPE mrmc_{name} counter\nmrmc_{name} {value}\n"
             ));
         }
-        let mut out = String::new();
-        push_counter(&mut out, "requests", stats.requests);
-        push_counter(&mut out, counters::MODELS_LOADED, stats.models_loaded);
-        push_counter(&mut out, counters::SAT_CACHE_HITS, stats.sat_cache_hits);
-        push_counter(&mut out, counters::SAT_CACHE_MISSES, stats.sat_cache_misses);
-        push_counter(&mut out, counters::CERT_CACHE_HITS, stats.cert_cache_hits);
-        push_counter(&mut out, "omega_cache_entries", stats.omega_cache_entries);
-        push_counter(&mut out, counters::OMEGA_CACHE_HITS, stats.omega_cache_hits);
-        push_counter(&mut out, "scc_cache_hits", stats.scc_cache_hits);
         out.push_str(&format!(
             "# TYPE mrmc_uptime_seconds gauge\nmrmc_uptime_seconds {:e}\n",
             self.uptime_s()
@@ -660,9 +651,9 @@ pub fn connect_with_retry(addr: &str, attempts: u32) -> std::io::Result<TcpStrea
 /// Render the `stats` reply line. The field order is part of the wire
 /// contract — conformance clients and CI greps match on it — so it is
 /// pinned here (and by a regression test below): first the session
-/// counters in the exact order the fields leave [`CheckSession::stats`],
-/// then the latency observability suffix (`uptime_s`, `sat_hit_ratio`,
-/// `latency`) appended behind them.
+/// counters in the order [`SessionStats::counters`] lists them, then the
+/// latency observability suffix (`uptime_s`, `sat_hit_ratio`, `latency`)
+/// appended behind them.
 fn render_stats(stats: &SessionStats, uptime_s: f64, latency_json: &str) -> String {
     let lookups = stats.sat_cache_hits + stats.sat_cache_misses;
     let sat_hit_ratio = if lookups == 0 {
@@ -670,21 +661,17 @@ fn render_stats(stats: &SessionStats, uptime_s: f64, latency_json: &str) -> Stri
     } else {
         stats.sat_cache_hits as f64 / lookups as f64
     };
-    format!(
-        "{{\"stats\":{{\"requests\":{},\"models_loaded\":{},\"sat_cache_hits\":{},\
-         \"sat_cache_misses\":{},\"cert_cache_hits\":{},\"omega_cache_entries\":{},\
-         \"omega_cache_hits\":{},\"uptime_s\":{},\"sat_hit_ratio\":{},\"latency\":{}}}}}",
-        stats.requests,
-        stats.models_loaded,
-        stats.sat_cache_hits,
-        stats.sat_cache_misses,
-        stats.cert_cache_hits,
-        stats.omega_cache_entries,
-        stats.omega_cache_hits,
+    let mut out = String::from("{\"stats\":{");
+    for (name, value) in stats.counters() {
+        out.push_str(&format!("\"{name}\":{value},"));
+    }
+    out.push_str(&format!(
+        "\"uptime_s\":{},\"sat_hit_ratio\":{},\"latency\":{}}}}}",
         report::json_f64(uptime_s),
         report::json_f64(sat_hit_ratio),
         latency_json
-    )
+    ));
+    out
 }
 
 #[cfg(test)]
@@ -711,8 +698,8 @@ mod tests {
             render_stats(&stats, 0.5, "{}"),
             "{\"stats\":{\"requests\":1,\"models_loaded\":2,\"sat_cache_hits\":3,\
              \"sat_cache_misses\":1,\"cert_cache_hits\":5,\"omega_cache_entries\":6,\
-             \"omega_cache_hits\":7,\"uptime_s\":5e-1,\"sat_hit_ratio\":7.5e-1,\
-             \"latency\":{}}}"
+             \"omega_cache_hits\":7,\"scc_cache_hits\":8,\"uptime_s\":5e-1,\
+             \"sat_hit_ratio\":7.5e-1,\"latency\":{}}}"
         );
     }
 
@@ -752,6 +739,54 @@ mod tests {
         );
         assert!(text.contains("mrmc_request_seconds_count{kind=\"check\"} 2"));
         assert!(text.contains("mrmc_request_seconds_count{kind=\"stats\"} 1"));
+    }
+
+    #[test]
+    fn stats_and_metrics_list_every_session_counter_in_field_order() {
+        let session = CheckSession::new();
+        let model = session.insert(mrmc_models::wavelan::wavelan());
+        let options = CheckOptions::new();
+        for formula in [
+            "P(> 0.01) [TT U[0,0.5][0,2] busy]",
+            "P(> 0.01) [TT U[0,1][0,2] busy]",
+            "S(> 0.1) (idle)",
+        ] {
+            for _ in 0..2 {
+                session.check_str(&model, formula, &options).unwrap();
+            }
+        }
+        let stats = session.stats();
+        // The field names in declaration order, read off the derived
+        // `Debug` rendering rather than the list under test.
+        let debug = format!("{stats:?}");
+        let fields: Vec<&str> = debug
+            .trim_start_matches("SessionStats { ")
+            .trim_end_matches(" }")
+            .split(", ")
+            .map(|field| field.split(':').next().unwrap())
+            .collect();
+        assert_eq!(fields, stats.counters().map(|(name, _)| name));
+
+        let reply = render_stats(&stats, 0.5, "{}");
+        let text = ServerObs::new(0.0).exposition(&stats);
+        let (mut in_reply, mut in_text) = (0, 0);
+        for (name, value) in stats.counters() {
+            let field = format!("\"{name}\":{value},");
+            in_reply += reply[in_reply..]
+                .find(&field)
+                .unwrap_or_else(|| panic!("{field} missing or out of order in {reply}"))
+                + field.len();
+            let sample = format!("\nmrmc_{name} {value}\n");
+            in_text += text[in_text..]
+                .find(&sample)
+                .unwrap_or_else(|| panic!("{sample:?} missing or out of order in {text}"))
+                + sample.len();
+        }
+        assert!(reply[in_reply..].starts_with("\"uptime_s\":"), "{reply}");
+        assert!(
+            stats.scc_cache_hits > 0 && stats.sat_cache_hits > 0,
+            "{stats:?}"
+        );
     }
 
     #[test]
