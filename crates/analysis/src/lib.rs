@@ -25,9 +25,9 @@
 //!   unknown atomic propositions, bound shapes no engine supports,
 //!   unsatisfiable or trivial probability thresholds, vacuous reward
 //!   bounds, nesting that triggers two-run widening.
-//! * **Cost passes** (`C` codes) predict engine cost from
-//!   [`mrmc_numerics::cost`]: path-explosion and grid-memory estimates,
-//!   surfaced as warnings with suggested knob changes.
+//! * **Cost passes** (`C` codes) predict engine cost ([`cost`]):
+//!   path-explosion and grid-memory estimates, surfaced as warnings with
+//!   suggested knob changes.
 //!
 //! Severities follow the compiler convention: `Error` findings abort
 //! checking (the checker's mandatory pre-flight refuses to start an

@@ -17,7 +17,6 @@ use std::process::ExitCode;
 
 use mrmc_bench::tables;
 use mrmc_bench::{fmt_e, fmt_p, timed};
-use mrmc_models::queue::{queue, QueueConfig};
 use mrmc_models::tmr::{tmr, TmrConfig};
 use mrmc_models::wavelan;
 use mrmc_numerics::discretization::{self, DiscretizationOptions};
@@ -270,8 +269,8 @@ fn validate() {
     println!();
 }
 
-/// Beyond-paper artifacts: the WaveLAN performability CDF series and the
-/// queue cost analysis (written as CSVs next to the figure data).
+/// Beyond-paper artifact: the WaveLAN performability CDF series (written
+/// as a CSV next to the figure data).
 fn extension(out_dir: &PathBuf) -> std::io::Result<()> {
     std::fs::create_dir_all(out_dir)?;
 
@@ -296,30 +295,6 @@ fn extension(out_dir: &PathBuf) -> std::io::Result<()> {
         out_dir.join("wavelan_performability_cdf.csv").display()
     );
 
-    // Expected accumulated cost of the breakdown queue over a day.
-    let config = QueueConfig::new(5);
-    let qm = queue(&config);
-    let mut rows = Vec::new();
-    for k in 1..=24 {
-        let t = f64::from(k);
-        let e = mrmc_numerics::expected::expected_accumulated_reward_from(
-            &qm,
-            config.up_state(0),
-            t,
-            1e-10,
-        )
-        .expect("expected reward succeeds");
-        rows.push(format!("{t},{e}"));
-    }
-    write_csv(
-        &out_dir.join("queue_expected_cost.csv"),
-        "t_hours,expected_cost",
-        rows.into_iter(),
-    )?;
-    println!(
-        "wrote {}",
-        out_dir.join("queue_expected_cost.csv").display()
-    );
     Ok(())
 }
 

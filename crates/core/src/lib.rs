@@ -52,7 +52,6 @@ mod sat;
 pub mod session;
 mod steady;
 mod until;
-pub mod witness;
 
 pub use cache::{model_hash, options_fingerprint};
 pub use error::CheckError;
@@ -60,7 +59,6 @@ pub use next::next_probabilities;
 pub use options::{CheckOptions, Reduction, UntilEngine};
 pub use outcome::{CheckOutcome, DataflowInfo, ReductionInfo, Verdict};
 pub use session::{CheckSession, ModelHandle, SessionStats};
-pub use witness::{most_probable_witness, Witness};
 
 pub use mrmc_numerics::ErrorBudget;
 

@@ -36,7 +36,6 @@ mod label;
 pub mod poisson;
 pub mod reach;
 pub mod steady;
-pub mod transient;
 
 pub use builder::CtmcBuilder;
 pub use ctmc::Ctmc;

@@ -205,71 +205,6 @@ impl SteadyStateAnalysis {
     }
 }
 
-/// The general steady-state distribution of a (possibly reducible) DTMC
-/// from a given initial distribution (Section 2.3.2): decompose into BSCCs,
-/// weight each BSCC's stationary vector by the probability of entering it.
-///
-/// Periodic BSCCs are handled through their stationary balance equations
-/// (power iteration on the *lazy* chain `(P + I)/2`, which is aperiodic and
-/// has the same stationary vector).
-///
-/// # Errors
-///
-/// Propagates solver failures.
-pub fn dtmc_steady_state(
-    dtmc: &crate::Dtmc,
-    initial: &[f64],
-    options: SolverOptions,
-) -> Result<Vec<f64>, ModelError> {
-    let n = dtmc.num_states();
-    if initial.len() != n {
-        return Err(ModelError::LabelingSizeMismatch {
-            states: n,
-            labeled: initial.len(),
-        });
-    }
-    let probs = dtmc.probabilities();
-    let scc = SccDecomposition::new(probs);
-
-    let mut out = vec![0.0; n];
-    for (_, states) in scc.bsccs() {
-        // Entry probability of this BSCC from the initial distribution.
-        let mut target = vec![false; n];
-        for &s in states {
-            target[s] = true;
-        }
-        let reach = reach::reach_probability(probs, &target, options)?;
-        let weight: f64 = initial.iter().zip(&reach).map(|(p, r)| p * r).sum();
-        if weight == 0.0 {
-            continue;
-        }
-        // Stationary vector of the restricted (stochastic) sub-chain via
-        // the lazy transform.
-        let mut local_of = vec![usize::MAX; n];
-        for (i, &s) in states.iter().enumerate() {
-            local_of[s] = i;
-        }
-        let m = states.len();
-        let mut b = CooBuilder::new(m, m);
-        for &s in states {
-            b.push(local_of[s], local_of[s], 0.5);
-            for (t, v) in probs.row(s) {
-                if v > 0.0 {
-                    debug_assert_ne!(local_of[t], usize::MAX, "BSCC not closed");
-                    b.push(local_of[s], local_of[t], 0.5 * v);
-                }
-            }
-        }
-        let lazy = b.build().expect("lazy matrix is well-formed");
-        let start = vec![1.0 / m as f64; m];
-        let pi = power_iteration(&lazy, &start, options)?;
-        for (i, &s) in states.iter().enumerate() {
-            out[s] += weight * pi[i];
-        }
-    }
-    Ok(out)
-}
-
 /// Restrict a CTMC to a subset of states (assumed closed under transitions,
 /// which holds for a BSCC).
 fn restrict(ctmc: &Ctmc, states: &[usize]) -> Result<Ctmc, ModelError> {
@@ -406,53 +341,6 @@ mod tests {
         for (u, v) in p1.iter().zip(&p2) {
             assert!((u - v).abs() < 1e-8);
         }
-    }
-
-    #[test]
-    fn dtmc_steady_state_weights_bsccs() {
-        // DTMC: 0 -> {1 (p=0.25), 2 (p=0.75)}; 1 and 2 absorbing.
-        let mut b = CooBuilder::new(3, 3);
-        b.push(0, 1, 0.25).push(0, 2, 0.75);
-        b.push(1, 1, 1.0).push(2, 2, 1.0);
-        let d = crate::Dtmc::new(b.build().unwrap(), crate::Labeling::new(3)).unwrap();
-        let v = dtmc_steady_state(&d, &[1.0, 0.0, 0.0], SolverOptions::new()).unwrap();
-        assert!((v[0]).abs() < 1e-12);
-        assert!((v[1] - 0.25).abs() < 1e-9);
-        assert!((v[2] - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dtmc_steady_state_handles_periodic_bscc() {
-        // A deterministic 2-cycle: the limit of p(n) does not exist, but
-        // the stationary distribution (1/2, 1/2) does.
-        let mut b = CooBuilder::new(2, 2);
-        b.push(0, 1, 1.0).push(1, 0, 1.0);
-        let d = crate::Dtmc::new(b.build().unwrap(), crate::Labeling::new(2)).unwrap();
-        let v = dtmc_steady_state(&d, &[1.0, 0.0], SolverOptions::new()).unwrap();
-        assert!((v[0] - 0.5).abs() < 1e-9);
-        assert!((v[1] - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dtmc_steady_state_matches_power_iteration_when_aperiodic() {
-        // Figure 2.1 DTMC is irreducible and aperiodic.
-        let mut b = CooBuilder::new(3, 3);
-        b.push(0, 0, 0.5).push(0, 1, 0.5);
-        b.push(1, 0, 0.25).push(1, 2, 0.75);
-        b.push(2, 0, 0.2).push(2, 1, 0.6).push(2, 2, 0.2);
-        let d = crate::Dtmc::new(b.build().unwrap(), crate::Labeling::new(3)).unwrap();
-        let v = dtmc_steady_state(&d, &[1.0, 0.0, 0.0], SolverOptions::new()).unwrap();
-        assert!((v[0] - 14.0 / 45.0).abs() < 1e-8);
-        assert!((v[1] - 16.0 / 45.0).abs() < 1e-8);
-        assert!((v[2] - 1.0 / 3.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn dtmc_steady_state_rejects_bad_initial() {
-        let mut b = CooBuilder::new(2, 2);
-        b.push(0, 0, 1.0).push(1, 1, 1.0);
-        let d = crate::Dtmc::new(b.build().unwrap(), crate::Labeling::new(2)).unwrap();
-        assert!(dtmc_steady_state(&d, &[1.0], SolverOptions::new()).is_err());
     }
 
     #[test]

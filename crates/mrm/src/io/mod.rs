@@ -13,15 +13,12 @@
 //! States are **1-indexed** in all files, as in the original tool; the
 //! in-memory representation is 0-indexed. Blank lines and `%`-comments are
 //! ignored. Writers producing the same formats are provided for
-//! round-trips, plus a Graphviz export ([`write_dot`]) rendering the
-//! thesis' labeled-directed-graph presentation.
+//! round-trips.
 
-mod dot;
 mod format;
 mod parse;
 mod write;
 
-pub use dot::write_dot;
 pub use format::{FormatError, FormatErrorKind};
 pub use parse::{parse_lab, parse_rewi, parse_rewr, parse_tra, ModelFiles};
 pub use write::{write_lab, write_rewi, write_rewr, write_tra};

@@ -120,32 +120,6 @@ impl Mrm {
     pub fn into_parts(self) -> (Ctmc, StateRewards, ImpulseRewards) {
         (self.ctmc, self.state_rewards, self.impulse_rewards)
     }
-
-    /// A copy with all rewards (state and impulse) multiplied by `factor`.
-    ///
-    /// Scaling changes the reward *unit*: a bound `r` over the original
-    /// model corresponds to `r · factor` over the scaled one. The thesis
-    /// uses this to make rational rewards integral for discretization
-    /// (Section 4.4.1).
-    ///
-    /// # Errors
-    ///
-    /// [`MrmError`] if `factor` is negative or non-finite (reported through
-    /// the reward validators).
-    pub fn with_scaled_rewards(&self, factor: f64) -> Result<Self, MrmError> {
-        let rho = StateRewards::new(
-            self.state_rewards
-                .as_slice()
-                .iter()
-                .map(|r| r * factor)
-                .collect(),
-        )?;
-        let mut iota = ImpulseRewards::new();
-        for (from, to, v) in self.impulse_rewards.iter() {
-            iota.set(from, to, v * factor)?;
-        }
-        Mrm::new(self.ctmc.clone(), rho, iota)
-    }
 }
 
 #[cfg(test)]
@@ -246,20 +220,6 @@ mod tests {
         let m = Mrm::without_rewards(b.build().unwrap());
         assert!(m.is_reward_free());
         assert_eq!(m.state_reward(0), 0.0);
-    }
-
-    #[test]
-    fn scaled_rewards() {
-        let m = wavelan();
-        let s = m.with_scaled_rewards(10.0).unwrap();
-        assert_eq!(s.state_reward(2), 13190.0);
-        assert_eq!(s.impulse_reward(2, 3), 4.2545);
-        // Scaling by zero empties the structures.
-        let z = m.with_scaled_rewards(0.0).unwrap();
-        assert!(z.is_reward_free());
-        // Invalid factors are rejected.
-        assert!(m.with_scaled_rewards(-1.0).is_err());
-        assert!(m.with_scaled_rewards(f64::NAN).is_err());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use mrmc_mrm::Mrm;
 
 use crate::discretization::{self, DiscretizationOptions, DiscretizationResult};
 use crate::error::NumericsError;
-use crate::monte_carlo::{self, Estimate, SimulationOptions};
+use crate::monte_carlo;
 use crate::omega::{cache_installed, with_omega_cache, OmegaTermCache};
 use crate::uniformization::{self, UniformOptions, UntilResult};
 
@@ -335,40 +335,6 @@ pub fn simulation_samples(base: u64, tolerance: Option<f64>) -> Result<u64, Nume
     }
 }
 
-/// Size the Monte-Carlo estimator by [`simulation_samples`], then run
-/// once. The statistical budget component is the realized radius.
-///
-/// # Errors
-///
-/// [`NumericsError::ToleranceNotMet`] upfront when more than
-/// [`MAX_SAMPLES`] trajectories would be needed — the achieved bound is
-/// the radius at the cap; other [`NumericsError`]s as for
-/// [`monte_carlo::estimate_until`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulation_until(
-    mrm: &Mrm,
-    phi: &[bool],
-    psi: &[bool],
-    t: f64,
-    r: f64,
-    start: usize,
-    base: SimulationOptions,
-    adaptive: AdaptiveOptions,
-) -> Result<Estimate, NumericsError> {
-    adaptive.validate()?;
-    let samples = simulation_samples(base.samples, Some(adaptive.tolerance))?;
-    let mut opts = base;
-    opts.samples = samples;
-    mrmc_obs::record(|| mrmc_obs::Event::AdaptiveAttempt {
-        round: 1,
-        knob: "samples",
-        value: samples as f64,
-        achieved: None,
-        components: Vec::new(),
-    });
-    monte_carlo::estimate_until(mrm, phi, psi, t, r, start, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,31 +479,20 @@ mod tests {
         let m = Mrm::without_rewards(b.build().unwrap());
         let phi = vec![true, true];
         let psi = vec![false, true];
-        let est = simulation_until(
-            &m,
-            &phi,
-            &psi,
-            1.0,
-            f64::INFINITY,
-            0,
-            SimulationOptions::with_samples(1_000),
-            AdaptiveOptions::new(5e-3),
-        )
-        .unwrap();
+        // No tolerance: the base count stands.
+        assert_eq!(simulation_samples(1_000, None).unwrap(), 1_000);
+        let samples = simulation_samples(1_000, Some(5e-3)).unwrap();
+        assert!(samples >= monte_carlo::hoeffding_samples(5e-3, SIMULATION_DELTA).unwrap());
+        let opts = monte_carlo::SimulationOptions::with_samples(samples);
+        let est = monte_carlo::estimate_until(&m, &phi, &psi, 1.0, f64::INFINITY, 0, opts).unwrap();
         assert!(est.hoeffding_radius(SIMULATION_DELTA) <= 5e-3);
-        assert!(est.samples >= monte_carlo::hoeffding_samples(5e-3, SIMULATION_DELTA).unwrap());
+        // A larger base count is never lowered.
+        assert_eq!(
+            simulation_samples(5_000_000, Some(5e-3)).unwrap(),
+            5_000_000
+        );
         // A tolerance needing more than the cap fails upfront.
-        let err = simulation_until(
-            &m,
-            &phi,
-            &psi,
-            1.0,
-            f64::INFINITY,
-            0,
-            SimulationOptions::with_samples(1_000),
-            AdaptiveOptions::new(1e-6),
-        )
-        .unwrap_err();
+        let err = simulation_samples(1_000, Some(1e-6)).unwrap_err();
         assert!(matches!(err, NumericsError::ToleranceNotMet { .. }));
     }
 

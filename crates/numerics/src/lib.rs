@@ -20,8 +20,7 @@
 //! the thesis compares against: time-bounded until *without* reward bounds
 //! via Fox–Glynn uniformization (`[Bai03]`). Beyond the paper, the crate adds
 //! a [`monte_carlo`] simulation engine (an independent validation path for
-//! both numerical engines) and the mean performability measure `E[Y(t)]`
-//! ([`expected`]).
+//! both numerical engines).
 //!
 //! # Example: `Pr{Y(t) ≤ r, X(t) ⊨ Ψ}` on the WaveLAN model
 //!
@@ -65,10 +64,8 @@
 pub mod adaptive;
 pub mod baseline;
 pub mod budget;
-pub mod cost;
 pub mod discretization;
 mod error;
-pub mod expected;
 pub mod kahan;
 pub mod monte_carlo;
 pub mod omega;

@@ -263,120 +263,8 @@ pub fn estimate_until(
     })
 }
 
-/// Estimate the performability distribution `Pr{Y(t) ≤ r}` by simulation.
-///
-/// # Errors
-///
-/// See [`estimate_until`].
-pub fn estimate_performability(
-    mrm: &Mrm,
-    t: f64,
-    r: f64,
-    start: usize,
-    options: SimulationOptions,
-) -> Result<Estimate, NumericsError> {
-    let all = vec![true; mrm.num_states()];
-    validate(mrm, &all, &all, t, r, start, &options)?;
-    let mut rng = Xoshiro256StarStar::seed_from_u64(options.seed);
-    let mut hits = 0u64;
-    for _ in 0..options.samples {
-        let y = sample_accumulated_reward(mrm, &mut rng, start, t);
-        if y <= r {
-            hits += 1;
-        }
-    }
-    let n = options.samples as f64;
-    let mean = hits as f64 / n;
-    Ok(Estimate {
-        mean,
-        std_error: (mean * (1.0 - mean) / n).sqrt(),
-        samples: options.samples,
-    })
-}
-
-/// Estimate the *expected* accumulated reward `E[Y(t)]` by simulation.
-///
-/// # Errors
-///
-/// See [`estimate_until`].
-pub fn estimate_expected_reward(
-    mrm: &Mrm,
-    t: f64,
-    start: usize,
-    options: SimulationOptions,
-) -> Result<Estimate, NumericsError> {
-    let all = vec![true; mrm.num_states()];
-    validate(mrm, &all, &all, t, 0.0, start, &options)?;
-    let mut rng = Xoshiro256StarStar::seed_from_u64(options.seed);
-    let mut sum = 0.0;
-    let mut sum_sq = 0.0;
-    for _ in 0..options.samples {
-        let y = sample_accumulated_reward(mrm, &mut rng, start, t);
-        sum += y;
-        sum_sq += y * y;
-    }
-    let n = options.samples as f64;
-    let mean = sum / n;
-    let variance = ((sum_sq / n) - mean * mean).max(0.0);
-    Ok(Estimate {
-        mean,
-        std_error: (variance / n).sqrt(),
-        samples: options.samples,
-    })
-}
-
-/// Sample `y_σ(t)` along one trajectory.
-fn sample_accumulated_reward(mrm: &Mrm, rng: &mut Xoshiro256StarStar, start: usize, t: f64) -> f64 {
-    let mut state = start;
-    let mut time = 0.0;
-    let mut reward = 0.0;
-    loop {
-        let exit = mrm.ctmc().exit_rate(state);
-        if exit == 0.0 {
-            return reward + mrm.state_reward(state) * (t - time);
-        }
-        let sojourn = sample_exp(rng, exit);
-        if time + sojourn >= t {
-            return reward + mrm.state_reward(state) * (t - time);
-        }
-        time += sojourn;
-        reward += mrm.state_reward(state) * sojourn;
-        let next = sample_next_state(mrm, rng, state, exit);
-        reward += mrm.impulse_reward(state, next);
-        state = next;
-    }
-}
-
 /// Sample one trajectory up to `horizon` as a [`TimedPath`] (the final
-/// recorded state holds the remainder).
-///
-/// # Errors
-///
-/// [`NumericsError`] for an out-of-range start state or invalid horizon.
-pub fn sample_path(
-    mrm: &Mrm,
-    start: usize,
-    horizon: f64,
-    seed: u64,
-) -> Result<TimedPath, NumericsError> {
-    if start >= mrm.num_states() {
-        return Err(NumericsError::SizeMismatch {
-            expected: mrm.num_states(),
-            found: start,
-        });
-    }
-    if !(horizon.is_finite() && horizon > 0.0) {
-        return Err(NumericsError::InvalidParameter {
-            name: "horizon",
-            value: horizon,
-            requirement: "must be finite and positive",
-        });
-    }
-    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    Ok(sample_path_with(mrm, &mut rng, start, horizon))
-}
-
-/// Internal sampler sharing one RNG across many trajectories.
+/// recorded state holds the remainder), drawing from a shared RNG.
 fn sample_path_with(
     mrm: &Mrm,
     rng: &mut Xoshiro256StarStar,
@@ -542,61 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn performability_total_mass() {
-        let m = two_state(1.0);
-        let est = estimate_performability(
-            &m,
-            1.0,
-            f64::INFINITY,
-            0,
-            SimulationOptions::with_samples(1_000),
-        )
-        .unwrap();
-        assert_eq!(est.mean, 1.0);
-        assert_eq!(est.std_error, 0.0);
-    }
-
-    #[test]
-    fn expected_reward_single_state() {
-        // One absorbing state with ρ = 3: Y(t) = 3t deterministically.
-        let ctmc = {
-            let b = CtmcBuilder::new(1);
-            b.build().unwrap()
-        };
-        let m = Mrm::new(
-            ctmc,
-            StateRewards::new(vec![3.0]).unwrap(),
-            ImpulseRewards::new(),
-        )
-        .unwrap();
-        let est =
-            estimate_expected_reward(&m, 2.0, 0, SimulationOptions::with_samples(100)).unwrap();
-        assert!((est.mean - 6.0).abs() < 1e-12);
-        assert_eq!(est.std_error, 0.0);
-    }
-
-    #[test]
-    fn expected_reward_counts_impulses() {
-        // 0 →(λ) 1 (absorbing), impulse 1, no state rewards:
-        // E[Y(t)] = Pr{jump ≤ t} = 1 − e^{−λt}.
-        let mut b = CtmcBuilder::new(2);
-        b.transition(0, 1, 2.0);
-        let ctmc = b.build().unwrap();
-        let mut iota = ImpulseRewards::new();
-        iota.set(0, 1, 1.0).unwrap();
-        let m = Mrm::new(ctmc, StateRewards::zero(2), iota).unwrap();
-        let est =
-            estimate_expected_reward(&m, 1.0, 0, SimulationOptions::with_samples(60_000)).unwrap();
-        let exact = 1.0 - (-2.0f64).exp();
-        assert!(
-            est.is_consistent_with(exact, 4.0),
-            "{} ± {} vs {exact}",
-            est.mean,
-            est.std_error
-        );
-    }
-
-    #[test]
     fn hoeffding_radius_and_sample_count_are_inverses() {
         let (eps, delta) = (1e-2, 1e-6);
         let n = hoeffding_samples(eps, delta).unwrap();
@@ -659,8 +492,9 @@ mod tests {
             .transition(1, 2, 2.0)
             .transition(2, 0, 0.5);
         let m = Mrm::without_rewards(b.build().unwrap());
-        for seed in 0..20 {
-            let p = sample_path(&m, 0, 10.0, seed).unwrap();
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0);
+        for _ in 0..20 {
+            let p = sample_path_with(&m, &mut rng, 0, 10.0);
             p.validate_in(&m).unwrap();
             assert!(p.horizon() < 10.0);
             assert_eq!(p.state(0), 0);
@@ -670,7 +504,8 @@ mod tests {
     #[test]
     fn sample_path_stops_at_absorbing_state() {
         let m = two_state(100.0);
-        let p = sample_path(&m, 0, 1000.0, 3).unwrap();
+        let mut rng = Xoshiro256StarStar::seed_from_u64(3);
+        let p = sample_path_with(&m, &mut rng, 0, 1000.0);
         assert_eq!(p.last_state(), 1);
         assert_eq!(p.len(), 2);
     }
@@ -700,9 +535,6 @@ mod tests {
             SimulationOptions::with_samples(10)
         )
         .is_err());
-        assert!(sample_path(&m, 9, 1.0, 0).is_err());
-        assert!(sample_path(&m, 0, 0.0, 0).is_err());
-        assert!(sample_path(&m, 0, f64::INFINITY, 0).is_err());
     }
 }
 

@@ -2,7 +2,7 @@
 //! interface (Appendix: Usage Manual):
 //!
 //! ```text
-//! mrmc <model.tra> <model.lab> <model.rewr> <model.rewi> [u=<w>|d=<d>] [NP]
+//! mrmc <model.tra> <model.lab> <model.rewr> <model.rewi> [u=<w>|d=<d>|s=<n>] [NP]
 //! ```
 //!
 //! * `u=<w>` — use uniformization with truncation probability `w` for
@@ -96,6 +96,11 @@
 //! perf-regression sentinel over the committed `BENCH_<group>.json`
 //! snapshot pairs (see the `mrmc-bench` crate): noise-aware median
 //! comparison plus hard work-counter checks, exit code 1 on regression.
+//!
+//! Every subcommand parses its arguments with one parser over a table of
+//! its flags ([`parse_flags`]): a value flag reads `--flag VALUE` and
+//! `--flag=VALUE` alike, and a bad argument gets the same message in
+//! every subcommand.
 
 use std::io::{BufRead, IsTerminal, Write};
 use std::path::Path;
@@ -136,7 +141,7 @@ struct Cli {
 }
 
 fn usage() -> &'static str {
-    "usage: mrmc [check] <model.tra> <model.lab> <model.rewr> <model.rewi> [u=<w>|d=<d>] [--tolerance E] [--json] [--no-reduction] [--no-slicing] [--metrics] [--trace FILE] [--progress] [--profile[=FILE]] [NP]\n\
+    "usage: mrmc [check] <model.tra> <model.lab> <model.rewr> <model.rewi> [u=<w>|d=<d>|s=<n>] [--tolerance E] [--json] [--no-reduction] [--no-slicing] [--metrics] [--trace FILE] [--progress] [--profile[=FILE]] [NP]\n\
      \x20      mrmc lint <model.tra> <model.lab> <model.rewr> <model.rewi> [u=<w>|d=<d>|s=<n>] [--lumping] [--dataflow] [--verbose] [--json] [--deny warnings]\n\
      \x20      mrmc serve [--listen ADDR] [--workers N] [--connections N]\n\
      \x20      mrmc batch <ADDR>\n\
@@ -212,10 +217,106 @@ fn usage() -> &'static str {
      4 unknown verdicts."
 }
 
-/// `true` for a `u=`/`d=`/`s=` engine switch, which
-/// [`parse_engine`] parses.
-fn is_engine_switch(arg: &str) -> bool {
-    ["u=", "d=", "s="].iter().any(|p| arg.starts_with(p))
+/// How a flag in a subcommand's table takes a value.
+#[derive(Debug, Clone, Copy)]
+enum Arity {
+    /// `--flag` alone.
+    Switch,
+    /// `--flag VALUE` or `--flag=VALUE`.
+    Value,
+    /// `--flag` alone or `--flag=VALUE`. The value is only read in the `=`
+    /// spelling, so the flag never swallows the argument after it.
+    OptionalValue,
+}
+
+/// One subcommand's arguments, split by its flag table.
+#[derive(Debug, Default)]
+struct Args<'a> {
+    /// Flags in command-line order, each with its value.
+    flags: Vec<(&'static str, Option<&'a str>)>,
+    /// Every argument that does not start with `-`, in order.
+    positional: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    /// Whether `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(name, _)| *name == flag)
+    }
+
+    /// The value of the last `flag` given.
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.flags
+            .iter()
+            .rev()
+            .find(|(name, _)| *name == flag)
+            .and_then(|(_, value)| *value)
+    }
+}
+
+/// The message for an argument no subcommand table accepts.
+fn unrecognized(arg: &str) -> String {
+    format!("unrecognized argument `{arg}` (see `mrmc --help`)")
+}
+
+/// Split `args` by the subcommand's flag `table`. Any argument starting
+/// with `-` must be a flag in the table; everything else is positional.
+fn parse_flags<'a>(
+    args: &'a [String],
+    table: &[(&'static str, Arity)],
+) -> Result<Args<'a>, String> {
+    let mut out = Args::default();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with('-') {
+            out.positional.push(arg);
+            continue;
+        }
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, value)) => (name, Some(value)),
+            None => (arg.as_str(), None),
+        };
+        let Some(&(flag, arity)) = table.iter().find(|(flag, _)| *flag == name) else {
+            return Err(unrecognized(arg));
+        };
+        let value = match (arity, inline) {
+            (Arity::Switch, Some(_)) => return Err(unrecognized(arg)),
+            (Arity::Switch | Arity::OptionalValue, None) => None,
+            (Arity::Value, None) => Some(
+                rest.next()
+                    .ok_or_else(|| format!("{flag} requires a value"))?
+                    .as_str(),
+            ),
+            (_, Some(value)) => Some(value),
+        };
+        if value == Some("") {
+            return Err(format!("{flag} requires a non-empty value"));
+        }
+        out.flags.push((flag, value));
+    }
+    Ok(out)
+}
+
+/// The four model files that lead the `check` and `lint` positionals, and
+/// the `u=`/`d=`/`s=` engine switch ([`parse_engine`]) among the rest.
+/// Returns the remaining positionals for the subcommand to interpret.
+fn model_args<'a>(
+    positional: &[&'a str],
+) -> Result<([String; 4], UntilEngine, Vec<&'a str>), String> {
+    let [tra, lab, rewr, rewi, rest @ ..] = positional else {
+        return Err(usage().to_string());
+    };
+    let mut engine = UntilEngine::default();
+    let mut other = Vec::new();
+    for &arg in rest {
+        if ["u=", "d=", "s="].iter().any(|p| arg.starts_with(p)) {
+            engine = parse_engine(arg)?;
+        } else {
+            other.push(arg);
+        }
+    }
+    let files = [tra, lab, rewr, rewi].map(|f| (*f).to_string());
+    Ok((files, engine, other))
 }
 
 /// Strip a `%` comment and surrounding whitespace from a formula line.
@@ -226,81 +327,57 @@ fn formula_text(line: &str) -> &str {
     }
 }
 
+const CHECK_FLAGS: &[(&str, Arity)] = &[
+    ("--tolerance", Arity::Value),
+    ("--json", Arity::Switch),
+    ("--no-reduction", Arity::Switch),
+    ("--no-slicing", Arity::Switch),
+    ("--metrics", Arity::Switch),
+    ("--trace", Arity::Value),
+    ("--progress", Arity::Switch),
+    ("--profile", Arity::OptionalValue),
+];
+
 fn parse_args(args: &[String]) -> Result<Cli, String> {
-    if args.len() < 4 {
-        return Err(usage().to_string());
+    let parsed = parse_flags(args, CHECK_FLAGS)?;
+    let ([tra, lab, rewr, rewi], engine, other) = model_args(&parsed.positional)?;
+    let mut print_probabilities = true;
+    for arg in other {
+        if arg != "NP" {
+            return Err(unrecognized(arg));
+        }
+        print_probabilities = false;
     }
-    let mut cli = Cli {
-        tra: args[0].clone(),
-        lab: args[1].clone(),
-        rewr: args[2].clone(),
-        rewi: args[3].clone(),
-        engine: UntilEngine::default(),
-        tolerance: None,
-        json: false,
-        print_probabilities: true,
-        no_reduction: false,
-        no_slicing: false,
-        metrics: false,
-        trace: None,
-        progress: false,
-        profile: None,
-    };
-    let mut rest = args[4..].iter();
-    while let Some(arg) = rest.next() {
-        if arg == "NP" {
-            cli.print_probabilities = false;
-        } else if arg == "--json" {
-            cli.json = true;
-        } else if arg == "--no-reduction" {
-            cli.no_reduction = true;
-        } else if arg == "--no-slicing" {
-            cli.no_slicing = true;
-        } else if arg == "--metrics" {
-            cli.metrics = true;
-        } else if arg == "--progress" {
-            cli.progress = true;
-        } else if arg == "--profile" {
-            cli.profile = Some(None);
-        } else if let Some(path) = arg.strip_prefix("--profile=") {
-            if path.is_empty() {
-                return Err("--profile= requires a non-empty file path".to_string());
-            }
-            cli.profile = Some(Some(path.to_string()));
-        } else if arg == "--trace" || arg.starts_with("--trace=") {
-            let value = match arg.strip_prefix("--trace=") {
-                Some(v) => v.to_string(),
-                None => rest
-                    .next()
-                    .ok_or_else(|| "--trace requires a file path".to_string())?
-                    .clone(),
-            };
-            if value.is_empty() {
-                return Err("--trace requires a non-empty file path".to_string());
-            }
-            cli.trace = Some(value);
-        } else if arg == "--tolerance" || arg.starts_with("--tolerance=") {
-            let value = match arg.strip_prefix("--tolerance=") {
-                Some(v) => v.to_string(),
-                None => rest
-                    .next()
-                    .ok_or_else(|| "--tolerance requires a value".to_string())?
-                    .clone(),
-            };
+    let tolerance = match parsed.value("--tolerance") {
+        Some(value) => {
             let e: f64 = value
                 .parse()
                 .map_err(|_| format!("invalid tolerance `{value}`"))?;
             if !(e > 0.0 && e < 1.0) {
                 return Err(format!("tolerance must be in (0, 1), got `{value}`"));
             }
-            cli.tolerance = Some(e);
-        } else if is_engine_switch(arg) {
-            cli.engine = parse_engine(arg)?;
-        } else {
-            return Err(format!("unrecognized argument `{arg}` (see `mrmc --help`)"));
+            Some(e)
         }
-    }
-    Ok(cli)
+        None => None,
+    };
+    Ok(Cli {
+        tra,
+        lab,
+        rewr,
+        rewi,
+        engine,
+        tolerance,
+        json: parsed.has("--json"),
+        print_probabilities,
+        no_reduction: parsed.has("--no-reduction"),
+        no_slicing: parsed.has("--no-slicing"),
+        metrics: parsed.has("--metrics"),
+        trace: parsed.value("--trace").map(str::to_string),
+        progress: parsed.has("--progress"),
+        profile: parsed
+            .has("--profile")
+            .then(|| parsed.value("--profile").map(str::to_string)),
+    })
 }
 
 #[derive(Debug)]
@@ -317,49 +394,35 @@ struct LintCli {
     verbose: bool,
 }
 
+const LINT_FLAGS: &[(&str, Arity)] = &[
+    ("--json", Arity::Switch),
+    ("--lumping", Arity::Switch),
+    ("--dataflow", Arity::Switch),
+    ("--verbose", Arity::Switch),
+    ("--deny", Arity::Value),
+];
+
 fn parse_lint_args(args: &[String]) -> Result<LintCli, String> {
-    if args.len() < 4 {
-        return Err(usage().to_string());
+    let parsed = parse_flags(args, LINT_FLAGS)?;
+    let ([tra, lab, rewr, rewi], engine, other) = model_args(&parsed.positional)?;
+    if let Some(arg) = other.first() {
+        return Err(unrecognized(arg));
     }
-    let mut cli = LintCli {
-        tra: args[0].clone(),
-        lab: args[1].clone(),
-        rewr: args[2].clone(),
-        rewi: args[3].clone(),
-        engine: UntilEngine::default(),
-        json: false,
-        deny_warnings: false,
-        lumping: false,
-        dataflow: false,
-        verbose: false,
-    };
-    let mut rest = args[4..].iter();
-    while let Some(arg) = rest.next() {
-        if arg == "--json" {
-            cli.json = true;
-        } else if arg == "--lumping" {
-            cli.lumping = true;
-        } else if arg == "--dataflow" {
-            cli.dataflow = true;
-        } else if arg == "--verbose" {
-            cli.verbose = true;
-        } else if arg == "--deny" || arg == "--deny=warnings" {
-            if arg == "--deny" {
-                let value = rest
-                    .next()
-                    .ok_or_else(|| "--deny requires a value (only `warnings`)".to_string())?;
-                if value != "warnings" {
-                    return Err(format!("--deny only supports `warnings`, got `{value}`"));
-                }
-            }
-            cli.deny_warnings = true;
-        } else if is_engine_switch(arg) {
-            cli.engine = parse_engine(arg)?;
-        } else {
-            return Err(format!("unrecognized argument `{arg}`\n\n{}", usage()));
-        }
+    if let Some(value) = parsed.value("--deny").filter(|v| *v != "warnings") {
+        return Err(format!("--deny only supports `warnings`, got `{value}`"));
     }
-    Ok(cli)
+    Ok(LintCli {
+        tra,
+        lab,
+        rewr,
+        rewi,
+        engine,
+        json: parsed.has("--json"),
+        deny_warnings: parsed.has("--deny"),
+        lumping: parsed.has("--lumping"),
+        dataflow: parsed.has("--dataflow"),
+        verbose: parsed.has("--verbose"),
+    })
 }
 
 /// The `mrmc lint` subcommand: run every static-analysis pass over the
@@ -607,46 +670,36 @@ struct ServeCli {
     connections: Option<usize>,
 }
 
+const SERVE_FLAGS: &[(&str, Arity)] = &[
+    ("--listen", Arity::Value),
+    ("--workers", Arity::Value),
+    ("--connections", Arity::Value),
+];
+
 fn parse_serve_args(args: &[String]) -> Result<ServeCli, String> {
-    let mut cli = ServeCli {
-        listen: "127.0.0.1:0".to_string(),
-        workers: ServerConfig::default().workers,
-        connections: None,
-    };
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        let mut value_of = |name: &str| -> Result<String, String> {
-            match arg.strip_prefix(&format!("{name}=")) {
-                Some(v) if !v.is_empty() => Ok(v.to_string()),
-                Some(_) => Err(format!("{name} requires a value")),
-                None => rest
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| format!("{name} requires a value")),
-            }
-        };
-        if arg == "--listen" || arg.starts_with("--listen=") {
-            cli.listen = value_of("--listen")?;
-        } else if arg == "--workers" || arg.starts_with("--workers=") {
-            let v = value_of("--workers")?;
-            cli.workers = v
-                .parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("invalid worker count `{v}`"))?;
-        } else if arg == "--connections" || arg.starts_with("--connections=") {
-            let v = value_of("--connections")?;
-            cli.connections = Some(
+    let parsed = parse_flags(args, SERVE_FLAGS)?;
+    if let Some(arg) = parsed.positional.first() {
+        return Err(unrecognized(arg));
+    }
+    let count = |flag: &str, what: &str| -> Result<Option<usize>, String> {
+        parsed
+            .value(flag)
+            .map(|v| {
                 v.parse()
                     .ok()
                     .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("invalid connection count `{v}`"))?,
-            );
-        } else {
-            return Err(format!("unrecognized argument `{arg}`\n\n{}", usage()));
-        }
-    }
-    Ok(cli)
+                    .ok_or_else(|| format!("invalid {what} count `{v}`"))
+            })
+            .transpose()
+    };
+    Ok(ServeCli {
+        listen: parsed
+            .value("--listen")
+            .unwrap_or("127.0.0.1:0")
+            .to_string(),
+        workers: count("--workers", "worker")?.unwrap_or(ServerConfig::default().workers),
+        connections: count("--connections", "connection")?,
+    })
 }
 
 /// The `mrmc serve` subcommand: run the JSONL batch server.
@@ -673,7 +726,8 @@ fn run_serve(args: &[String]) -> Result<ExitCode, String> {
 /// The `mrmc batch` subcommand: stream stdin JSONL requests to a running
 /// server and print the response lines.
 fn run_batch(args: &[String]) -> Result<ExitCode, String> {
-    let [addr] = args else {
+    let parsed = parse_flags(args, &[])?;
+    let [addr] = parsed.positional[..] else {
         return Err(format!(
             "batch takes exactly one server address\n\n{}",
             usage()
@@ -737,40 +791,26 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
     else {
         return Err(format!("bench only supports `diff`\n\n{}", usage()));
     };
-    let mut json = false;
+    let parsed = parse_flags(
+        rest,
+        &[("--json", Arity::Switch), ("--max-ratio", Arity::Value)],
+    )?;
     let mut options = mrmc_bench::diff::DiffOptions::default();
-    let mut files: Vec<&str> = Vec::new();
-    let mut rest = rest.iter();
-    while let Some(arg) = rest.next() {
-        if arg == "--json" {
-            json = true;
-        } else if arg == "--max-ratio" || arg.starts_with("--max-ratio=") {
-            let v = match arg.strip_prefix("--max-ratio=") {
-                Some(v) => v.to_string(),
-                None => rest
-                    .next()
-                    .ok_or_else(|| "--max-ratio requires a value".to_string())?
-                    .clone(),
-            };
-            options.max_ratio = v
-                .parse()
-                .ok()
-                .filter(|&r: &f64| r >= 1.0)
-                .ok_or_else(|| format!("invalid --max-ratio `{v}` (must be >= 1)"))?;
-        } else if arg.starts_with('-') {
-            return Err(format!("unrecognized argument `{arg}`\n\n{}", usage()));
-        } else {
-            files.push(arg);
-        }
+    if let Some(v) = parsed.value("--max-ratio") {
+        options.max_ratio = v
+            .parse()
+            .ok()
+            .filter(|&r: &f64| r >= 1.0)
+            .ok_or_else(|| format!("invalid --max-ratio `{v}` (must be >= 1)"))?;
     }
-    let [snapshot, baseline] = files[..] else {
+    let [snapshot, baseline] = parsed.positional[..] else {
         return Err(format!(
             "bench diff takes exactly two files: <snapshot> <baseline>\n\n{}",
             usage()
         ));
     };
     let report = mrmc_bench::diff::diff_files(Path::new(snapshot), Path::new(baseline), options)?;
-    if json {
+    if parsed.has("--json") {
         println!("{}", report.render_json());
     } else {
         print!("{}", report.render_human());
@@ -786,25 +826,15 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
 /// hermeticity analyzer (same engine as the standalone `mrmc-devlint`
 /// binary).
 fn run_devlint(args: &[String]) -> Result<ExitCode, String> {
-    let mut json = false;
-    let mut root: Option<String> = None;
-    for arg in args {
-        match arg.as_str() {
-            "--json" => json = true,
-            other if other.starts_with('-') => {
-                return Err(format!("unrecognized argument `{other}`\n\n{}", usage()));
-            }
-            other => {
-                if root.replace(other.to_string()).is_some() {
-                    return Err(format!("devlint takes at most one ROOT\n\n{}", usage()));
-                }
-            }
-        }
-    }
-    let root = root.unwrap_or_else(|| ".".to_string());
-    let report = mrmc_devlint::lint_workspace(Path::new(&root))
+    let parsed = parse_flags(args, &[("--json", Arity::Switch)])?;
+    let root = match parsed.positional[..] {
+        [] => ".",
+        [root] => root,
+        _ => return Err(format!("devlint takes at most one ROOT\n\n{}", usage())),
+    };
+    let report = mrmc_devlint::lint_workspace(Path::new(root))
         .map_err(|e| format!("devlint failed reading `{root}`: {e}"))?;
-    if json {
+    if parsed.has("--json") {
         println!("{}", report.render_json());
     } else {
         print!("{}", report.render_human());
@@ -1006,7 +1036,14 @@ mod tests {
 
     #[test]
     fn bad_tolerance_values_are_rejected() {
-        assert!(parse_args(&args(&["a", "b", "c", "d", "--tolerance"])).is_err());
+        let missing = parse_args(&args(&["a", "b", "c", "d", "--tolerance"])).unwrap_err();
+        assert_eq!(missing, "--tolerance requires a value");
+        for empty in [&["--tolerance="][..], &["--tolerance", ""]] {
+            let mut list = vec!["a", "b", "c", "d"];
+            list.extend_from_slice(empty);
+            let e = parse_args(&args(&list)).unwrap_err();
+            assert_eq!(e, "--tolerance requires a non-empty value", "{empty:?}");
+        }
         assert!(parse_args(&args(&["a", "b", "c", "d", "--tolerance", "x"])).is_err());
         assert!(parse_args(&args(&["a", "b", "c", "d", "--tolerance=0"])).is_err());
         assert!(parse_args(&args(&["a", "b", "c", "d", "--tolerance=1.5"])).is_err());
@@ -1185,8 +1222,15 @@ mod tests {
 
     #[test]
     fn bad_trace_values_are_rejected() {
-        assert!(parse_args(&args(&["a", "b", "c", "d", "--trace"])).is_err());
-        assert!(parse_args(&args(&["a", "b", "c", "d", "--trace="])).is_err());
+        let missing = parse_args(&args(&["a", "b", "c", "d", "--trace"])).unwrap_err();
+        assert_eq!(missing, "--trace requires a value");
+        // An empty value gets one message in either spelling.
+        for empty in [&["--trace="][..], &["--trace", ""]] {
+            let mut list = vec!["a", "b", "c", "d"];
+            list.extend_from_slice(empty);
+            let e = parse_args(&args(&list)).unwrap_err();
+            assert_eq!(e, "--trace requires a non-empty value", "{empty:?}");
+        }
         // Telemetry flags belong to check mode, not lint.
         assert!(parse_lint_args(&args(&["a", "b", "c", "d", "--metrics"])).is_err());
         assert!(parse_lint_args(&args(&["a", "b", "c", "d", "--progress"])).is_err());
@@ -1202,8 +1246,26 @@ mod tests {
     fn bad_switches_are_rejected() {
         assert!(parse_args(&args(&["a", "b", "c", "d", "u=potato"])).is_err());
         assert!(parse_args(&args(&["a", "b", "c", "d", "d=x"])).is_err());
-        let e = parse_args(&args(&["a", "b", "c", "d", "--frob"])).unwrap_err();
-        assert!(e.contains("--frob"));
+        // Unknown flags, and a value given to a switch, get one message in
+        // every subcommand.
+        for flag in ["--frob", "--frob=1", "--json=1"] {
+            let unknown = format!("unrecognized argument `{flag}` (see `mrmc --help`)");
+            let files = args(&["a", "b", "c", "d", flag]);
+            assert_eq!(parse_args(&files).unwrap_err(), unknown);
+            assert_eq!(parse_lint_args(&files).unwrap_err(), unknown);
+            assert_eq!(parse_serve_args(&args(&[flag])).unwrap_err(), unknown);
+        }
+        // Engine knobs no engine can run with fail at parse time.
+        for knob in ["u=-1", "u=nan", "u=2", "d=0", "d=-1", "d=inf", "s=0"] {
+            assert!(
+                parse_args(&args(&["a", "b", "c", "d", knob])).is_err(),
+                "{knob}"
+            );
+            assert!(
+                parse_lint_args(&args(&["a", "b", "c", "d", knob])).is_err(),
+                "{knob}"
+            );
+        }
     }
 
     #[test]
@@ -1251,8 +1313,15 @@ mod tests {
     #[test]
     fn bad_lint_args_are_rejected() {
         assert!(parse_lint_args(&args(&["a.tra"])).is_err());
-        assert!(parse_lint_args(&args(&["a", "b", "c", "d", "--deny"])).is_err());
-        assert!(parse_lint_args(&args(&["a", "b", "c", "d", "--deny", "notes"])).is_err());
+        let missing = parse_lint_args(&args(&["a", "b", "c", "d", "--deny"])).unwrap_err();
+        assert_eq!(missing, "--deny requires a value");
+        let empty = parse_lint_args(&args(&["a", "b", "c", "d", "--deny="])).unwrap_err();
+        assert_eq!(empty, "--deny requires a non-empty value");
+        // Both spellings of a bad value get the same message.
+        let spaced = parse_lint_args(&args(&["a", "b", "c", "d", "--deny", "notes"])).unwrap_err();
+        let joined = parse_lint_args(&args(&["a", "b", "c", "d", "--deny=notes"])).unwrap_err();
+        assert_eq!(spaced, "--deny only supports `warnings`, got `notes`");
+        assert_eq!(joined, spaced);
         assert!(parse_lint_args(&args(&["a", "b", "c", "d", "NP"])).is_err());
         assert!(parse_lint_args(&args(&["a", "b", "c", "d", "--tolerance", "1e-6"])).is_err());
         // --lumping belongs to the lint subcommand only.
@@ -1283,14 +1352,27 @@ mod tests {
         assert_eq!(cli.listen, "127.0.0.1:7421");
         assert_eq!(cli.workers, 2);
         assert_eq!(cli.connections, Some(3));
+        // The `=` and the space spellings agree, flag by flag.
+        let joined = parse_serve_args(&args(&[
+            "--listen=127.0.0.1:7421",
+            "--workers",
+            "2",
+            "--connections=3",
+        ]))
+        .unwrap();
+        assert_eq!(joined, cli);
     }
 
     #[test]
     fn bad_serve_args_are_rejected() {
-        assert!(parse_serve_args(&args(&["--workers"])).is_err());
         assert!(parse_serve_args(&args(&["--workers", "0"])).is_err());
         assert!(parse_serve_args(&args(&["--connections=x"])).is_err());
-        assert!(parse_serve_args(&args(&["--listen="])).is_err());
         assert!(parse_serve_args(&args(&["--frob"])).is_err());
+        for flag in ["--listen", "--workers", "--connections"] {
+            let missing = parse_serve_args(&args(&[flag])).unwrap_err();
+            assert_eq!(missing, format!("{flag} requires a value"));
+            let empty = parse_serve_args(&args(&[&format!("{flag}=")])).unwrap_err();
+            assert_eq!(empty, format!("{flag} requires a non-empty value"));
+        }
     }
 }

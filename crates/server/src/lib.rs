@@ -564,22 +564,38 @@ fn parse_options(options: Option<&Value>) -> Result<(CheckOptions, bool), String
 
 /// Parse a `u=`/`d=`/`s=` engine switch, the CLI's engine grammar.
 ///
+/// Knobs no engine can run with are rejected here, before a model is
+/// loaded or a cost forecast is built from them: a truncation probability
+/// outside `(0, 1)`, a step that is not finite and positive, and a zero
+/// sample count.
+///
 /// # Errors
 ///
-/// A human-readable message for unknown switches or bad numbers.
+/// A human-readable message for unknown switches, bad numbers, or knobs
+/// out of range.
 pub fn parse_engine(text: &str) -> Result<UntilEngine, String> {
     if let Some(w) = text.strip_prefix("u=") {
-        w.parse()
-            .map(UntilEngine::uniformization)
-            .map_err(|_| format!("invalid truncation probability `{w}`"))
+        match w.parse::<f64>() {
+            Ok(v) if v > 0.0 && v < 1.0 => Ok(UntilEngine::uniformization(v)),
+            Ok(_) => Err(format!(
+                "truncation probability must be in (0, 1), got `{w}`"
+            )),
+            Err(_) => Err(format!("invalid truncation probability `{w}`")),
+        }
     } else if let Some(d) = text.strip_prefix("d=") {
-        d.parse()
-            .map(UntilEngine::discretization)
-            .map_err(|_| format!("invalid discretization step `{d}`"))
+        match d.parse::<f64>() {
+            Ok(v) if v.is_finite() && v > 0.0 => Ok(UntilEngine::discretization(v)),
+            Ok(_) => Err(format!(
+                "discretization step must be finite and positive, got `{d}`"
+            )),
+            Err(_) => Err(format!("invalid discretization step `{d}`")),
+        }
     } else if let Some(n) = text.strip_prefix("s=") {
-        n.parse()
-            .map(UntilEngine::simulation)
-            .map_err(|_| format!("invalid sample count `{n}`"))
+        match n.parse::<u64>() {
+            Ok(v) if v > 0 => Ok(UntilEngine::simulation(v)),
+            Ok(_) => Err(format!("sample count must be positive, got `{n}`")),
+            Err(_) => Err(format!("invalid sample count `{n}`")),
+        }
     } else {
         Err(format!(
             "unrecognized engine `{text}` (expected u=, d=, or s=)"
@@ -819,6 +835,13 @@ mod tests {
         ));
         assert!(parse_engine("x=1").is_err());
         assert!(parse_engine("u=potato").is_err());
+        // Knobs no engine can run with are rejected, not deferred to the
+        // engine.
+        for bad in [
+            "u=-1", "u=0", "u=1", "u=2", "u=nan", "d=0", "d=-1", "d=inf", "d=nan", "s=0",
+        ] {
+            assert!(parse_engine(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -848,6 +871,19 @@ mod tests {
         ] {
             let v = json::parse(text).unwrap();
             assert!(parse_options(Some(&v)).is_err(), "{text}");
+        }
+        // An out-of-range engine knob is the same request error the CLI
+        // prints, raised before any check is queued.
+        for (text, knob) in [
+            (r#"{"engine":"u=-1"}"#, "u=-1"),
+            (r#"{"engine":"d=inf"}"#, "d=inf"),
+            (r#"{"engine":"s=0"}"#, "s=0"),
+        ] {
+            let v = json::parse(text).unwrap();
+            assert_eq!(
+                parse_options(Some(&v)),
+                Err(parse_engine(knob).unwrap_err())
+            );
         }
     }
 }

@@ -208,11 +208,37 @@ fn removed_threads_and_solver_flags_fail_with_one_line() {
 }
 
 #[test]
+fn out_of_range_engine_knobs_exit_before_loading() {
+    let dir = temp_dir("bad-knobs");
+    let [tra, lab, rewr, rewi] = write_tmr_like_model(&dir);
+    let p = [
+        tra.to_str().unwrap(),
+        lab.to_str().unwrap(),
+        rewr.to_str().unwrap(),
+        rewi.to_str().unwrap(),
+    ];
+    for knob in ["u=-1", "u=nan", "u=2", "d=0", "d=-1", "d=inf", "s=0"] {
+        for sub in ["check", "lint"] {
+            // The knob is rejected before stdin is read, so send no formulas.
+            let (stdout, stderr, code) = run_mrmc_code(&[sub, p[0], p[1], p[2], p[3], knob], "");
+            assert_eq!(code, Some(1), "{sub} {knob}: {stdout}{stderr}");
+            // No `loaded model` line and no lint report: rejected before
+            // the model loads or a cost forecast is built.
+            assert!(stdout.is_empty(), "{sub} {knob}: {stdout}");
+            assert_eq!(stderr.lines().count(), 1, "{sub} {knob}: {stderr}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn help_prints_usage() {
     let (stdout, _, ok) = run_mrmc(&["--help"], "");
     assert!(ok);
     assert!(stdout.contains("usage: mrmc"));
     assert!(stdout.contains("u=<w>"));
+    // The check synopsis lists every engine switch the parser accepts.
+    assert!(stdout.contains("[u=<w>|d=<d>|s=<n>] [--tolerance E]"));
     assert!(stdout.contains("--tolerance"));
     assert!(stdout.contains("--json"));
 }

@@ -7,8 +7,6 @@
 
 use mrmc::{CheckOptions, ModelChecker, UntilEngine};
 use mrmc_models::queue::{queue, QueueConfig};
-use mrmc_numerics::expected::expected_accumulated_reward_from;
-use mrmc_numerics::monte_carlo::{estimate_expected_reward, SimulationOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = QueueConfig::new(5);
@@ -21,15 +19,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mrm.num_states()
     );
 
-    // Expected accumulated cost over a shift of 8 hours, from empty+up:
-    // uniformization vs simulation.
     let start = config.up_state(0);
-    let exact = expected_accumulated_reward_from(&mrm, start, 8.0, 1e-10)?;
-    let sim = estimate_expected_reward(&mrm, 8.0, start, SimulationOptions::with_samples(20_000))?;
-    println!("\nE[accumulated cost over 8h] = {exact:.4}");
-    println!("  simulation check: {:.4} ± {:.4}", sim.mean, sim.std_error);
 
-    // CSRL queries.
+    // CSRL queries from the empty, working queue.
     let checker = ModelChecker::new(
         mrm,
         CheckOptions::new().with_engine(UntilEngine::uniformization(1e-9)),

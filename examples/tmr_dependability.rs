@@ -3,7 +3,6 @@
 //!
 //! Run with `cargo run --release --example tmr_dependability`.
 
-use mrmc::witness::most_probable_witness;
 use mrmc::{CheckOptions, ModelChecker, UntilEngine};
 use mrmc_models::tmr::{tmr, TmrConfig};
 
@@ -39,21 +38,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         p[config.state_with_working(3)],
         out.holds_in(config.state_with_working(3))
     );
-
-    // Diagnostics: the most probable way the system fails.
-    let m2 = tmr(&config);
-    let phi = m2.labeling().states_with("Sup");
-    let psi = m2.labeling().states_with("failed");
-    if let Some(w) = most_probable_witness(&m2, &phi, &psi, config.state_with_working(3))? {
-        println!(
-            "\nmost probable failure trajectory: states {:?} (branching probability {:.4});",
-            w.states, w.probability
-        );
-        println!(
-            "expected time to failure along it: {:.1} h, resources consumed: {:.1}",
-            w.time_at_goal, w.reward_at_goal
-        );
-    }
 
     // The 11-module variant: probability of returning to full operation.
     let big = TmrConfig::with_modules(11);

@@ -338,30 +338,6 @@ fn io_roundtrip_on_random_models() {
     }
 }
 
-/// Expected reward from uniformization matches simulation on random models.
-#[test]
-fn expected_reward_cross_check() {
-    use mrmc_numerics::expected::expected_accumulated_reward_from;
-    use mrmc_numerics::monte_carlo::{estimate_expected_reward, SimulationOptions};
-    for seed in 0u64..8 {
-        let m = random_mrm(seed, &small_cfg());
-        let exact = expected_accumulated_reward_from(&m, 0, 1.0, 1e-10).unwrap();
-        let sim = estimate_expected_reward(
-            &m,
-            1.0,
-            0,
-            SimulationOptions::with_samples(12_000).with_seed(seed),
-        )
-        .unwrap();
-        assert!(
-            sim.is_consistent_with(exact, 5.0),
-            "seed {seed}: exact {exact} vs sim {} ± {}",
-            sim.mean,
-            sim.std_error
-        );
-    }
-}
-
 /// Definition 4.1 laws on random models: idempotence and composition by
 /// union.
 #[test]
@@ -445,33 +421,6 @@ fn transient_is_lambda_invariant() {
         let p2 = run(3.0 * max_exit);
         for (s, (x, y)) in p1.iter().zip(&p2).enumerate() {
             assert!((x - y).abs() < 1e-8, "seed {seed}, state {s}: {x} vs {y}");
-        }
-    }
-}
-
-/// Witnesses found by the diagnostic search are genuine: they validate
-/// against the model, end in Ψ, traverse only Φ-states before, and their
-/// probability is the product of embedded branching probabilities.
-#[test]
-fn witnesses_are_genuine() {
-    use mrmc::witness::most_probable_witness;
-    for seed in 0u64..24 {
-        let m = random_mrm(seed, &small_cfg());
-        let phi: Vec<bool> = m
-            .labeling()
-            .states_with("goal")
-            .iter()
-            .map(|&g| !g)
-            .collect(); // Φ = ¬goal
-        let psi = m.labeling().states_with("goal");
-        if let Some(w) = most_probable_witness(&m, &phi, &psi, 0).unwrap() {
-            w.timed.validate_in(&m).unwrap();
-            let last = *w.states.last().unwrap();
-            assert!(psi[last], "seed {seed}");
-            for &s in &w.states[..w.states.len() - 1] {
-                assert!(phi[s], "seed {seed}: intermediate state {s} violates Φ");
-            }
-            assert!(w.probability > 0.0 && w.probability <= 1.0, "seed {seed}");
         }
     }
 }
