@@ -460,12 +460,12 @@ mod tests {
         let mut b = Bencher::new(2, Duration::from_millis(1));
         b.iter(|| {
             mrmc_obs::record(|| mrmc_obs::Event::Counter {
-                name: "bench_work",
+                name: mrmc_obs::counters::SCC_COUNT,
                 value: 7,
             });
         });
         let m = b.metrics.as_ref().expect("calibration metrics captured");
-        assert_eq!(m.counters["bench_work"], 7);
+        assert_eq!(m.counters[mrmc_obs::counters::SCC_COUNT], 7);
         let r = b.into_result("instrumented".into()).unwrap();
         assert!(r.metrics.is_some());
     }

@@ -40,12 +40,6 @@ pub enum CheckError {
     /// numerical engine was started. The report carries every finding
     /// (including any warnings and notes that accompanied the errors).
     Preflight(mrmc_analysis::Report),
-    /// [`Reduction::Require`](crate::Reduction) was set but no verified,
-    /// strictly smaller lumping quotient exists for this formula.
-    Reduction {
-        /// Why the reduction was unavailable.
-        reason: String,
-    },
     /// A numerical engine failed.
     Numerics(NumericsError),
     /// A chain-level analysis failed.
@@ -76,9 +70,6 @@ impl fmt::Display for CheckError {
                     write!(f, "\n  {d}")?;
                 }
                 Ok(())
-            }
-            CheckError::Reduction { reason } => {
-                write!(f, "required model reduction unavailable: {reason}")
             }
             CheckError::Numerics(e) => write!(f, "{e}"),
             CheckError::Model(e) => write!(f, "{e}"),
@@ -172,16 +163,6 @@ mod tests {
 
         let e: CheckError = ModelError::EmptyModel.into();
         assert!(e.to_string().contains("no states"));
-    }
-
-    #[test]
-    fn reduction_error_displays_the_reason() {
-        let e = CheckError::Reduction {
-            reason: "no nontrivial quotient exists for this formula".into(),
-        };
-        assert!(e.to_string().contains("required model reduction"));
-        assert!(e.to_string().contains("nontrivial quotient"));
-        assert!(std::error::Error::source(&e).is_none());
     }
 
     #[test]

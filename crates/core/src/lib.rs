@@ -123,8 +123,7 @@ impl ModelChecker {
     ///
     /// [`CheckError`] for pre-flight lint errors (unknown atomic
     /// propositions, unsupported bounds — reported with stable diagnostic
-    /// codes), [`CheckError::Reduction`] under [`Reduction::Require`] when
-    /// no verified quotient exists, or numerical failures.
+    /// codes) or numerical failures.
     pub fn check(&self, formula: &StateFormula) -> Result<CheckOutcome, CheckError> {
         session::run_check(&self.mrm, &self.options, formula, None)
     }

@@ -59,10 +59,6 @@ pub enum Reduction {
     /// Never reduce; always check on the full model (the CLI's
     /// `--no-reduction`).
     Off,
-    /// Fail with [`CheckError::Reduction`](crate::CheckError) unless a
-    /// verified, strictly smaller quotient exists. For callers that depend
-    /// on the reduction (e.g. the full model is too large).
-    Require,
 }
 
 /// Options steering the model checker.
@@ -229,12 +225,6 @@ mod tests {
         let o = CheckOptions::new();
         assert_eq!(o.reduction, Reduction::Auto);
         assert_eq!(o.with_reduction(Reduction::Off).reduction, Reduction::Off);
-        assert_eq!(
-            CheckOptions::new()
-                .with_reduction(Reduction::Require)
-                .reduction,
-            Reduction::Require
-        );
     }
 
     #[test]

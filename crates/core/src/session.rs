@@ -129,12 +129,12 @@ impl SessionStats {
     pub fn counters(&self) -> [(&'static str, u64); 8] {
         [
             ("requests", self.requests),
-            (counters::MODELS_LOADED, self.models_loaded),
-            (counters::SAT_CACHE_HITS, self.sat_cache_hits),
-            (counters::SAT_CACHE_MISSES, self.sat_cache_misses),
-            (counters::CERT_CACHE_HITS, self.cert_cache_hits),
+            (counters::MODELS_LOADED.name(), self.models_loaded),
+            (counters::SAT_CACHE_HITS.name(), self.sat_cache_hits),
+            (counters::SAT_CACHE_MISSES.name(), self.sat_cache_misses),
+            (counters::CERT_CACHE_HITS.name(), self.cert_cache_hits),
             ("omega_cache_entries", self.omega_cache_entries),
-            (counters::OMEGA_CACHE_HITS, self.omega_cache_hits),
+            (counters::OMEGA_CACHE_HITS.name(), self.omega_cache_hits),
             ("scc_cache_hits", self.scc_cache_hits),
         ]
     }
@@ -150,9 +150,8 @@ pub(crate) enum CertOutcome {
         cert: Arc<lumping::LumpingCertificate>,
         quotient_hash: Option<u64>,
     },
-    /// A certificate existed but failed independent verification.
-    FailedVerify { error: String },
-    /// No nontrivial quotient exists for this formula.
+    /// No verified, strictly smaller quotient: none exists for this
+    /// formula, or its certificate failed independent verification.
     NoQuotient,
 }
 
@@ -161,16 +160,11 @@ impl CertOutcome {
     /// `hash_quotient` also records the quotient's content hash.
     fn analyze(mrm: &Mrm, formula: &StateFormula, hash_quotient: bool) -> Self {
         match lumping::analyze(mrm, formula).certificate {
-            Some(cert) => match cert.verify(mrm) {
-                Ok(()) => CertOutcome::Verified {
-                    quotient_hash: hash_quotient.then(|| cache::model_hash(&cert.quotient)),
-                    cert: Arc::new(cert),
-                },
-                Err(e) => CertOutcome::FailedVerify {
-                    error: e.to_string(),
-                },
+            Some(cert) if cert.verify(mrm).is_ok() => CertOutcome::Verified {
+                quotient_hash: hash_quotient.then(|| cache::model_hash(&cert.quotient)),
+                cert: Arc::new(cert),
             },
-            None => CertOutcome::NoQuotient,
+            _ => CertOutcome::NoQuotient,
         }
     }
 }
@@ -196,7 +190,7 @@ pub(crate) fn run_check(
     }
     let reduced = {
         let _span = mrmc_obs::span("reduction");
-        reduction(mrm, options.reduction, formula, memo)?
+        reduction(mrm, options.reduction, formula, memo)
     };
     let _span = mrmc_obs::span("engine");
     match reduced {
@@ -221,19 +215,16 @@ pub(crate) fn run_check(
 /// The verified certificate a check reduces with (plus the quotient's
 /// content hash when there is a memo), resolved through the memo's
 /// certificate cache when there is one. `None` when checking runs on the
-/// full model; errors only under [`Reduction::Require`].
-#[allow(clippy::type_complexity)]
+/// full model.
 fn reduction(
     mrm: &Mrm,
     policy: Reduction,
     formula: &StateFormula,
     memo: Option<Memo<'_>>,
-) -> Result<Option<(Arc<lumping::LumpingCertificate>, Option<u64>)>, CheckError> {
-    let require = match policy {
-        Reduction::Off => return Ok(None),
-        Reduction::Auto => false,
-        Reduction::Require => true,
-    };
+) -> Option<(Arc<lumping::LumpingCertificate>, Option<u64>)> {
+    if policy == Reduction::Off {
+        return None;
+    }
     let outcome = match memo {
         Some(memo) => memo.certificate(formula, || CertOutcome::analyze(mrm, formula, true)),
         None => CertOutcome::analyze(mrm, formula, false),
@@ -242,14 +233,8 @@ fn reduction(
         CertOutcome::Verified {
             cert,
             quotient_hash,
-        } => Ok(Some((cert, quotient_hash))),
-        CertOutcome::FailedVerify { error } if require => Err(CheckError::Reduction {
-            reason: format!("lumping certificate failed verification: {error}"),
-        }),
-        CertOutcome::NoQuotient if require => Err(CheckError::Reduction {
-            reason: "no nontrivial quotient exists for this formula".into(),
-        }),
-        CertOutcome::FailedVerify { .. } | CertOutcome::NoQuotient => Ok(None),
+        } => Some((cert, quotient_hash)),
+        CertOutcome::NoQuotient => None,
     }
 }
 
@@ -532,22 +517,24 @@ mod tests {
     }
 
     #[test]
-    fn require_reduction_errors_are_faithful_and_cached() {
+    fn negative_certificates_are_cached_under_auto() {
         let session = CheckSession::new();
         let handle = session.insert(two_state(0.1));
-        let options = CheckOptions::new().with_reduction(Reduction::Require);
+        let options = CheckOptions::new();
         // The two-state chain has no nontrivial quotient for this formula.
-        let e = session
+        let first = session
             .check_str(&handle, "S(>= 0.85) (up)", &options)
-            .unwrap_err();
+            .unwrap();
         let one_shot = ModelChecker::new(two_state(0.1), options)
             .check_str("S(>= 0.85) (up)")
-            .unwrap_err();
-        assert_eq!(format!("{e}"), format!("{one_shot}"));
-        let e2 = session
+            .unwrap();
+        assert_eq!(first, one_shot);
+        assert_eq!(first.reduction(), None);
+        assert_eq!(session.stats().cert_cache_hits, 0);
+        let second = session
             .check_str(&handle, "S(>= 0.85) (up)", &options)
-            .unwrap_err();
-        assert_eq!(format!("{e}"), format!("{e2}"));
+            .unwrap();
+        assert_eq!(first, second);
         assert!(session.stats().cert_cache_hits > 0);
     }
 

@@ -109,35 +109,9 @@ impl Interval {
         self.lo == 0.0 && self.hi == f64::INFINITY
     }
 
-    /// `true` when the lower endpoint is zero.
-    pub fn starts_at_zero(&self) -> bool {
-        self.lo == 0.0
-    }
-
     /// `true` when the upper endpoint is `∞`.
     pub fn is_upper_unbounded(&self) -> bool {
         self.hi == f64::INFINITY
-    }
-
-    /// The shift `I ⊖ y = {x − y | x ∈ I ∧ x ≥ y}` used in the until
-    /// fixed-point characterization (Eq. 3.6); `None` when the result is
-    /// empty (`y > sup I`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y` is negative or non-finite.
-    pub fn shift_down(&self, y: f64) -> Option<Interval> {
-        assert!(
-            y.is_finite() && y >= 0.0,
-            "shift must be finite and non-negative"
-        );
-        if y > self.hi {
-            return None;
-        }
-        Some(Interval {
-            lo: (self.lo - y).max(0.0),
-            hi: self.hi - y,
-        })
     }
 
     /// Intersection, `None` when empty.
@@ -183,7 +157,6 @@ mod tests {
         assert!(i.contains(3.0));
         assert!(!i.contains(0.999));
         assert!(!i.is_trivial());
-        assert!(!i.starts_at_zero());
     }
 
     #[test]
@@ -220,18 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn shift_down_matches_definition() {
-        let i = Interval::new(2.0, 5.0).unwrap();
-        assert_eq!(i.shift_down(1.0), Some(Interval::new(1.0, 4.0).unwrap()));
-        assert_eq!(i.shift_down(3.0), Some(Interval::new(0.0, 2.0).unwrap()));
-        assert_eq!(i.shift_down(5.0), Some(Interval::new(0.0, 0.0).unwrap()));
-        assert_eq!(i.shift_down(5.1), None);
-        // Unbounded intervals shift into unbounded intervals.
-        let u = Interval::unbounded();
-        assert_eq!(u.shift_down(100.0), Some(Interval::unbounded()));
-    }
-
-    #[test]
     fn intersect_basics() {
         let a = Interval::new(0.0, 3.0).unwrap();
         let b = Interval::new(2.0, 5.0).unwrap();
@@ -256,23 +217,6 @@ mod tests {
             let x = rng.range_f64(-10.0, 250.0);
             let i = Interval::new(lo, lo + len).unwrap();
             assert_eq!(i.contains(x), x >= lo && x <= lo + len);
-        }
-    }
-
-    #[test]
-    fn shift_down_never_negative() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(0x172);
-        for _ in 0..256 {
-            let lo = rng.range_f64(0.0, 50.0);
-            let len = rng.range_f64(0.0, 50.0);
-            let y = rng.range_f64(0.0, 120.0);
-            let i = Interval::new(lo, lo + len).unwrap();
-            if let Some(s) = i.shift_down(y) {
-                assert!(s.lo() >= 0.0);
-                assert!(s.hi() >= s.lo());
-            } else {
-                assert!(y > i.hi());
-            }
         }
     }
 }

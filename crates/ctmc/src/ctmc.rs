@@ -103,17 +103,6 @@ impl Ctmc {
         self.exit_rates[state] == 0.0
     }
 
-    /// The one-step probability `P(s, s') = R(s, s') / E(s)` of the embedded
-    /// DTMC; `0` from absorbing states.
-    pub fn embedded_probability(&self, from: usize, to: usize) -> f64 {
-        let e = self.exit_rates[from];
-        if e == 0.0 {
-            0.0
-        } else {
-            self.rates.get(from, to) / e
-        }
-    }
-
     /// The embedded (jump) DTMC. Absorbing states receive a probability-one
     /// self-loop so the result is stochastic.
     pub fn embedded_dtmc(&self) -> Dtmc {
@@ -292,7 +281,6 @@ mod tests {
         assert!((p.get(2, 3) - 1.5 / 14.25).abs() < 1e-12);
         assert!((p.get(2, 4) - 0.75 / 14.25).abs() < 1e-12);
         assert!((p.get(3, 2) - 1.0).abs() < 1e-12);
-        assert!((c.embedded_probability(2, 3) - 1.5 / 14.25).abs() < 1e-12);
     }
 
     #[test]
@@ -302,7 +290,6 @@ mod tests {
         let c = b.build().unwrap();
         assert!(!c.is_absorbing(0));
         assert!(c.is_absorbing(1));
-        assert_eq!(c.embedded_probability(1, 0), 0.0);
         // Absorbing state gets a self-loop in the embedded DTMC.
         assert_eq!(c.embedded_dtmc().probabilities().get(1, 1), 1.0);
     }

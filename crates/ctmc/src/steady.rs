@@ -158,15 +158,6 @@ impl SteadyStateAnalysis {
         &self.bsccs
     }
 
-    /// `P(s, ◇ B_b)` for BSCC index `b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` is out of bounds.
-    pub fn reach_probabilities(&self, b: usize) -> &[f64] {
-        &self.reach[b]
-    }
-
     /// The long-run probability `π(from, target)` of Eq. 3.2:
     /// `Σ_B P(from, ◇B) · Σ_{s' ∈ B ∩ target} π^B(s')`.
     ///
@@ -267,7 +258,7 @@ mod tests {
         let info = &analysis.bsccs()[b1];
         let idx_s4 = info.states.iter().position(|&s| s == 3).unwrap();
         assert!((info.distribution[idx_s4] - 2.0 / 3.0).abs() < 1e-9);
-        assert!((analysis.reach_probabilities(b1)[0] - 4.0 / 7.0).abs() < 1e-9);
+        assert!((analysis.reach[b1][0] - 4.0 / 7.0).abs() < 1e-9);
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //!   request-handling paths;
 //! * `D006` — hermeticity gate: a non-workspace `[dependencies]` entry in
 //!   a `Cargo.toml`;
-//! * `D007` — cross-registry sync: counters/event kinds emitted in source
-//!   but missing from the `mrmc_obs` registries;
+//! * `D007` — *retired*: telemetry registry drift is now a compile
+//!   error or an `mrmc-obs` unit-test failure (see `mrmc_obs::counters`),
+//!   so no pass emits it and a pragma naming it is an unused `D000`;
 //! * `D008` — workspace lint-gate: a crate missing `[lints] workspace =
 //!   true`, or the root manifest missing `unsafe_code = "forbid"`.
 

@@ -7,11 +7,10 @@
 //! by consistency tests — but the hazards that break them are
 //! *statically recognizable* in source: hash-order iteration reaching an
 //! output, a wall-clock read in a result path, an unscoped thread, an
-//! unordered float reduction, a registry drifting from its emission
-//! sites. devlint scans the workspace's own `.rs` files and
-//! `Cargo.toml`s with a small hermetic lexer (no `syn`, no external
-//! crates) and reports findings in the same diagnostic vocabulary
-//! `mrmc-analysis` gives models and formulas.
+//! unordered float reduction. devlint scans the workspace's own `.rs`
+//! files and `Cargo.toml`s with a small hermetic lexer (no `syn`, no
+//! external crates) and reports findings in the same diagnostic
+//! vocabulary `mrmc-analysis` gives models and formulas.
 //!
 //! The passes and their stable codes are documented in [`finding`];
 //! the scanner's token-level architecture and its accepted blind spots
@@ -29,15 +28,12 @@
 
 pub mod finding;
 pub mod manifest;
-pub mod registry;
 pub mod rules;
 pub mod scan;
 
 pub use finding::{Finding, Report, Severity};
-pub use registry::SourceText;
 pub use scan::SourceFile;
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -49,8 +45,9 @@ const SKIP_DIRS: &[&str] = &["target", "experiments-out", "devlint_corpus"];
 
 /// Lint a single Rust source in isolation: run every source-level pass,
 /// apply suppression pragmas, and surface pragma hygiene (`D000`).
-/// This is the entry point the golden corpus exercises; `rel_path` is a
-/// virtual workspace-relative path that selects each pass's scope.
+/// [`lint_workspace`] runs it on every `.rs` file and the golden corpus
+/// calls it directly; `rel_path` is a (possibly virtual)
+/// workspace-relative path that selects each pass's scope.
 pub fn lint_rust_source(rel_path: &str, text: &str) -> Vec<Finding> {
     let parsed = SourceFile::parse(rel_path, text);
     let raw = rules::lint_source(&parsed);
@@ -73,46 +70,9 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
         let text = fs::read_to_string(path)?;
         findings.extend(manifest::lint_manifest(&rel_of(root, path), &text));
     }
-
-    let mut sources: Vec<SourceText> = Vec::new();
     for path in &rs_paths {
-        let raw = fs::read_to_string(path)?;
-        let rel = rel_of(root, path);
-        let parsed = SourceFile::parse(rel.clone(), &raw);
-        sources.push(SourceText {
-            rel_path: rel,
-            raw,
-            parsed,
-        });
-    }
-
-    // Per-file rule findings plus the cross-file registry pass, grouped
-    // by file so suppression (and pragma-usage tracking) sees a file's
-    // complete raw finding set at once.
-    let mut per_file: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
-    for source in &sources {
-        let raw = rules::lint_source(&source.parsed);
-        if !raw.is_empty() {
-            per_file
-                .entry(source.rel_path.clone())
-                .or_default()
-                .extend(raw);
-        }
-    }
-    for finding in registry::lint_registry(&sources) {
-        per_file
-            .entry(finding.file.clone())
-            .or_default()
-            .push(finding);
-    }
-    for source in &sources {
-        let raw = per_file.remove(&source.rel_path).unwrap_or_default();
-        findings.extend(apply_suppressions(&source.parsed, raw));
-    }
-    // Registry findings can only anchor in scanned files, so nothing
-    // should remain — but never drop a finding on the floor.
-    for (_, leftover) in per_file {
-        findings.extend(leftover);
+        let text = fs::read_to_string(path)?;
+        findings.extend(lint_rust_source(&rel_of(root, path), &text));
     }
 
     findings.sort_by(|a, b| {
@@ -131,7 +91,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
 /// Filter `raw` through `file`'s suppression pragmas. Surviving findings
 /// come back together with `D000` findings for malformed pragmas and
 /// for pragmas that suppressed nothing.
-pub fn apply_suppressions(file: &SourceFile, raw: Vec<Finding>) -> Vec<Finding> {
+fn apply_suppressions(file: &SourceFile, raw: Vec<Finding>) -> Vec<Finding> {
     let mut used = vec![false; file.pragmas.len()];
     let mut out = Vec::new();
     for finding in raw {
@@ -217,11 +177,17 @@ mod tests {
 
     #[test]
     fn unused_pragma_is_a_d000_finding() {
-        let src = "fn f() {\n    // devlint::allow(D002): nothing here reads a clock\n    let x = 1;\n    let _ = x;\n}\n";
-        let f = lint_rust_source("crates/core/src/x.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].code, "D000");
-        assert!(f[0].message.contains("matches no finding"));
+        // D007 is retired: no pass emits it, so its pragma is always unused.
+        for pragma in [
+            "devlint::allow(D002): nothing here reads a clock",
+            "devlint::allow(D007): retired code",
+        ] {
+            let src = format!("fn f() {{\n    // {pragma}\n    let x = 1;\n    let _ = x;\n}}\n");
+            let f = lint_rust_source("crates/core/src/x.rs", &src);
+            assert_eq!(f.len(), 1);
+            assert_eq!(f[0].code, "D000");
+            assert!(f[0].message.contains("matches no finding"));
+        }
     }
 
     #[test]

@@ -11,14 +11,14 @@
 //! ```
 //!
 //! TOML fixtures use `#` comments. `.toml` fixtures run through the
-//! manifest pass; `.rs` fixtures run through every source-level pass
-//! plus the registry pass, then suppression — the same pipeline
-//! `lint_workspace` applies per file.
+//! manifest pass; `.rs` fixtures run through every source-level pass,
+//! then suppression — the same pipeline `lint_workspace` applies per
+//! file.
 
 use std::fs;
 use std::path::PathBuf;
 
-use mrmc_devlint::{manifest, registry, rules, SourceFile, SourceText};
+use mrmc_devlint::{lint_rust_source, manifest};
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/devlint_corpus")
@@ -44,19 +44,11 @@ fn header(text: &str, name: &str, key: &str) -> String {
 }
 
 fn lint_fixture(name: &str, virtual_path: &str, text: &str) -> Vec<String> {
-    let mut findings = if name.ends_with(".toml") {
+    let findings = if name.ends_with(".toml") {
         manifest::lint_manifest(virtual_path, text)
     } else {
-        let parsed = SourceFile::parse(virtual_path, text);
-        let mut raw = rules::lint_source(&parsed);
-        raw.extend(registry::lint_registry(&[SourceText {
-            rel_path: virtual_path.to_string(),
-            raw: text.to_string(),
-            parsed: SourceFile::parse(virtual_path, text),
-        }]));
-        mrmc_devlint::apply_suppressions(&parsed, raw)
+        lint_rust_source(virtual_path, text)
     };
-    findings.sort_by(|a, b| (a.line, a.code).cmp(&(b.line, b.code)));
     for finding in &findings {
         assert_eq!(
             finding.file, virtual_path,
@@ -108,7 +100,7 @@ fn every_fixture_produces_exactly_its_expected_codes() {
     covered.sort();
     covered.dedup();
     for code in [
-        "D000", "D001", "D002", "D003", "D004", "D005", "D006", "D007", "D008",
+        "D000", "D001", "D002", "D003", "D004", "D005", "D006", "D008",
     ] {
         assert!(
             covered.iter().any(|c| c == code),

@@ -65,12 +65,6 @@ impl QueueConfig {
         }
     }
 
-    /// Disable breakdowns (a plain M/M/1/K), for closed-form checks.
-    pub fn reliable(mut self) -> Self {
-        self.failure_rate = 0.0;
-        self
-    }
-
     /// State index for `jobs` in the system with the server up.
     ///
     /// # Panics
@@ -195,8 +189,11 @@ mod tests {
 
     #[test]
     fn reliable_queue_matches_birth_death_steady_state() {
-        // M/M/1/K: π_j ∝ ρ^j with ρ = λ/μ.
-        let c = QueueConfig::new(4).reliable();
+        // M/M/1/K (no breakdowns): π_j ∝ ρ^j with ρ = λ/μ.
+        let c = QueueConfig {
+            failure_rate: 0.0,
+            ..QueueConfig::new(4)
+        };
         let m = queue(&c);
         let analysis = SteadyStateAnalysis::new(m.ctmc(), SolverOptions::new()).unwrap();
         let rho = c.arrival_rate / c.service_rate;
@@ -212,7 +209,10 @@ mod tests {
 
     #[test]
     fn down_states_unreachable_in_reliable_queue() {
-        let c = QueueConfig::new(2).reliable();
+        let c = QueueConfig {
+            failure_rate: 0.0,
+            ..QueueConfig::new(2)
+        };
         let m = queue(&c);
         let analysis = SteadyStateAnalysis::new(m.ctmc(), SolverOptions::new()).unwrap();
         let down = m.labeling().states_with("down");

@@ -58,15 +58,6 @@ impl StateRewards {
         &self.rates
     }
 
-    /// The distinct reward values in strictly decreasing order
-    /// (`r_1 > r_2 > … > r_{K+1}` in the notation of Section 4.6.2).
-    pub fn distinct_descending(&self) -> Vec<f64> {
-        let mut v = self.rates.clone();
-        v.sort_by(|a, b| b.partial_cmp(a).expect("rewards are finite"));
-        v.dedup();
-        v
-    }
-
     /// `true` when every reward is zero.
     pub fn is_zero(&self) -> bool {
         self.rates.iter().all(|&r| r == 0.0)
@@ -133,17 +124,6 @@ impl ImpulseRewards {
         self.map.is_empty()
     }
 
-    /// The distinct non-negative impulse values in strictly decreasing
-    /// order, always ending with an implicit `0`
-    /// (`i_1 > i_2 > … > i_J ≥ 0` in the notation of Section 4.6.2).
-    pub fn distinct_descending(&self) -> Vec<f64> {
-        let mut v: Vec<f64> = self.map.values().copied().collect();
-        v.push(0.0);
-        v.sort_by(|a, b| b.partial_cmp(a).expect("impulses are finite"));
-        v.dedup();
-        v
-    }
-
     /// Largest state index mentioned plus one (zero when empty); used for
     /// size validation against a model.
     pub fn min_states(&self) -> usize {
@@ -170,12 +150,6 @@ mod tests {
             StateRewards::new(vec![f64::INFINITY]),
             Err(MrmError::InvalidStateReward { state: 0, .. })
         ));
-    }
-
-    #[test]
-    fn distinct_descending_state_rewards() {
-        let r = StateRewards::new(vec![1.0, 5.0, 3.0, 5.0, 0.0, 1.0]).unwrap();
-        assert_eq!(r.distinct_descending(), vec![5.0, 3.0, 1.0, 0.0]);
     }
 
     #[test]
@@ -213,16 +187,6 @@ mod tests {
             i.set(0, 1, f64::NAN),
             Err(MrmError::InvalidImpulseReward { .. })
         ));
-    }
-
-    #[test]
-    fn distinct_descending_impulses_include_zero() {
-        let mut i = ImpulseRewards::new();
-        i.set(0, 1, 2.0).unwrap();
-        i.set(1, 2, 1.0).unwrap();
-        i.set(2, 0, 2.0).unwrap();
-        assert_eq!(i.distinct_descending(), vec![2.0, 1.0, 0.0]);
-        assert_eq!(ImpulseRewards::new().distinct_descending(), vec![0.0]);
     }
 
     #[test]

@@ -27,18 +27,8 @@ pub fn until_time_bounded(
     epsilon: f64,
 ) -> Result<Vec<f64>, NumericsError> {
     let n = mrm.num_states();
-    if phi.len() != n {
-        return Err(NumericsError::SizeMismatch {
-            expected: n,
-            found: phi.len(),
-        });
-    }
-    if psi.len() != n {
-        return Err(NumericsError::SizeMismatch {
-            expected: n,
-            found: psi.len(),
-        });
-    }
+    check_len(n, phi)?;
+    check_len(n, psi)?;
     if !(t.is_finite() && t >= 0.0) {
         return Err(NumericsError::InvalidParameter {
             name: "t",
@@ -46,43 +36,15 @@ pub fn until_time_bounded(
             requirement: "must be finite and non-negative",
         });
     }
-    if !(epsilon > 0.0 && epsilon < 1.0) {
-        return Err(NumericsError::InvalidParameter {
-            name: "epsilon",
-            value: epsilon,
-            requirement: "must be in (0, 1)",
-        });
-    }
+    check_epsilon(epsilon)?;
 
     let indicator: Vec<f64> = psi.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect();
     if t == 0.0 {
         return Ok(indicator);
     }
-
+    // u_n[s] = Pr{X_n ⊨ Ψ | X_0 = s} = (P^n · 1_Ψ)[s] on M[¬Φ ∨ Ψ].
     let absorb: Vec<bool> = phi.iter().zip(psi).map(|(&p, &q)| !p || q).collect();
-    let absorbed = make_absorbing(mrm, &absorb)?;
-    let (uni, lambda) = absorbed.ctmc().uniformized(None)?;
-    let p = uni.probabilities();
-
-    let fg = FoxGlynn::new(lambda * t, epsilon);
-    // Backward iteration: u_n[s] = Pr{X_n ⊨ Ψ | X_0 = s} = (P^n · 1_Ψ)[s].
-    let mut u = indicator;
-    let mut acc = vec![0.0; n];
-    for step in 0..=fg.right() {
-        if step >= fg.left() {
-            let w = fg.weights()[(step - fg.left()) as usize];
-            for (a, x) in acc.iter_mut().zip(&u) {
-                *a += w * x;
-            }
-        }
-        if step < fg.right() {
-            u = p.mul_vec(&u);
-        }
-    }
-    for a in &mut acc {
-        *a = a.clamp(0.0, 1.0);
-    }
-    Ok(acc)
+    poisson_weighted_backward(mrm, &absorb, indicator, t, epsilon)
 }
 
 /// Compute `P^M(s, Φ U^{[t1,t2]} Ψ)` for every state — time-*interval*
@@ -115,18 +77,8 @@ pub fn until_time_interval(
     epsilon: f64,
 ) -> Result<Vec<f64>, NumericsError> {
     let n = mrm.num_states();
-    if phi.len() != n {
-        return Err(NumericsError::SizeMismatch {
-            expected: n,
-            found: phi.len(),
-        });
-    }
-    if psi.len() != n {
-        return Err(NumericsError::SizeMismatch {
-            expected: n,
-            found: psi.len(),
-        });
-    }
+    check_len(n, phi)?;
+    check_len(n, psi)?;
     if !(t1.is_finite() && t2.is_finite() && 0.0 <= t1 && t1 <= t2) {
         return Err(NumericsError::InvalidParameter {
             name: "t1",
@@ -134,13 +86,7 @@ pub fn until_time_interval(
             requirement: "need 0 <= t1 <= t2 < infinity",
         });
     }
-    if !(epsilon > 0.0 && epsilon < 1.0) {
-        return Err(NumericsError::InvalidParameter {
-            name: "epsilon",
-            value: epsilon,
-            requirement: "must be in (0, 1)",
-        });
-    }
+    check_epsilon(epsilon)?;
     if t1 == 0.0 {
         return until_time_bounded(mrm, phi, psi, t2, epsilon);
     }
@@ -172,7 +118,7 @@ pub fn until_time_interval(
 pub fn phi_constrained_backward(
     mrm: &Mrm,
     phi: &[bool],
-    mut u: Vec<f64>,
+    u: Vec<f64>,
     t1: f64,
     epsilon: f64,
 ) -> Result<Vec<f64>, NumericsError> {
@@ -190,19 +136,27 @@ pub fn phi_constrained_backward(
             requirement: "must be finite and non-negative",
         });
     }
-    if !(epsilon > 0.0 && epsilon < 1.0) {
-        return Err(NumericsError::InvalidParameter {
-            name: "epsilon",
-            value: epsilon,
-            requirement: "must be in (0, 1)",
-        });
-    }
+    check_epsilon(epsilon)?;
     let absorb: Vec<bool> = phi.iter().map(|&p| !p).collect();
-    let constrained = make_absorbing(mrm, &absorb)?;
-    let (uni, lambda) = constrained.ctmc().uniformized(None)?;
+    poisson_weighted_backward(mrm, &absorb, u, t1, epsilon)
+}
+
+/// The backward kernel both phases share: `Σ_n ψ_n(Λt) · (P^n u)`
+/// clamped to `[0, 1]`, where `P` is the uniformized chain of `mrm` with
+/// the `absorb` states made absorbing, `Λ` its uniformization rate and
+/// `ψ_n` the Fox–Glynn weights for `epsilon`.
+fn poisson_weighted_backward(
+    mrm: &Mrm,
+    absorb: &[bool],
+    mut u: Vec<f64>,
+    t: f64,
+    epsilon: f64,
+) -> Result<Vec<f64>, NumericsError> {
+    let absorbed = make_absorbing(mrm, absorb)?;
+    let (uni, lambda) = absorbed.ctmc().uniformized(None)?;
     let p = uni.probabilities();
-    let fg = FoxGlynn::new(lambda * t1, epsilon);
-    let mut acc = vec![0.0; n];
+    let fg = FoxGlynn::new(lambda * t, epsilon);
+    let mut acc = vec![0.0; u.len()];
     for step in 0..=fg.right() {
         if step >= fg.left() {
             let w = fg.weights()[(step - fg.left()) as usize];
@@ -218,6 +172,27 @@ pub fn phi_constrained_backward(
         *a = a.clamp(0.0, 1.0);
     }
     Ok(acc)
+}
+
+fn check_len(n: usize, v: &[bool]) -> Result<(), NumericsError> {
+    if v.len() != n {
+        return Err(NumericsError::SizeMismatch {
+            expected: n,
+            found: v.len(),
+        });
+    }
+    Ok(())
+}
+
+fn check_epsilon(epsilon: f64) -> Result<(), NumericsError> {
+    if !(epsilon > 0.0 && epsilon < 1.0) {
+        return Err(NumericsError::InvalidParameter {
+            name: "epsilon",
+            value: epsilon,
+            requirement: "must be in (0, 1)",
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

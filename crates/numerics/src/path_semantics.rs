@@ -122,44 +122,6 @@ pub fn until_holds(
     Ok(false)
 }
 
-/// Does the path satisfy `X^I_J Φ` (Definition 3.6): the first transition
-/// happens at a time in `I`, reaches a Φ-state, and the reward accumulated
-/// up to it (sojourn rate reward — the entry impulse is earned *at* the
-/// transition and counted, matching `K(s, s')` of Section 3.8) lies in `J`?
-///
-/// # Errors
-///
-/// See [`until_holds`].
-pub fn next_holds(
-    mrm: &Mrm,
-    path: &TimedPath,
-    phi: &[bool],
-    time: &Interval,
-    reward: &Interval,
-) -> Result<bool, NumericsError> {
-    let n = mrm.num_states();
-    if phi.len() != n {
-        return Err(NumericsError::SizeMismatch {
-            expected: n,
-            found: phi.len(),
-        });
-    }
-    if path.len() < 2 {
-        return Ok(false); // σ[1] undefined
-    }
-    let first = path.state(0);
-    let second = path.state(1);
-    if first >= n || second >= n {
-        return Err(NumericsError::SizeMismatch {
-            expected: n,
-            found: first.max(second),
-        });
-    }
-    let t0 = path.sojourns()[0];
-    let y = mrm.state_reward(first) * t0 + mrm.impulse_reward(first, second);
-    Ok(phi[second] && time.contains(t0) && reward.contains(y))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,58 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn next_semantics_match_example_intervals() {
-        let m = wavelan();
-        let p = example_path();
-        let busy = m.labeling().states_with("busy");
-        let sleep: Vec<bool> = (0..5).map(|s| s == 1).collect();
-        // First transition: 0 → 1 (sleep) at t0 = 100 with y = 0·100 + 0.02.
-        assert!(next_holds(
-            &m,
-            &p,
-            &sleep,
-            &Interval::new(50.0, 150.0).unwrap(),
-            &Interval::upto(1.0),
-        )
-        .unwrap());
-        assert!(!next_holds(
-            &m,
-            &p,
-            &busy,
-            &Interval::unbounded(),
-            &Interval::unbounded()
-        )
-        .unwrap());
-        assert!(!next_holds(
-            &m,
-            &p,
-            &sleep,
-            &Interval::upto(50.0),
-            &Interval::unbounded(),
-        )
-        .unwrap());
-        // Reward must include the impulse: a window excluding 0.02 fails.
-        assert!(!next_holds(
-            &m,
-            &p,
-            &sleep,
-            &Interval::unbounded(),
-            &Interval::upto(0.01),
-        )
-        .unwrap());
-        // Single-state path: σ[1] undefined.
-        let single = TimedPath::new(vec![0], vec![]).unwrap();
-        assert!(!next_holds(
-            &m,
-            &single,
-            &sleep,
-            &Interval::unbounded(),
-            &Interval::unbounded()
-        )
-        .unwrap());
-    }
-
-    #[test]
     fn size_mismatches_rejected() {
         let m = wavelan();
         let p = example_path();
@@ -402,14 +312,6 @@ mod tests {
             &[false],
             &Interval::unbounded(),
             &Interval::unbounded(),
-        )
-        .is_err());
-        assert!(next_holds(
-            &m,
-            &p,
-            &[true],
-            &Interval::unbounded(),
-            &Interval::unbounded()
         )
         .is_err());
     }

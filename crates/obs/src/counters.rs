@@ -1,75 +1,100 @@
-//! Well-known [`Event::Counter`](crate::Event::Counter) names.
+//! The registered [`Event::Counter`](crate::Event::Counter) names.
 //!
-//! `Counter` events carry a free-form `&'static str` name, but the
-//! counters the engines actually emit are part of the workspace's
-//! observable surface: they appear in `--metrics` tables, in JSONL
-//! traces, and in the committed `BENCH_*.json` snapshots, and they are
-//! documented in `docs/USAGE.md` (a doc-sync test keeps the table in
-//! step with [`COUNTER_NAMES`]). Emitters reference these constants
-//! instead of repeating string literals so the name can never drift from
-//! the documentation.
+//! The counters the engines emit are part of the workspace's observable
+//! surface: they appear in `--metrics` tables, in JSONL traces, and in
+//! the committed `BENCH_*.json` snapshots, and they are documented in
+//! `docs/USAGE.md` (a doc-sync test keeps the table in step with
+//! [`COUNTER_NAMES`]). A [`Counter`] can only be constructed in this
+//! module, so an emitter outside `mrmc-obs` can only name a counter
+//! declared here, and each name is written once: the `counters!` list
+//! below generates both the named constants and [`COUNTER_NAMES`].
 //!
 //! Counters are merged by **maximum** in
 //! [`RunMetrics`](crate::RunMetrics), so emitters report cumulative
 //! totals and may safely re-emit.
 
-/// Cumulative Omega-term cache hits: per-class conditional probabilities
-/// `Ω(r', k)` served from an installed cache instead of being recomputed
-/// by the Omega recursion.
-pub const OMEGA_CACHE_HITS: &str = "omega_cache_hits";
+/// A registered counter name.
+///
+/// The field is private, so code outside `mrmc-obs` names counters only
+/// through the constants of this module:
+///
+/// ```compile_fail
+/// let ad_hoc = mrmc_obs::counters::Counter("ad_hoc");
+/// ```
+///
+/// Counters order (and therefore render) by name.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Counter(&'static str);
 
-/// Cumulative memoized-`Sat` cache hits over a session's lifetime:
-/// engine-backed subformulas (`S`/`P` operators) whose full result —
-/// probabilities, verdicts, budgets — was served from the session cache
-/// keyed by `(model_hash, subformula, options)` instead of re-running the
-/// engines.
-pub const SAT_CACHE_HITS: &str = "sat_cache_hits";
+impl Counter {
+    /// The name as it appears in metrics, traces and BENCH snapshots.
+    pub const fn name(&self) -> &'static str {
+        self.0
+    }
+}
 
-/// Cumulative memoized-`Sat` cache misses: engine-backed subformulas that
-/// had to be computed and were then stored for later requests.
-pub const SAT_CACHE_MISSES: &str = "sat_cache_misses";
+/// Declare each counter once: a documented constant per entry, plus
+/// [`COUNTER_NAMES`] listing every entry in declaration order.
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])+ $konst:ident = $name:literal;)+) => {
+        $(
+            $(#[doc = $doc])+
+            pub const $konst: &Counter = &Counter($name);
+        )+
 
-/// Cumulative lumping-certificate cache hits: `(model, formula)` pairs
-/// whose verified certificate (or the verified absence of a nontrivial
-/// quotient) was reused from the session instead of re-running partition
-/// refinement.
-pub const CERT_CACHE_HITS: &str = "cert_cache_hits";
+        /// Every counter name the engines emit, for doc-sync and validation.
+        pub const COUNTER_NAMES: &[&str] = &[$($name),+];
+    };
+}
 
-/// Distinct model contents parsed into a session so far: a reload of
-/// unchanged files is served from the load-once store and does not bump
-/// this counter, while changed content (same path, different bytes) does.
-pub const MODELS_LOADED: &str = "models_loaded";
+counters! {
+    /// Cumulative Omega-term cache hits: per-class conditional
+    /// probabilities `Ω(r', k)` served from an installed cache instead of
+    /// being recomputed by the Omega recursion.
+    OMEGA_CACHE_HITS = "omega_cache_hits";
 
-/// Number of SCCs the qualitative dataflow pass found in the model's rate
-/// graph (Tarjan condensation, computed once per model hash).
-pub const SCC_COUNT: &str = "scc_count";
+    /// Cumulative memoized-`Sat` cache hits over a session's lifetime:
+    /// engine-backed subformulas (`S`/`P` operators) whose full result —
+    /// probabilities, verdicts, budgets — was served from the session
+    /// cache keyed by `(model_hash, subformula, options)` instead of
+    /// re-running the engines.
+    SAT_CACHE_HITS = "sat_cache_hits";
 
-/// States the qualitative analysis proved to satisfy the current until
-/// operator with probability exactly 0 (the certain-zero set).
-pub const QUAL_ZERO_STATES: &str = "qual_zero_states";
+    /// Cumulative memoized-`Sat` cache misses: engine-backed subformulas
+    /// that had to be computed and were then stored for later requests.
+    SAT_CACHE_MISSES = "sat_cache_misses";
 
-/// States the qualitative analysis proved to satisfy the current until
-/// operator with probability exactly 1 (the certain-one set; for bounded
-/// operators conservatively the goal states themselves).
-pub const QUAL_ONE_STATES: &str = "qual_one_states";
+    /// Cumulative lumping-certificate cache hits: `(model, formula)` pairs
+    /// whose verified certificate (or the verified absence of a nontrivial
+    /// quotient) was reused from the session instead of re-running
+    /// partition refinement.
+    CERT_CACHE_HITS = "cert_cache_hits";
 
-/// States formula-driven slicing removed from the numerical solve beyond
-/// the engines' own dead-state skip: certain-zero invariant states and
-/// certain-one non-goal states, pre-assigned their exact 0/1 verdicts.
-pub const SLICE_STATES_REMOVED: &str = "slice_states_removed";
+    /// Distinct model contents parsed into a session so far: a reload of
+    /// unchanged files is served from the load-once store and does not
+    /// bump this counter, while changed content (same path, different
+    /// bytes) does.
+    MODELS_LOADED = "models_loaded";
 
-/// Every counter name the engines emit, for doc-sync and validation.
-pub const COUNTER_NAMES: &[&str] = &[
-    OMEGA_CACHE_HITS,
-    SAT_CACHE_HITS,
-    SAT_CACHE_MISSES,
-    CERT_CACHE_HITS,
-    MODELS_LOADED,
-    SCC_COUNT,
-    QUAL_ZERO_STATES,
-    QUAL_ONE_STATES,
-    SLICE_STATES_REMOVED,
-];
+    /// Number of SCCs the qualitative dataflow pass found in the model's
+    /// rate graph (Tarjan condensation, computed once per model hash).
+    SCC_COUNT = "scc_count";
+
+    /// States the qualitative analysis proved to satisfy the current until
+    /// operator with probability exactly 0 (the certain-zero set).
+    QUAL_ZERO_STATES = "qual_zero_states";
+
+    /// States the qualitative analysis proved to satisfy the current until
+    /// operator with probability exactly 1 (the certain-one set; for
+    /// bounded operators conservatively the goal states themselves).
+    QUAL_ONE_STATES = "qual_one_states";
+
+    /// States formula-driven slicing removed from the numerical solve
+    /// beyond the engines' own dead-state skip: certain-zero invariant
+    /// states and certain-one non-goal states, pre-assigned their exact
+    /// 0/1 verdicts.
+    SLICE_STATES_REMOVED = "slice_states_removed";
+}
 
 #[cfg(test)]
 mod tests {

@@ -7,11 +7,15 @@
 //! missing from `docs/USAGE.md` — so extend the enum deliberately and
 //! document every addition.
 
+use crate::counters::Counter;
+
 /// The complete, ordered list of event-kind names ([`Event::kind`] values).
 ///
 /// Used by the doc-sync test and by anything that wants to validate a
-/// trace without constructing events.
-pub const EVENT_KINDS: &[&str] = &[
+/// trace without constructing events. [`Event::kind`] indexes this array
+/// with a literal per variant, so a variant without an entry fails to
+/// build; a stale entry fails this module's unit test.
+pub const EVENT_KINDS: [&str; 12] = [
     "solver_sweep",
     "solver_done",
     "poisson_window",
@@ -153,8 +157,8 @@ pub enum Event {
     /// A named monotone counter; sinks merge repeated observations by
     /// maximum, so emitting a stale (smaller) value is harmless.
     Counter {
-        /// Counter name.
-        name: &'static str,
+        /// Which registered counter.
+        name: &'static Counter,
         /// Observed value.
         value: u64,
     },
@@ -171,18 +175,18 @@ impl Event {
     /// The stable kind name of this event (see [`EVENT_KINDS`]).
     pub fn kind(&self) -> &'static str {
         match self {
-            Event::SolverSweep { .. } => "solver_sweep",
-            Event::SolverDone { .. } => "solver_done",
-            Event::PoissonWindow { .. } => "poisson_window",
-            Event::PathExploration { .. } => "path_exploration",
-            Event::OmegaTable { .. } => "omega_table",
-            Event::DiscretizationGrid { .. } => "discretization_grid",
-            Event::AdaptiveAttempt { .. } => "adaptive_attempt",
-            Event::LumpingRefinement { .. } => "lumping_refinement",
-            Event::Progress { .. } => "progress",
-            Event::Span { .. } => "span",
-            Event::Counter { .. } => "counter",
-            Event::RunSummary { .. } => "run_summary",
+            Event::SolverSweep { .. } => EVENT_KINDS[0],
+            Event::SolverDone { .. } => EVENT_KINDS[1],
+            Event::PoissonWindow { .. } => EVENT_KINDS[2],
+            Event::PathExploration { .. } => EVENT_KINDS[3],
+            Event::OmegaTable { .. } => EVENT_KINDS[4],
+            Event::DiscretizationGrid { .. } => EVENT_KINDS[5],
+            Event::AdaptiveAttempt { .. } => EVENT_KINDS[6],
+            Event::LumpingRefinement { .. } => EVENT_KINDS[7],
+            Event::Progress { .. } => EVENT_KINDS[8],
+            Event::Span { .. } => EVENT_KINDS[9],
+            Event::Counter { .. } => EVENT_KINDS[10],
+            Event::RunSummary { .. } => EVENT_KINDS[11],
         }
     }
 
@@ -322,7 +326,7 @@ impl Event {
             }
             Event::Counter { name, value } => {
                 out.push_str(",\"name\":");
-                push_str(out, name);
+                push_str(out, name.name());
                 write!(out, ",\"value\":{value}").unwrap();
             }
             Event::RunSummary { formulas, failures } => {
@@ -398,7 +402,7 @@ mod tests {
                 end_s: 1.25,
             },
             Event::Counter {
-                name: "models_loaded",
+                name: crate::counters::MODELS_LOADED,
                 value: 4,
             },
             Event::RunSummary {
@@ -408,6 +412,9 @@ mod tests {
         ];
         let kinds: Vec<&str> = sample.iter().map(Event::kind).collect();
         assert_eq!(kinds, EVENT_KINDS, "EVENT_KINDS out of sync with variants");
+        for (i, kind) in kinds.iter().enumerate() {
+            assert!(!kinds[..i].contains(kind), "duplicate kind {kind}");
+        }
     }
 
     #[test]

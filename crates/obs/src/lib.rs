@@ -35,13 +35,14 @@
 //!
 //! ```
 //! use std::sync::Arc;
+//! use mrmc_obs::counters::SCC_COUNT;
 //! use mrmc_obs::{record, with_recorder, Event, MetricsRecorder};
 //!
 //! let metrics = Arc::new(MetricsRecorder::new());
 //! with_recorder(metrics.clone(), || {
-//!     record(|| Event::Counter { name: "widgets", value: 3 });
+//!     record(|| Event::Counter { name: SCC_COUNT, value: 3 });
 //! });
-//! assert_eq!(metrics.snapshot().counters["widgets"], 3);
+//! assert_eq!(metrics.snapshot().counters[SCC_COUNT], 3);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -203,6 +204,7 @@ pub fn span(name: &'static str) -> Span {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::{MODELS_LOADED, SAT_CACHE_HITS, SAT_CACHE_MISSES};
 
     #[test]
     fn disabled_path_never_builds_events() {
@@ -225,24 +227,24 @@ mod tests {
         with_recorder(outer.clone(), || {
             assert!(enabled());
             record(|| Event::Counter {
-                name: "outer",
+                name: SAT_CACHE_HITS,
                 value: 1,
             });
             with_recorder(inner.clone(), || {
                 record(|| Event::Counter {
-                    name: "inner",
+                    name: SAT_CACHE_MISSES,
                     value: 1,
                 });
             });
             record(|| Event::Counter {
-                name: "outer",
+                name: SAT_CACHE_HITS,
                 value: 2,
             });
         });
         assert!(!enabled(), "recorder leaked past its scope");
-        assert_eq!(outer.snapshot().counters["outer"], 2);
-        assert!(!outer.snapshot().counters.contains_key("inner"));
-        assert_eq!(inner.snapshot().counters["inner"], 1);
+        assert_eq!(outer.snapshot().counters[SAT_CACHE_HITS], 2);
+        assert!(!outer.snapshot().counters.contains_key(SAT_CACHE_MISSES));
+        assert_eq!(inner.snapshot().counters[SAT_CACHE_MISSES], 1);
     }
 
     #[test]
@@ -281,7 +283,7 @@ mod tests {
                 scope.spawn(|| {
                     assert!(!enabled(), "recorder crossed a thread boundary");
                     record(|| Event::Counter {
-                        name: "worker",
+                        name: MODELS_LOADED,
                         value: 1,
                     });
                 });

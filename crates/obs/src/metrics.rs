@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
+use crate::counters::Counter;
 use crate::event::Event;
 use crate::json::{push_f64, push_str};
 use crate::Recorder;
@@ -69,8 +70,8 @@ pub struct RunMetrics {
     pub progress_events: u64,
     /// Per-phase wall-clock: name → (times entered, total seconds).
     pub phases: BTreeMap<&'static str, (u64, f64)>,
-    /// Named monotone counters, merged by maximum.
-    pub counters: BTreeMap<&'static str, u64>,
+    /// Registered monotone counters, merged by maximum.
+    pub counters: BTreeMap<&'static Counter, u64>,
 }
 
 impl RunMetrics {
@@ -141,7 +142,7 @@ impl RunMetrics {
                 slot.1 += seconds;
             }
             Event::Counter { name, value } => {
-                let slot = self.counters.entry(name).or_insert(0);
+                let slot = self.counters.entry(*name).or_insert(0);
                 *slot = (*slot).max(*value);
             }
             Event::RunSummary { .. } => {}
@@ -200,11 +201,11 @@ impl RunMetrics {
             s.push('}');
         }
         s.push_str("},\"counters\":{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
+        for (i, (counter, value)) in self.counters.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            push_str(&mut s, name);
+            push_str(&mut s, counter.name());
             write!(s, ":{value}").unwrap();
         }
         s.push_str("}}");
@@ -260,8 +261,8 @@ impl RunMetrics {
         for (name, (n, secs)) in &self.phases {
             rows.push((format!("phase {name}"), format!("{secs:.6} s (x{n})")));
         }
-        for (name, value) in &self.counters {
-            rows.push(((*name).to_owned(), value.to_string()));
+        for (counter, value) in &self.counters {
+            rows.push((counter.name().to_owned(), value.to_string()));
         }
         rows
     }
@@ -303,6 +304,7 @@ impl Recorder for MetricsRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::SCC_COUNT;
 
     #[test]
     fn aggregation_is_monotone_and_shaped() {
@@ -343,11 +345,11 @@ mod tests {
             end_s: 0.5,
         });
         m.record(&Event::Counter {
-            name: "threads",
+            name: SCC_COUNT,
             value: 4,
         });
         m.record(&Event::Counter {
-            name: "threads",
+            name: SCC_COUNT,
             value: 2,
         });
         let s = m.snapshot();
@@ -357,7 +359,7 @@ mod tests {
         assert_eq!(s.poisson_left, 2);
         assert_eq!(s.poisson_right, 90);
         assert_eq!(s.truncated_mass, 1e-9);
-        assert_eq!(s.counters["threads"], 4, "counters merge by max");
+        assert_eq!(s.counters[SCC_COUNT], 4, "counters merge by max");
         assert_eq!(s.phases["engine"].0, 1);
 
         let json = s.to_json();
@@ -370,7 +372,7 @@ mod tests {
             "\"grid_time_steps\":0",
             "\"adaptive_attempts\":0",
             "\"phases\":{\"engine\":{\"count\":1,\"seconds\":",
-            "\"counters\":{\"threads\":4}",
+            "\"counters\":{\"scc_count\":4}",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

@@ -90,56 +90,25 @@ impl Drop for JsonlTraceRecorder {
     }
 }
 
-/// Prints a short progress line to stderr for [`Event::Progress`] events.
-///
-/// The default recorder prints every event it sees (emission sites
-/// already throttle by count, so the line rate is bounded by
-/// construction, not by wall clock). [`throttled`](Self::throttled) adds
-/// a second count-based gate on top: a phase's line is printed only when
-/// `done` advanced by at least the stride since the last printed line —
-/// or when the phase completes (`done == total`), so the final line is
-/// never swallowed. Both gates count events, never the wall clock, which
-/// keeps stderr output deterministic for a fixed event stream.
+/// Prints a short progress line to stderr for every [`Event::Progress`]
+/// event. Emission sites already throttle by count (never by wall
+/// clock), so the line rate is bounded by construction and stderr output
+/// is deterministic for a fixed event stream.
 #[derive(Debug, Default)]
-pub struct ProgressRecorder {
-    /// Minimum `done` advance between printed lines per phase (`<= 1`
-    /// means print everything).
-    stride: u64,
-    /// Last printed `done` per phase.
-    last: Mutex<std::collections::BTreeMap<&'static str, u64>>,
-}
+pub struct ProgressRecorder;
 
 impl ProgressRecorder {
     /// A recorder that prints every progress event.
     pub fn new() -> Self {
-        ProgressRecorder::default()
+        ProgressRecorder
     }
 
-    /// A recorder that prints a phase's line only every `stride` units of
-    /// progress (and always on completion).
-    pub fn throttled(stride: u64) -> Self {
-        ProgressRecorder {
-            stride,
-            last: Mutex::new(std::collections::BTreeMap::new()),
-        }
-    }
-
-    /// The line this event should print, if any; advances the throttle
-    /// state. Separated from [`Recorder::record`] so the gating logic is
-    /// testable without capturing stderr.
+    /// The line this event prints, if any. Separated from
+    /// [`Recorder::record`] so it is testable without capturing stderr.
     fn line(&self, event: &Event) -> Option<String> {
         let Event::Progress { phase, done, total } = event else {
             return None;
         };
-        if self.stride > 1 && done != total {
-            let mut last = self.last.lock().expect("progress lock");
-            match last.get(phase) {
-                Some(prev) if done.saturating_sub(*prev) < self.stride => return None,
-                _ => {
-                    last.insert(phase, *done);
-                }
-            }
-        }
         Some(format!("mrmc: progress: {phase} {done}/{total}"))
     }
 }
@@ -196,7 +165,7 @@ mod tests {
             std::env::temp_dir().join(format!("mrmc-obs-trace-{}.jsonl", std::process::id()));
         let trace = JsonlTraceRecorder::create(&path).unwrap();
         trace.record(&Event::Counter {
-            name: "a",
+            name: crate::counters::SCC_COUNT,
             value: 1,
         });
         trace.record(&Event::RunSummary {
@@ -255,65 +224,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn throttled_progress_gates_by_count_and_always_prints_completion() {
-        let p = ProgressRecorder::throttled(10);
-        let mut printed = Vec::new();
-        for done in 1..=30 {
-            let event = Event::Progress {
-                phase: "grid",
-                done,
-                total: 30,
-            };
-            if p.line(&event).is_some() {
-                printed.push(done);
-            }
-        }
-        // First line, then every >=10 units, then the completion line.
-        assert_eq!(printed, vec![1, 11, 21, 30]);
-        // Re-running the same stream through a fresh recorder prints the
-        // same lines: the gate counts events, not wall clock.
-        let q = ProgressRecorder::throttled(10);
-        let reprinted: Vec<u64> = (1..=30)
-            .filter(|&done| {
-                q.line(&Event::Progress {
-                    phase: "grid",
-                    done,
-                    total: 30,
-                })
-                .is_some()
-            })
-            .collect();
-        assert_eq!(printed, reprinted);
-    }
-
-    #[test]
-    fn throttled_progress_tracks_phases_independently() {
-        let p = ProgressRecorder::throttled(5);
-        assert!(p
-            .line(&Event::Progress {
-                phase: "states",
-                done: 1,
-                total: 100,
-            })
-            .is_some());
-        // A different phase has its own throttle window.
-        assert!(p
-            .line(&Event::Progress {
-                phase: "grid",
-                done: 1,
-                total: 100,
-            })
-            .is_some());
-        assert!(p
-            .line(&Event::Progress {
-                phase: "states",
-                done: 2,
-                total: 100,
-            })
-            .is_none());
-    }
-
     /// A sink that logs `(label, kind)` into a shared journal, for
     /// observing delivery order across sinks.
     struct TagSink {
@@ -344,7 +254,7 @@ mod tests {
             }),
         ]);
         multi.record(&Event::Counter {
-            name: "threads",
+            name: crate::counters::SCC_COUNT,
             value: 2,
         });
         multi.record(&Event::Progress {

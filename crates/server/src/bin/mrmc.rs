@@ -208,9 +208,9 @@ fn usage() -> &'static str {
      hermeticity hazards, reporting stable D codes (D000-D008): hash-order\n\
      iteration in result paths, wall-clock reads, unscoped threads,\n\
      unordered float reductions, panics in server request paths,\n\
-     non-workspace dependencies, telemetry-registry drift, and lint-gate\n\
-     gaps. Suppressions require an inline reason. Exit code 2 when\n\
-     findings are present.\n\
+     non-workspace dependencies, and lint-gate gaps (D007 is retired).\n\
+     Suppressions require an inline reason. Exit code 2 when findings\n\
+     are present.\n\
      \n\
      Exit codes reflect the worst outcome across the batch: 0 all decided,\n\
      1 operational error, 2 pre-flight rejection, 3 tolerance not met,\n\

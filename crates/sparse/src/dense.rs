@@ -69,28 +69,6 @@ impl DenseMatrix {
         self.ncols
     }
 
-    /// Matrix–matrix product `self · rhs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn mul(&self, rhs: &DenseMatrix) -> DenseMatrix {
-        assert_eq!(self.ncols, rhs.nrows, "mul: dimension mismatch");
-        let mut out = DenseMatrix::zeros(self.nrows, rhs.ncols);
-        for i in 0..self.nrows {
-            for k in 0..self.ncols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..rhs.ncols {
-                    out[(i, j)] += a * rhs[(k, j)];
-                }
-            }
-        }
-        out
-    }
-
     /// Matrix–vector product `self · x`.
     ///
     /// # Panics
@@ -101,25 +79,6 @@ impl DenseMatrix {
         (0..self.nrows)
             .map(|i| (0..self.ncols).map(|j| self[(i, j)] * x[j]).sum())
             .collect()
-    }
-
-    /// `self` raised to the `n`-th power by repeated squaring.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn pow(&self, mut n: u32) -> DenseMatrix {
-        assert_eq!(self.nrows, self.ncols, "pow: matrix must be square");
-        let mut base = self.clone();
-        let mut acc = DenseMatrix::identity(self.nrows);
-        while n > 0 {
-            if n & 1 == 1 {
-                acc = acc.mul(&base);
-            }
-            base = base.mul(&base);
-            n >>= 1;
-        }
-        acc
     }
 
     /// Solve `self · x = b` by Gaussian elimination with partial pivoting.
@@ -258,33 +217,6 @@ mod tests {
             a.solve(&[0.0; 3]),
             Err(SolveError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn pow_matches_repeated_mul() {
-        let p = DenseMatrix::from_rows(&[
-            vec![0.5, 0.5, 0.0],
-            vec![0.25, 0.0, 0.75],
-            vec![0.2, 0.6, 0.2],
-        ]);
-        let p3 = p.pow(3);
-        let p3_manual = p.mul(&p).mul(&p);
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!((p3[(i, j)] - p3_manual[(i, j)]).abs() < 1e-12);
-            }
-        }
-        // p(3) from Example 2.2 of the thesis.
-        let row0: Vec<f64> = (0..3).map(|j| p3[(0, j)]).collect();
-        assert!((row0[0] - 0.325).abs() < 1e-12);
-        assert!((row0[1] - 0.4125).abs() < 1e-12);
-        assert!((row0[2] - 0.2625).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pow_zero_is_identity() {
-        let p = DenseMatrix::from_rows(&[vec![0.3, 0.7], vec![0.9, 0.1]]);
-        assert_eq!(p.pow(0), DenseMatrix::identity(2));
     }
 
     #[test]

@@ -19,31 +19,9 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// In-place `y += alpha * x`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 /// Sum of all entries.
 pub fn sum(v: &[f64]) -> f64 {
     v.iter().sum()
-}
-
-/// Maximum absolute entry (`0.0` for an empty slice).
-pub fn norm_inf(v: &[f64]) -> f64 {
-    v.iter().fold(0.0_f64, |m, x| m.max(x.abs()))
-}
-
-/// Sum of absolute entries.
-pub fn norm_l1(v: &[f64]) -> f64 {
-    v.iter().map(|x| x.abs()).sum()
 }
 
 /// Maximum absolute component-wise difference between two vectors.
@@ -91,11 +69,6 @@ pub fn clamp_unit(v: &mut [f64]) {
     }
 }
 
-/// `true` when every entry is finite.
-pub fn all_finite(v: &[f64]) -> bool {
-    v.iter().all(|x| x.is_finite())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,21 +84,6 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn dot_mismatch_panics() {
         let _ = dot(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[3.0, -1.0], &mut y);
-        assert_eq!(y, vec![7.0, -1.0]);
-    }
-
-    #[test]
-    fn norms() {
-        let v = [3.0, -4.0, 0.5];
-        assert_eq!(norm_inf(&v), 4.0);
-        assert_eq!(norm_l1(&v), 7.5);
-        assert_eq!(norm_inf(&[]), 0.0);
     }
 
     #[test]
@@ -155,13 +113,6 @@ mod tests {
         assert_eq!(v, vec![0.0, 0.5, 1.0]);
     }
 
-    #[test]
-    fn all_finite_detects_nan() {
-        assert!(all_finite(&[0.0, 1.0]));
-        assert!(!all_finite(&[0.0, f64::NAN]));
-        assert!(!all_finite(&[f64::INFINITY]));
-    }
-
     fn random_vec(rng: &mut Xoshiro256StarStar, max_len: usize, lo: f64, hi: f64) -> Vec<f64> {
         let len = rng.range_usize(max_len + 1);
         (0..len).map(|_| rng.range_f64(lo, hi)).collect()
@@ -187,18 +138,6 @@ mod tests {
             v.push(rng.range_f64(0.0, 1e3)); // never empty
             if normalize_l1(&mut v) {
                 assert!((sum(&v) - 1.0).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn norm_inf_bounds_entries() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(0x1F);
-        for _ in 0..64 {
-            let v = random_vec(&mut rng, 31, -1e6, 1e6);
-            let m = norm_inf(&v);
-            for x in &v {
-                assert!(x.abs() <= m);
             }
         }
     }
