@@ -57,7 +57,9 @@ pub mod model;
 
 pub use dataflow::{qualitative_until, QualitativeCertificate, QualitativeError};
 pub use diagnostic::{Diagnostic, Report, Severity};
-pub use lumping::{CertificateError, LumpingAnalysis, LumpingCertificate, Observation};
+pub use lumping::{
+    AnalysisInputs, CertificateError, LumpingAnalysis, LumpingCertificate, Observation,
+};
 
 use mrmc_csrl::StateFormula;
 use mrmc_mrm::io::LoadError;

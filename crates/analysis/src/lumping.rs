@@ -56,12 +56,13 @@ use std::fmt;
 use mrmc_csrl::{PathFormula, StateFormula};
 use mrmc_mrm::transform::quotient;
 use mrmc_mrm::{Mrm, Partition};
+use mrmc_sparse::CsrMatrix;
 
 use crate::{Diagnostic, LintContext, Pass, Report, Scope, Severity};
 
 /// Which aspects of a model a formula can observe — and a lumping must
 /// therefore preserve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Observation {
     /// The formula contains an `S` or `P` operator, so the transition law
     /// (and hence aggregate inter-block rates) is observable.
@@ -127,10 +128,8 @@ fn walk_path(p: &PathFormula, obs: &mut Observation) {
 /// further lumping.
 #[derive(Debug, Clone)]
 pub struct LumpingAnalysis {
-    /// What the formula observes.
-    pub observation: Observation,
-    /// The atomic propositions occurring in the formula, sorted.
-    pub relevant_aps: Vec<String>,
+    /// What the analysis read of the formula.
+    pub inputs: AnalysisInputs,
     /// The coarsest partition the analysis proved safe.
     pub partition: Partition,
     /// The checkable certificate; `None` when the partition is the
@@ -145,40 +144,75 @@ pub struct LumpingAnalysis {
     pub impulse_blocked: Option<(usize, usize)>,
 }
 
+/// Everything [`analyze`] reads of a formula: its relevant atomic
+/// propositions and what it observes. Two formulas with equal inputs get
+/// identical analyses (partition, certificate, blockers) on the same
+/// model, so a cache of analyses is keyed by these inputs, not by the
+/// formula.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct AnalysisInputs {
+    /// The atomic propositions occurring in the formula, sorted and
+    /// deduplicated.
+    pub relevant_aps: Vec<String>,
+    /// What the formula observes.
+    pub observation: Observation,
+}
+
+impl AnalysisInputs {
+    /// The inputs [`analyze`] takes from `formula`.
+    pub fn of(formula: &StateFormula) -> Self {
+        let mut relevant_aps: Vec<String> = formula
+            .propositions()
+            .into_iter()
+            .map(str::to_owned)
+            .collect();
+        relevant_aps.sort_unstable();
+        relevant_aps.dedup();
+        AnalysisInputs {
+            relevant_aps,
+            observation: Observation::of(formula),
+        }
+    }
+}
+
 /// Compute the coarsest provable `Φ`-preserving lumping of `mrm`.
 ///
-/// The algorithm is partition refinement: start from the coarsest
-/// partition compatible with the formula's atomic propositions (plus the
-/// state-reward rate when rewards are observed), then repeatedly split
-/// blocks whose members disagree on their signature — the bitwise
-/// aggregate rate into every other block and, when rewards are observed,
-/// the set of impulse values earned towards every other block. At the
-/// fixpoint, remaining impulse-uniformity violations (a state earning two
-/// different impulses towards one block, or a nonzero impulse inside a
-/// block) trigger a split of the *receiving* block and the refinement
-/// restarts; every such split strictly increases the block count, so the
-/// loop terminates.
+/// The result depends on `formula` only through its
+/// [`AnalysisInputs`]. The algorithm is partition refinement: start from
+/// the coarsest partition compatible with the formula's atomic
+/// propositions (plus the state-reward rate when rewards are observed),
+/// then repeatedly split blocks whose members disagree on their signature
+/// — the bitwise aggregate rate into every other block and, when rewards
+/// are observed, the set of impulse values earned towards every other
+/// block. At the fixpoint, remaining impulse-uniformity violations (a
+/// state earning two different impulses towards one block, or a nonzero
+/// impulse inside a block) trigger a split of the *receiving* block and
+/// the refinement restarts; every such split strictly increases the block
+/// count, so the loop terminates.
+///
+/// The predecessor lists every refinement run needs are built once per
+/// call and shared by the (up to three) runs.
 pub fn analyze(mrm: &Mrm, formula: &StateFormula) -> LumpingAnalysis {
-    let observation = Observation::of(formula);
-    let mut relevant_aps: Vec<String> = formula
-        .propositions()
-        .into_iter()
-        .map(str::to_owned)
-        .collect();
-    relevant_aps.sort_unstable();
-    relevant_aps.dedup();
+    let inputs = AnalysisInputs::of(formula);
+    let AnalysisInputs {
+        relevant_aps,
+        observation,
+    } = &inputs;
+    let preds = observation.rates.then(|| mrm.ctmc().rates().transpose());
+    let preds = preds.as_ref();
 
-    let partition = refine(
+    let (partition, _) = refine(
         mrm,
-        &relevant_aps,
-        observation.rates,
+        relevant_aps,
+        preds,
         observation.rewards,
         observation.rewards,
     );
 
+    // Rewards are observed only under a path operator, so `preds` is set.
     let (reward_blocked, impulse_blocked) = if observation.rewards {
-        let p_rate = refine(mrm, &relevant_aps, true, false, false);
-        let p_state = refine(mrm, &relevant_aps, true, true, false);
+        let (p_rate, _) = refine(mrm, relevant_aps, preds, false, false);
+        let (p_state, _) = refine(mrm, relevant_aps, preds, true, false);
         (
             first_split_pair(&p_rate, &p_state),
             first_split_pair(&p_state, &partition),
@@ -190,12 +224,11 @@ pub fn analyze(mrm: &Mrm, formula: &StateFormula) -> LumpingAnalysis {
     let certificate = if partition.is_identity() {
         None
     } else {
-        build_certificate(mrm, &partition, observation, relevant_aps.clone())
+        build_certificate(mrm, &partition, &inputs)
     };
 
     LumpingAnalysis {
-        observation,
-        relevant_aps,
+        inputs,
         partition,
         certificate,
         reward_blocked,
@@ -203,17 +236,11 @@ pub fn analyze(mrm: &Mrm, formula: &StateFormula) -> LumpingAnalysis {
     }
 }
 
-/// The coarsest partition matching the requested observation level.
-fn refine(
-    mrm: &Mrm,
-    relevant_aps: &[String],
-    use_rates: bool,
-    use_state_rewards: bool,
-    use_impulses: bool,
-) -> Partition {
-    let n = mrm.num_states();
+/// The partition by relevant propositions (and state-reward rate when
+/// `use_state_rewards`), before any rate refinement.
+fn initial_partition(mrm: &Mrm, relevant_aps: &[String], use_state_rewards: bool) -> Partition {
     let mut keys: HashMap<(Vec<bool>, u64), usize> = HashMap::new();
-    let assignment: Vec<usize> = (0..n)
+    let assignment: Vec<usize> = (0..mrm.num_states())
         .map(|s| {
             let aps: Vec<bool> = relevant_aps
                 .iter()
@@ -228,19 +255,45 @@ fn refine(
             *keys.entry((aps, rho)).or_insert(next)
         })
         .collect();
-    let mut partition = Partition::from_assignment(&assignment);
-    if !use_rates {
-        return partition;
-    }
+    Partition::from_assignment(&assignment)
+}
+
+/// The coarsest partition matching the requested observation level, and
+/// the number of refinement rounds it took. Rates are observed when
+/// `preds` (the transposed rate matrix) is given; without it the result
+/// is the initial partition.
+///
+/// Each round splits every block by the members' [`Signature`]s relative
+/// to the current partition, exactly as a full re-signing would, but signs
+/// only the states whose signature can have changed since the last round:
+/// the predecessors of the members of a block that split. Every other
+/// member of a block kept its previous signature up to the renaming of
+/// unsplit blocks, so it stays with one clean representative. Splits are
+/// applied at the end of the round, so the rounds, the row-order sums and
+/// the final partition are those of re-signing every state every round.
+fn refine(
+    mrm: &Mrm,
+    relevant_aps: &[String],
+    preds: Option<&CsrMatrix>,
+    use_state_rewards: bool,
+    use_impulses: bool,
+) -> (Partition, u64) {
+    let n = mrm.num_states();
+    let mut partition = initial_partition(mrm, relevant_aps, use_state_rewards);
+    let Some(preds) = preds else {
+        return (partition, 0);
+    };
 
     let mut rounds = 0u64;
+    let mut dirty = vec![true; n];
     let partition = 'outer: loop {
         loop {
             rounds += 1;
-            let refined = split_by_signature(mrm, &partition, use_impulses);
+            let refined = split_dirty(mrm, &partition, &dirty, use_impulses);
             if refined.num_blocks() == partition.num_blocks() {
                 break;
             }
+            mark_dirty(&partition, &refined, preds, &mut dirty);
             partition = refined;
         }
         if !use_impulses {
@@ -249,85 +302,135 @@ fn refine(
         let Some((source, block)) = find_impulse_violation(mrm, &partition) else {
             break 'outer partition;
         };
-        partition = split_block_by_incoming_impulse(mrm, &partition, source, block);
+        let refined = split_block_by_incoming_impulse(mrm, &partition, source, block);
+        mark_dirty(&partition, &refined, preds, &mut dirty);
+        partition = refined;
     };
     mrmc_obs::record(|| mrmc_obs::Event::LumpingRefinement {
         rounds,
         states: n as u64,
         blocks: partition.num_blocks() as u64,
     });
-    partition
+    (partition, rounds)
 }
 
-/// One refinement round: group states by their current block plus their
-/// per-target-block signature.
-fn split_by_signature(mrm: &Mrm, partition: &Partition, use_impulses: bool) -> Partition {
-    #[derive(Hash, PartialEq, Eq)]
-    struct Signature {
-        block: usize,
-        /// `(target block, aggregate rate bits)`, sorted by target block;
-        /// the sum is accumulated in row order so it is bit-reproducible.
-        rates: Vec<(usize, u64)>,
-        /// `(target block, sorted deduplicated impulse bits)`, including
-        /// the implicit zero of impulse-free transitions.
-        impulses: Vec<(usize, Vec<u64>)>,
+/// Reset `dirty` to the predecessors of every member of an `old` block
+/// that `new` split: the only states whose signature relative to `new`
+/// can differ from their signature relative to `old`.
+fn mark_dirty(old: &Partition, new: &Partition, preds: &CsrMatrix, dirty: &mut [bool]) {
+    let mut split = vec![false; old.num_blocks()];
+    for (s, &b) in old.assignment().iter().enumerate() {
+        if new.block_of(s) != new.block_of(old.representative(b)) {
+            split[b] = true;
+        }
     }
+    dirty.fill(false);
+    for (t, &b) in old.assignment().iter().enumerate() {
+        if split[b] {
+            for (s, _) in preds.row(t) {
+                dirty[s] = true;
+            }
+        }
+    }
+}
 
-    let n = mrm.num_states();
-    let k = partition.num_blocks();
-    let mut sums = vec![0.0_f64; k];
+/// What a state sees of the partition: its own block plus its aggregate
+/// rates (and, when impulses are observed, impulse values) into every
+/// other block. Members of one block with equal signatures stay together.
+#[derive(Hash, PartialEq, Eq)]
+struct Signature {
+    block: usize,
+    /// `(target block, aggregate rate bits)`, sorted by target block;
+    /// the sum is accumulated in row order so it is bit-reproducible.
+    rates: Vec<(usize, u64)>,
+    /// `(target block, sorted deduplicated impulse bits)`, including
+    /// the implicit zero of impulse-free transitions.
+    impulses: Vec<(usize, Vec<u64>)>,
+}
+
+/// The [`Signature`] of `s` relative to `partition`. `sums` is an
+/// all-zero scratch vector with one slot per block, and is left so.
+fn signature(
+    mrm: &Mrm,
+    partition: &Partition,
+    s: usize,
+    use_impulses: bool,
+    sums: &mut [f64],
+) -> Signature {
+    let b = partition.block_of(s);
     let mut touched: Vec<usize> = Vec::new();
-    let mut keys: HashMap<Signature, usize> = HashMap::new();
-    let assignment: Vec<usize> = (0..n)
-        .map(|s| {
-            let b = partition.block_of(s);
-            // BTreeMap: the signature below consumes this map in
-            // iteration order, so the order must be the key order, not
-            // hash order.
-            let mut impulse_map: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-            for (t, r) in mrm.ctmc().rates().row(s) {
-                let c = partition.block_of(t);
-                if c == b {
-                    continue;
-                }
-                if sums[c] == 0.0 {
-                    touched.push(c);
-                }
-                sums[c] += r;
-                if use_impulses {
-                    impulse_map
-                        .entry(c)
-                        .or_default()
-                        .push(mrm.impulse_reward(s, t).to_bits());
-                }
-            }
-            touched.sort_unstable();
-            let rates: Vec<(usize, u64)> =
-                touched.iter().map(|&c| (c, sums[c].to_bits())).collect();
-            for &c in &touched {
-                sums[c] = 0.0;
-            }
-            touched.clear();
-            // BTreeMap iteration is already key-ascending, so the
-            // signature's impulse list needs no extra outer sort.
-            let impulses: Vec<(usize, Vec<u64>)> = impulse_map
-                .into_iter()
-                .map(|(c, mut vs)| {
-                    vs.sort_unstable();
-                    vs.dedup();
-                    (c, vs)
-                })
-                .collect();
-            let next = keys.len();
-            *keys
-                .entry(Signature {
-                    block: b,
-                    rates,
-                    impulses,
-                })
-                .or_insert(next)
+    // BTreeMap: the signature below consumes this map in iteration order,
+    // so the order must be the key order, not hash order.
+    let mut impulse_map: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
+    for (t, r) in mrm.ctmc().rates().row(s) {
+        let c = partition.block_of(t);
+        if c == b {
+            continue;
+        }
+        if sums[c] == 0.0 {
+            touched.push(c);
+        }
+        sums[c] += r;
+        if use_impulses {
+            impulse_map
+                .entry(c)
+                .or_default()
+                .push(mrm.impulse_reward(s, t).to_bits());
+        }
+    }
+    touched.sort_unstable();
+    let rates: Vec<(usize, u64)> = touched.iter().map(|&c| (c, sums[c].to_bits())).collect();
+    for &c in &touched {
+        sums[c] = 0.0;
+    }
+    // BTreeMap iteration is already key-ascending, so the signature's
+    // impulse list needs no extra outer sort.
+    let impulses: Vec<(usize, Vec<u64>)> = impulse_map
+        .into_iter()
+        .map(|(c, mut vs)| {
+            vs.sort_unstable();
+            vs.dedup();
+            (c, vs)
         })
         .collect();
+    Signature {
+        block: b,
+        rates,
+        impulses,
+    }
+}
+
+/// One refinement round: group the members of every block by their
+/// [`Signature`], signing only the `dirty` states and the first clean
+/// member of each block that has a dirty one. Clean members keep their
+/// block's id; each further group gets a fresh id, renumbered canonically
+/// by [`Partition::from_assignment`].
+fn split_dirty(mrm: &Mrm, partition: &Partition, dirty: &[bool], use_impulses: bool) -> Partition {
+    let k = partition.num_blocks();
+    let mut clean_rep: Vec<Option<usize>> = vec![None; k];
+    for (s, &b) in partition.assignment().iter().enumerate() {
+        if !dirty[s] && clean_rep[b].is_none() {
+            clean_rep[b] = Some(s);
+        }
+    }
+    let mut sums = vec![0.0_f64; k];
+    let mut groups: HashMap<Signature, usize> = HashMap::new();
+    let mut assignment = partition.assignment().to_vec();
+    let mut next = k;
+    for (s, slot) in assignment.iter_mut().enumerate() {
+        if !dirty[s] {
+            continue;
+        }
+        let b = *slot;
+        if let Some(rep) = clean_rep[b].take() {
+            groups.insert(signature(mrm, partition, rep, use_impulses, &mut sums), b);
+        }
+        let sig = signature(mrm, partition, s, use_impulses, &mut sums);
+        *slot = *groups.entry(sig).or_insert_with(|| {
+            next += 1;
+            next - 1
+        });
+    }
     Partition::from_assignment(&assignment)
 }
 
@@ -407,9 +510,9 @@ fn first_split_pair(coarse: &Partition, fine: &Partition) -> Option<(usize, usiz
 fn build_certificate(
     mrm: &Mrm,
     partition: &Partition,
-    observation: Observation,
-    relevant_aps: Vec<String>,
+    inputs: &AnalysisInputs,
 ) -> Option<LumpingCertificate> {
+    let observation = inputs.observation;
     let reduced = if observation.rewards {
         quotient(mrm, partition).ok()?
     } else {
@@ -420,7 +523,7 @@ fn build_certificate(
     Some(LumpingCertificate {
         partition: partition.clone(),
         quotient: reduced,
-        relevant_aps,
+        relevant_aps: inputs.relevant_aps.clone(),
         observes_rates: observation.rates,
         observes_rewards: observation.rewards,
     })
@@ -1015,6 +1118,272 @@ mod tests {
             .find(|d| d.code == "R103")
             .unwrap();
         assert_eq!(d.states, vec![2, 3]);
+    }
+
+    /// The round-based refinement without dirty tracking, kept as the
+    /// reference the incremental [`refine`] must reproduce: every round
+    /// re-signs every state. Returns the partition, the rounds and the number of
+    /// impulse-violation restarts.
+    fn reference_refine(
+        mrm: &Mrm,
+        relevant_aps: &[String],
+        use_rates: bool,
+        use_state_rewards: bool,
+        use_impulses: bool,
+    ) -> (Partition, u64, u64) {
+        let mut partition = initial_partition(mrm, relevant_aps, use_state_rewards);
+        if !use_rates {
+            return (partition, 0, 0);
+        }
+        let (mut rounds, mut restarts) = (0u64, 0u64);
+        loop {
+            loop {
+                rounds += 1;
+                let refined = split_by_signature(mrm, &partition, use_impulses);
+                if refined.num_blocks() == partition.num_blocks() {
+                    break;
+                }
+                partition = refined;
+            }
+            if !use_impulses {
+                return (partition, rounds, restarts);
+            }
+            let Some((source, block)) = find_impulse_violation(mrm, &partition) else {
+                return (partition, rounds, restarts);
+            };
+            restarts += 1;
+            partition = split_block_by_incoming_impulse(mrm, &partition, source, block);
+        }
+    }
+
+    /// One reference round: group states by their current block plus
+    /// their per-target-block signature.
+    fn split_by_signature(mrm: &Mrm, partition: &Partition, use_impulses: bool) -> Partition {
+        #[derive(Hash, PartialEq, Eq)]
+        struct Signature {
+            block: usize,
+            rates: Vec<(usize, u64)>,
+            impulses: Vec<(usize, Vec<u64>)>,
+        }
+
+        let n = mrm.num_states();
+        let k = partition.num_blocks();
+        let mut sums = vec![0.0_f64; k];
+        let mut touched: Vec<usize> = Vec::new();
+        let mut keys: HashMap<Signature, usize> = HashMap::new();
+        let assignment: Vec<usize> = (0..n)
+            .map(|s| {
+                let b = partition.block_of(s);
+                let mut impulse_map: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
+                for (t, r) in mrm.ctmc().rates().row(s) {
+                    let c = partition.block_of(t);
+                    if c == b {
+                        continue;
+                    }
+                    if sums[c] == 0.0 {
+                        touched.push(c);
+                    }
+                    sums[c] += r;
+                    if use_impulses {
+                        impulse_map
+                            .entry(c)
+                            .or_default()
+                            .push(mrm.impulse_reward(s, t).to_bits());
+                    }
+                }
+                touched.sort_unstable();
+                let rates: Vec<(usize, u64)> =
+                    touched.iter().map(|&c| (c, sums[c].to_bits())).collect();
+                for &c in &touched {
+                    sums[c] = 0.0;
+                }
+                touched.clear();
+                let impulses: Vec<(usize, Vec<u64>)> = impulse_map
+                    .into_iter()
+                    .map(|(c, mut vs)| {
+                        vs.sort_unstable();
+                        vs.dedup();
+                        (c, vs)
+                    })
+                    .collect();
+                let next = keys.len();
+                *keys
+                    .entry(Signature {
+                        block: b,
+                        rates,
+                        impulses,
+                    })
+                    .or_insert(next)
+            })
+            .collect();
+        Partition::from_assignment(&assignment)
+    }
+
+    /// The model from `non_uniform_impulses_from_one_state_split_the_target_block`
+    /// or, with `intra`, from `intra_block_impulse_forces_a_split`: both
+    /// reach the impulse-violation restart.
+    fn impulse_restart_model(intra: bool) -> Mrm {
+        let mut b = CtmcBuilder::new(4);
+        b.transition(0, 1, 1.0).transition(0, 2, 1.0);
+        b.transition(1, 3, 2.0);
+        b.transition(2, 3, 2.0);
+        b.transition(3, 0, 0.5);
+        if intra {
+            b.transition(1, 2, 1.0).transition(2, 1, 1.0);
+        }
+        b.label(1, "mid").label(2, "mid");
+        b.label(3, "goal");
+        let ctmc = b.build().unwrap();
+        let rho = StateRewards::new(vec![0.0, 5.0, 5.0, 1.0]).unwrap();
+        let mut iota = ImpulseRewards::new();
+        if intra {
+            iota.set(1, 2, 3.0).unwrap();
+        } else {
+            iota.set(0, 1, 1.0).unwrap();
+            iota.set(0, 2, 2.0).unwrap();
+        }
+        Mrm::new(ctmc, rho, iota).unwrap()
+    }
+
+    /// A restart whose split must propagate: state 0 earns different
+    /// impulses towards 1 and 2, and the otherwise identical 3 and 4 move
+    /// into 1 and 2 respectively, so they separate only once the restart
+    /// has split 1 from 2.
+    fn restart_propagates_model() -> Mrm {
+        let mut b = CtmcBuilder::new(6);
+        b.transition(0, 1, 1.0).transition(0, 2, 1.0);
+        b.transition(1, 5, 2.0).transition(2, 5, 2.0);
+        b.transition(3, 1, 1.0).transition(4, 2, 1.0);
+        b.transition(5, 0, 0.5)
+            .transition(5, 3, 0.5)
+            .transition(5, 4, 0.5);
+        b.label(1, "mid").label(2, "mid");
+        b.label(3, "pre").label(4, "pre");
+        b.label(5, "goal");
+        let ctmc = b.build().unwrap();
+        let mut iota = ImpulseRewards::new();
+        iota.set(0, 1, 1.0).unwrap();
+        iota.set(0, 2, 2.0).unwrap();
+        Mrm::new(ctmc, StateRewards::new(vec![0.0; 6]).unwrap(), iota).unwrap()
+    }
+
+    #[test]
+    fn incremental_refinement_matches_full_re_signing() {
+        use mrmc_models::cluster::{cluster, ClusterConfig};
+        use mrmc_models::random::{random_mrm, RandomMrmConfig};
+        use mrmc_models::wavelan::wavelan;
+
+        let singles = |m: &Mrm| -> Vec<Vec<String>> {
+            let mut sets = vec![Vec::new()];
+            sets.extend(
+                m.labeling()
+                    .declared()
+                    .into_iter()
+                    .map(|ap| vec![ap.to_owned()]),
+            );
+            sets
+        };
+        let aps = |list: &[&str]| -> Vec<String> { list.iter().map(|&a| a.to_owned()).collect() };
+        let mut corpus: Vec<(String, Mrm, Vec<Vec<String>>)> = Vec::new();
+        let m = tmr(&TmrConfig::classic());
+        corpus.push(("tmr".into(), m.clone(), singles(&m)));
+        let m = wavelan();
+        corpus.push(("wavelan".into(), m.clone(), singles(&m)));
+        for n in [4, 8] {
+            corpus.push((
+                format!("cluster{n}"),
+                cluster(&ClusterConfig::new(n)),
+                vec![
+                    Vec::new(),
+                    aps(&["premium"]),
+                    aps(&["down"]),
+                    aps(&["backbone_up"]),
+                    aps(&["minimum", "premium"]),
+                ],
+            ));
+        }
+        for seed in 0..8 {
+            let config = RandomMrmConfig {
+                states: 20 + 10 * seed as usize,
+                // Few rate values, so rate signatures collide and blocks
+                // survive several rounds.
+                max_rate: 1.0,
+                ..RandomMrmConfig::default()
+            };
+            corpus.push((
+                format!("random{seed}"),
+                random_mrm(seed, &config),
+                vec![Vec::new(), aps(&["goal"])],
+            ));
+        }
+        corpus.push((
+            "restart".into(),
+            impulse_restart_model(false),
+            singles(&impulse_restart_model(false)),
+        ));
+        corpus.push((
+            "restart_propagates".into(),
+            restart_propagates_model(),
+            singles(&restart_propagates_model()),
+        ));
+        corpus.push((
+            "restart_intra".into(),
+            impulse_restart_model(true),
+            singles(&impulse_restart_model(true)),
+        ));
+
+        let mut restarts = 0;
+        for (name, m, ap_sets) in &corpus {
+            let preds = m.ctmc().rates().transpose();
+            for relevant in ap_sets {
+                for (rates, state_rewards, impulses) in [
+                    (false, false, false),
+                    (true, false, false),
+                    (true, true, false),
+                    (true, true, true),
+                ] {
+                    let (expected, expected_rounds, r) =
+                        reference_refine(m, relevant, rates, state_rewards, impulses);
+                    restarts += r;
+                    let got = refine(
+                        m,
+                        relevant,
+                        rates.then_some(&preds),
+                        state_rewards,
+                        impulses,
+                    );
+                    assert_eq!(
+                        got,
+                        (expected, expected_rounds),
+                        "{name} {relevant:?} rates={rates} rewards={state_rewards} impulses={impulses}"
+                    );
+                }
+            }
+        }
+        assert!(
+            restarts > 0,
+            "no case reached the impulse-violation restart"
+        );
+    }
+
+    #[test]
+    fn analysis_inputs_ignore_everything_analyze_does_not_read() {
+        let inputs = |s: &str| AnalysisInputs::of(&parse(s));
+        // Thresholds, comparison operators and repeated propositions are
+        // invisible to the analysis.
+        assert_eq!(inputs("S(> 0.9) (premium)"), inputs("S(< 0.5) (premium)"));
+        assert_eq!(
+            inputs("P(>= 0.5) [a U[0,1] b]"),
+            inputs("P(< 0.1) [b U[0,7] (a && b)]")
+        );
+        // The proposition set, the rate flag and a nontrivial reward
+        // bound are not.
+        assert_ne!(inputs("S(> 0.9) (premium)"), inputs("S(> 0.9) (minimum)"));
+        assert_ne!(inputs("premium"), inputs("S(> 0.9) (premium)"));
+        assert_ne!(
+            inputs("P(>= 0.5) [a U[0,1] b]"),
+            inputs("P(>= 0.5) [a U[0,1][0,2] b]")
+        );
     }
 
     #[test]

@@ -30,6 +30,13 @@ fn bench_case_studies(c: &mut Criterion) {
             cluster(&ClusterConfig::new(4)),
             "P(>= 0.1) [TT U[0,1] down]",
         ),
+        // 2312 states: refinement at a size where re-signing only the
+        // states next to a split block matters.
+        (
+            "cluster16_until",
+            cluster(&ClusterConfig::new(16)),
+            "P(>= 0.1) [TT U[0,1] down]",
+        ),
     ];
 
     let mut group = c.benchmark_group("lumping_analyze");

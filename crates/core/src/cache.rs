@@ -43,6 +43,7 @@ use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use mrmc_analysis::AnalysisInputs;
 use mrmc_csrl::StateFormula;
 use mrmc_ctmc::bscc::SccDecomposition;
 use mrmc_mrm::Mrm;
@@ -227,11 +228,13 @@ pub(crate) type SccCache = Store<u64, Arc<SccDecomposition>>;
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct CertKey {
     model_hash: u64,
-    formula: String,
+    inputs: AnalysisInputs,
 }
 
-/// Resolved reductions keyed by `(model hash, formula)` (the
-/// `cert_cache_hits` counter).
+/// Resolved reductions keyed by `(model hash, relevant propositions,
+/// observation)` (the `cert_cache_hits` counter): exactly what the
+/// lumping analysis reads, so formulas that differ only in thresholds,
+/// time or reward bounds' values share one analysis.
 ///
 /// Negative results are stored too: re-running partition refinement to
 /// re-discover that no quotient exists (or that verification fails) is
@@ -272,7 +275,8 @@ impl Memo<'_> {
     }
 
     /// The resolved reduction for `formula` on this memo's model,
-    /// computed by `analyze` on a miss.
+    /// computed by `analyze` on a miss and shared by every formula with
+    /// the same [`AnalysisInputs`].
     pub(crate) fn certificate(
         &self,
         formula: &StateFormula,
@@ -280,7 +284,7 @@ impl Memo<'_> {
     ) -> CertOutcome {
         let key = CertKey {
             model_hash: self.model_hash,
-            formula: formula.to_string(),
+            inputs: AnalysisInputs::of(formula),
         };
         self.certs.get_or_insert_with(key, analyze)
     }

@@ -11,9 +11,11 @@
 //!   lookup, while changed content (same path, different bytes) yields a
 //!   fresh entry and can never be served stale results;
 //! * **persisted lumping certificates** — the partition-refinement
-//!   analysis and its independent verification run once per
-//!   `(model, formula)` and the verified certificate (or the verified
-//!   absence of a quotient) is reused on every later request;
+//!   analysis and its independent verification run once per model and
+//!   [`AnalysisInputs`](mrmc_analysis::AnalysisInputs) (the formula's
+//!   relevant propositions and its observation), and the verified
+//!   certificate (or the verified absence of a quotient) is reused by
+//!   every later formula with the same inputs;
 //! * **a session-scoped Omega-term cache** — the
 //!   [`OmegaTermCache`] promoted
 //!   from per-adaptive-run to session scope, so `Ω(r', k)` tables are
@@ -141,7 +143,8 @@ impl SessionStats {
 }
 
 /// What lumping analysis plus independent verification concluded for one
-/// `(model, formula)` pair; sessions cache it, negative results included.
+/// model and one set of analysis inputs; sessions cache it, negative
+/// results included.
 #[derive(Debug, Clone)]
 pub(crate) enum CertOutcome {
     /// A verified, strictly smaller quotient. Inside a session it carries
@@ -536,6 +539,33 @@ mod tests {
             .unwrap();
         assert_eq!(first, second);
         assert!(session.stats().cert_cache_hits > 0);
+    }
+
+    #[test]
+    fn formulas_with_one_observation_share_one_analysis() {
+        let mrm = cluster(&ClusterConfig::new(4));
+        let session = CheckSession::new();
+        let handle = session.insert(mrm.clone());
+        let options = CheckOptions::new();
+        let checked = |formula: &str| {
+            let before = session.stats().cert_cache_hits;
+            let outcome = session.check_str(&handle, formula, &options).unwrap();
+            let one_shot = ModelChecker::new(mrm.clone(), options)
+                .check_str(formula)
+                .unwrap();
+            assert_eq!(format!("{outcome:?}"), format!("{one_shot:?}"), "{formula}");
+            session.stats().cert_cache_hits - before
+        };
+        // Same propositions, same observation: one analysis, reused.
+        assert_eq!(checked("S(> 0.9) (premium)"), 0);
+        assert_eq!(checked("S(< 0.5) (premium)"), 1);
+        // A different proposition set is a different analysis.
+        assert_eq!(checked("S(> 0.9) (minimum)"), 0);
+        // So is a nontrivial reward bound, which makes rewards observable;
+        // two different nontrivial bounds share again.
+        assert_eq!(checked("P(>= 0.1) [TT U[0,1] down]"), 0);
+        assert_eq!(checked("P(>= 0.1) [TT U[0,1][0,2] down]"), 0);
+        assert_eq!(checked("P(< 0.3) [TT U[0,1][0,3] down]"), 1);
     }
 
     /// Run `check` under a metrics recorder: its outcome, and how many

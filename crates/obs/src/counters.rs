@@ -64,10 +64,11 @@ counters! {
     /// that had to be computed and were then stored for later requests.
     SAT_CACHE_MISSES = "sat_cache_misses";
 
-    /// Cumulative lumping-certificate cache hits: `(model, formula)` pairs
-    /// whose verified certificate (or the verified absence of a nontrivial
-    /// quotient) was reused from the session instead of re-running
-    /// partition refinement.
+    /// Cumulative lumping-certificate cache hits: checks whose model and
+    /// observation (relevant propositions plus rate and reward flags) had
+    /// already been analyzed, so the verified certificate (or the verified
+    /// absence of a nontrivial quotient) was reused from the session
+    /// instead of re-running partition refinement.
     CERT_CACHE_HITS = "cert_cache_hits";
 
     /// Distinct model contents parsed into a session so far: a reload of

@@ -745,8 +745,9 @@ fn run_batch(args: &[String]) -> Result<ExitCode, String> {
             let mut writer = stream;
             let stdin = std::io::stdin();
             for line in stdin.lock().lines() {
-                writer.write_all(line?.as_bytes())?;
-                writer.write_all(b"\n")?;
+                let mut line = line?;
+                line.push('\n');
+                writer.write_all(line.as_bytes())?;
             }
             writer.flush()?;
             writer.shutdown(std::net::Shutdown::Write)

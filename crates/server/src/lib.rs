@@ -245,6 +245,9 @@ impl Server {
                     Ok((stream, _)) => stream,
                     Err(e) => break Err(e),
                 };
+                // Replies are small and written whole; Nagle would only
+                // hold each one back for the client's delayed ACK.
+                let _ = stream.set_nodelay(true);
                 accepted += 1;
                 let session = self.session.clone();
                 let obs = self.obs.clone();
@@ -302,12 +305,16 @@ impl ConnState {
         }
     }
 
-    /// Write one response line atomically (line-buffered, flushed).
+    /// Write one response line atomically: the reply and its newline go
+    /// out in one `write_all`, so no lone trailing byte waits on the
+    /// peer's delayed ACK.
     fn write_line(&self, line: &str) {
+        let mut buf = Vec::with_capacity(line.len() + 1);
+        buf.extend_from_slice(line.as_bytes());
+        buf.push(b'\n');
         // devlint::allow(D005): poisoned only if a holder panicked; no recovery short of dropping the connection
         let mut w = self.writer.lock().expect("writer poisoned");
-        let _ = w.write_all(line.as_bytes());
-        let _ = w.write_all(b"\n");
+        let _ = w.write_all(&buf);
         let _ = w.flush();
     }
 
@@ -655,7 +662,10 @@ pub fn connect_with_retry(addr: &str, attempts: u32) -> std::io::Result<TcpStrea
     let mut last = None;
     for _ in 0..attempts.max(1) {
         match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
+            Ok(stream) => {
+                stream.set_nodelay(true)?;
+                return Ok(stream);
+            }
             Err(e) => last = Some(e),
         }
         std::thread::sleep(std::time::Duration::from_millis(100));

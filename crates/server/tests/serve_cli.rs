@@ -237,3 +237,35 @@ fn removed_threads_option_is_an_error_reply_and_the_connection_keeps_serving() {
     assert!(server.wait().unwrap().success());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn closed_loop_round_trips_do_not_wait_on_delayed_acks() {
+    // A reply written in two pieces (the line, then its newline) leaves
+    // the one-byte tail waiting for the client's delayed ACK, about 40 ms
+    // per round trip. One write per reply keeps a stats round trip well
+    // under that.
+    let (mut server, addr) = spawn_server(1, 1);
+    let stream = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut round_trips = Vec::new();
+    for _ in 0..20 {
+        let started = std::time::Instant::now();
+        writer.write_all(b"{\"stats\":true}\n").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        round_trips.push(started.elapsed());
+        assert!(line.starts_with("{\"stats\":"), "{line}");
+    }
+    writer.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut rest = String::new();
+    while reader.read_line(&mut rest).unwrap() > 0 {}
+    assert!(rest.contains("\"kind\":\"run_summary\""), "{rest}");
+    round_trips.sort_unstable();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(20),
+        "median stats round trip {median:?}: {round_trips:?}"
+    );
+    assert!(server.wait().unwrap().success());
+}
