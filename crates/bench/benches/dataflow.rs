@@ -12,8 +12,9 @@
 //! * `cluster4_grid_premium_u_down` — a time/reward-bounded until whose
 //!   invariant cannot hold all the way to the goal (premium service never
 //!   degrades straight to `down`), so Prob0 marks every `premium` start
-//!   certain-zero and the discretization grid (`grid_reward_cells`)
-//!   collapses;
+//!   certain-zero. The discretization engine runs one backward sweep for
+//!   all states either way (`grid_runs` 1), so the sliced run only skips
+//!   reading the certain-zero states;
 //! * `cluster4_uniform_premium_u_down` — the same formula under the
 //!   default uniformization engine, where the sliced invariant empties
 //!   and the depth-first path exploration (`nodes_explored`) shrinks to

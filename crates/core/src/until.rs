@@ -227,8 +227,8 @@ pub(crate) fn until_probabilities(
                 dataflow: None,
             })
         }
-        // P2: time and reward bounds — run the configured engine per state,
-        // under the adaptive driver when a tolerance was requested.
+        // P2: time and reward bounds — run the configured engine for every
+        // state, under the adaptive driver when a tolerance was requested.
         (false, false) => {
             let df = dataflow_prepass(ctx, phi, psi, false);
             let t = time.hi();
@@ -277,27 +277,34 @@ pub(crate) fn until_probabilities(
                 }
                 UntilEngine::Discretization(dopts) => {
                     let _span = mrmc_obs::span("until/discretization");
+                    // One backward sweep answers every start state;
+                    // certain-zero and ¬Φ∧¬Ψ states are not read from it
+                    // and keep probability 0 with a zero budget.
+                    let states: Vec<usize> = (0..n)
+                        .filter(|&s| !zero_sliced(s) && (phi[s] || psi[s]))
+                        .collect();
+                    let results = match options.tolerance {
+                        Some(eps) => adaptive::discretization_until_states(
+                            mrm,
+                            phi,
+                            psi,
+                            t,
+                            r,
+                            &states,
+                            dopts,
+                            adaptive::AdaptiveOptions::new(eps),
+                        )?,
+                        None if states.is_empty() => Vec::new(),
+                        None => {
+                            let all = discretization::until_probabilities_all(
+                                mrm, phi, psi, t, r, dopts,
+                            )?;
+                            states.iter().map(|&s| all[s].clone()).collect()
+                        }
+                    };
                     let mut probabilities = vec![0.0; n];
                     let mut budgets = vec![ErrorBudget::zero(); n];
-                    for s in 0..n {
-                        if zero_sliced(s) || (!phi[s] && !psi[s]) {
-                            continue;
-                        }
-                        let res = match options.tolerance {
-                            Some(eps) => adaptive::discretization_until(
-                                mrm,
-                                phi,
-                                psi,
-                                t,
-                                r,
-                                s,
-                                dopts,
-                                adaptive::AdaptiveOptions::new(eps),
-                            )?,
-                            None => {
-                                discretization::until_probability(mrm, phi, psi, t, r, s, dopts)?
-                            }
-                        };
+                    for (&s, res) in states.iter().zip(results) {
                         probabilities[s] = res.probability;
                         budgets[s] = res.budget;
                     }

@@ -243,7 +243,8 @@ fn uniformization_until_all_rounds(
 /// (Richardson estimate + float accumulation) meets the tolerance.
 ///
 /// The starting step is clamped to the stability limit `1/max_s E(s)` and
-/// to `t`, so a too-coarse base step refines instead of erroring.
+/// to `t`, then shrunk to divide `t`, so a too-coarse base step refines
+/// instead of erroring and every round's grid ends exactly at `t`.
 ///
 /// # Errors
 ///
@@ -261,56 +262,124 @@ pub fn discretization_until(
     base: DiscretizationOptions,
     adaptive: AdaptiveOptions,
 ) -> Result<DiscretizationResult, NumericsError> {
+    let mut results = discretization_until_states(mrm, phi, psi, t, r, &[start], base, adaptive)?;
+    Ok(results.swap_remove(0))
+}
+
+/// [`discretization_until`] for several start states at once: each round
+/// is one all-states sweep ([`discretization::until_probabilities_all`]),
+/// and each state keeps the result of the first round whose own budget
+/// meets the tolerance — the step [`discretization_until`] would pick for
+/// it alone. Rounds go on while any state is still open; results come
+/// back in the order of `states`.
+///
+/// # Errors
+///
+/// As for [`discretization_until`], reported for the first state in
+/// `states` order that does not meet the tolerance.
+#[allow(clippy::too_many_arguments)]
+pub fn discretization_until_states(
+    mrm: &Mrm,
+    phi: &[bool],
+    psi: &[bool],
+    t: f64,
+    r: f64,
+    states: &[usize],
+    base: DiscretizationOptions,
+    adaptive: AdaptiveOptions,
+) -> Result<Vec<DiscretizationResult>, NumericsError> {
     adaptive.validate()?;
+    let n = mrm.num_states();
+    if let Some(&s) = states.iter().find(|&&s| s >= n) {
+        return Err(NumericsError::SizeMismatch {
+            expected: n,
+            found: s,
+        });
+    }
+    if states.is_empty() {
+        return Ok(Vec::new());
+    }
+    let mut d = initial_step(mrm, t, base.step);
+    let mut met: Vec<Option<DiscretizationResult>> = vec![None; states.len()];
+    let mut best: Vec<Option<DiscretizationResult>> = vec![None; states.len()];
+    let mut halted = None;
+    for round in 0..adaptive.max_rounds {
+        let mut opts = base;
+        opts.step = d;
+        let all = match discretization::until_probabilities_all(mrm, phi, psi, t, r, opts) {
+            Ok(all) => all,
+            // The memory guard reports the step as invalid; if refinement
+            // already produced a result, report the bound it achieved.
+            Err(e @ NumericsError::InvalidParameter { name: "step", .. }) => {
+                halted = Some(e);
+                break;
+            }
+            Err(e) => return Err(e),
+        };
+        let open: Vec<usize> = (0..states.len()).filter(|&i| met[i].is_none()).collect();
+        let worst = open
+            .iter()
+            .map(|&i| &all[states[i]].budget)
+            .max_by(|a, b| a.total().total_cmp(&b.total()))
+            .expect("a round runs only while a state is open");
+        mrmc_obs::record(|| mrmc_obs::Event::AdaptiveAttempt {
+            round: u64::from(round) + 1,
+            knob: "step",
+            value: d,
+            achieved: Some(worst.total()),
+            components: worst.components().to_vec(),
+        });
+        for i in open {
+            let res = &all[states[i]];
+            let achieved = res.budget.total();
+            if achieved <= adaptive.tolerance {
+                met[i] = Some(res.clone());
+            } else if best[i].as_ref().is_none_or(|b| achieved < b.budget.total()) {
+                best[i] = Some(res.clone());
+            }
+        }
+        if met.iter().all(Option::is_some) {
+            return Ok(met.into_iter().flatten().collect());
+        }
+        d *= 0.5;
+    }
+    let failing = met
+        .iter()
+        .position(Option::is_none)
+        .expect("refinement stopped with a state open");
+    Err(match (&best[failing], halted) {
+        (None, Some(e)) => e,
+        (best, _) => NumericsError::ToleranceNotMet {
+            requested: adaptive.tolerance,
+            achieved: best.as_ref().map_or(1.0, |b| b.budget.total()),
+        },
+    })
+}
+
+/// The discretization driver's first step: `base` clamped to the stability
+/// limit `1/max_s E(s)` and to `t`, then shrunk to `t / ⌈t/d⌉` so the
+/// grid's `round(t/d)` steps end exactly at `t` in this and every halved
+/// round. A step that does not divide `t` would end the grid up to `d/2`
+/// away from `t`, a shift the Richardson budget does not see.
+fn initial_step(mrm: &Mrm, t: f64, base: f64) -> f64 {
     let max_exit = mrm
         .ctmc()
         .exit_rates()
         .iter()
         .fold(0.0f64, |m, &e| m.max(e));
-    let mut d = base.step;
+    let mut d = base;
     if max_exit > 0.0 {
         d = d.min(1.0 / max_exit);
     }
     d = d.min(t);
-    let mut best: Option<DiscretizationResult> = None;
-    for round in 0..adaptive.max_rounds {
-        let mut opts = base;
-        opts.step = d;
-        let res = match discretization::until_probability(mrm, phi, psi, t, r, start, opts) {
-            Ok(res) => res,
-            // The memory guard reports the step as invalid; if refinement
-            // already produced a result, report the bound it achieved.
-            Err(e @ NumericsError::InvalidParameter { name: "step", .. }) => {
-                return match best {
-                    Some(b) => Err(NumericsError::ToleranceNotMet {
-                        requested: adaptive.tolerance,
-                        achieved: b.budget.total(),
-                    }),
-                    None => Err(e),
-                };
-            }
-            Err(e) => return Err(e),
-        };
-        let achieved = res.budget.total();
-        mrmc_obs::record(|| mrmc_obs::Event::AdaptiveAttempt {
-            round: u64::from(round) + 1,
-            knob: "step",
-            value: d,
-            achieved: Some(achieved),
-            components: res.budget.components().to_vec(),
-        });
-        if achieved <= adaptive.tolerance {
-            return Ok(res);
-        }
-        if best.as_ref().is_none_or(|b| achieved < b.budget.total()) {
-            best = Some(res);
-        }
-        d *= 0.5;
+    let steps = (t / d).ceil();
+    // Rounding in `t / steps` may land one ulp above `d`; take one more
+    // step rather than exceed the stability limit.
+    if t / steps > d {
+        t / (steps + 1.0)
+    } else {
+        t / steps
     }
-    Err(NumericsError::ToleranceNotMet {
-        requested: adaptive.tolerance,
-        achieved: best.map_or(1.0, |b| b.budget.total()),
-    })
 }
 
 /// The simulation sample count: `base`, raised to the Hoeffding-sized
@@ -469,6 +538,93 @@ mod tests {
             res.probability,
             res.budget.total()
         );
+    }
+
+    /// Collects the `(time_steps, step)` of every discretization grid run.
+    #[derive(Default)]
+    struct Grids(std::sync::Mutex<Vec<(u64, f64)>>);
+
+    impl mrmc_obs::Recorder for Grids {
+        fn record(&self, event: &mrmc_obs::Event) {
+            if let mrmc_obs::Event::DiscretizationGrid {
+                time_steps, step, ..
+            } = *event
+            {
+                self.0.lock().unwrap().push((time_steps, step));
+            }
+        }
+    }
+
+    #[test]
+    fn every_discretization_round_ends_the_grid_at_t() {
+        // WaveLAN's largest exit rate is 15: the clamped step 1/15 is 28.5
+        // steps into t = 1.9, and running round(28.5) = 29 such steps would
+        // end the grid at t ≈ 1.933.
+        let m = wavelan();
+        let phi = m.labeling().states_with("idle");
+        let psi = m.labeling().states_with("busy");
+        let t = 1.9;
+        let grids = Arc::new(Grids::default());
+        let res = mrmc_obs::with_recorder(grids.clone(), || {
+            discretization_until(
+                &m,
+                &phi,
+                &psi,
+                t,
+                100.0,
+                2,
+                DiscretizationOptions::with_step(1.0),
+                AdaptiveOptions::new(1e-12).with_max_rounds(3),
+            )
+        });
+        assert!(matches!(res, Err(NumericsError::ToleranceNotMet { .. })));
+        let grids = grids.0.lock().unwrap();
+        assert_eq!(grids.len(), 3);
+        assert_eq!(grids[0].0, 29);
+        for &(time_steps, d) in grids.iter() {
+            assert!(
+                d <= 1.0 / 15.0 && (time_steps as f64 * d - t).abs() <= 1e-12 * t,
+                "{time_steps} steps of {d} end at {}",
+                time_steps as f64 * d
+            );
+        }
+    }
+
+    #[test]
+    fn many_state_discretization_driver_matches_the_one_state_driver() {
+        let m = wavelan();
+        let phi = vec![true; m.num_states()];
+        let psi = m.labeling().states_with("busy");
+        let states: Vec<usize> = (0..m.num_states()).collect();
+        let run = |states: &[usize], adaptive: AdaptiveOptions| {
+            discretization_until_states(
+                &m,
+                &phi,
+                &psi,
+                0.5,
+                300.0,
+                states,
+                DiscretizationOptions::with_step(1.0 / 16.0),
+                adaptive,
+            )
+        };
+        // Met for every state: each keeps its own first passing round.
+        let adaptive = AdaptiveOptions::new(1e-2);
+        let all = run(&states, adaptive).unwrap();
+        for (&s, res) in states.iter().zip(&all) {
+            let alone = run(&[s], adaptive).unwrap().remove(0);
+            assert_eq!(res, &alone, "state {s}");
+            assert_eq!(res.probability.to_bits(), alone.probability.to_bits());
+        }
+        assert!(all.iter().any(|r| r.time_steps != all[0].time_steps));
+        // Not met for some: the first failing state's error is reported.
+        let adaptive = AdaptiveOptions::new(1e-4).with_max_rounds(2);
+        let first_failure = states
+            .iter()
+            .find_map(|&s| run(&[s], adaptive).err())
+            .expect("some state misses 1e-4 in two rounds");
+        let err = run(&states, adaptive).unwrap_err();
+        assert_eq!(format!("{err:?}"), format!("{first_failure:?}"));
     }
 
     #[test]

@@ -1,11 +1,20 @@
 //! Discretization-based evaluation of time- and reward-bounded until
-//! (Section 4.4.1 and Algorithm 4.6).
+//! (Section 4.4.1 and Algorithm 4.6), run backward.
 //!
 //! Both time and accumulated reward are discretized with the same step `d`.
-//! `F^j(s, k)` is the probability density of being in state `s` at time
-//! `j·d` with accumulated reward `k·d`; the recursion adds the self term
-//! (no transition in the last step) and one term per incoming transition,
-//! with the impulse reward shifting the reward index by `ι/d` cells.
+//! Algorithm 4.6 pushes a density `F^j(s, k)` — the probability density of
+//! being in state `s` at time `j·d` with accumulated reward `k·d` — forward
+//! from one start state. Its answer `Σ_{s ⊨ Ψ} Σ_k F^T(s, k)·d` is linear in
+//! the initial density, so the adjoint recursion computes the same quantity
+//! for every start state at once: `G(s, k)` is the probability of ending in
+//! a Ψ-state within the remaining steps, starting in `s` with `k` reward
+//! cells already spent. It starts from `G(s, k) = [s ⊨ Ψ]` and each step
+//! reads the self term (stay in `s` another `d` time units, spending
+//! `ρ(s)` cells) and one term per outgoing transition, with the impulse
+//! reward shifting the reward index by a further `ι/d` cells; cells past
+//! the reward bound read as 0. `P(s) = G(s, ρ(s))`. One sweep therefore
+//! costs what one forward run from a single start state cost, and answers
+//! all of them.
 //!
 //! State rewards must be integers after scaling (the reward index advances
 //! by `ρ(s)` cells per step); the engine finds a power-of-ten scale
@@ -95,13 +104,13 @@ fn integer_scale(rewards: &[f64]) -> Result<f64, NumericsError> {
 }
 
 /// Evaluate `P^M(start, Φ U^{[0,t]}_{[0,r]} Ψ)` by discretization
-/// (Algorithm 4.6).
+/// (Algorithm 4.6): the sweep of [`until_probabilities_all`], read at
+/// `start`, so the two agree bit for bit.
 ///
 /// # Errors
 ///
-/// [`NumericsError`] for size mismatches, an unstable or degenerate step
-/// size, rewards that cannot be scaled to integers, or a reward grid
-/// exceeding the memory guard.
+/// As for [`until_probabilities_all`], plus a size mismatch when `start`
+/// is not a state.
 pub fn until_probability(
     mrm: &Mrm,
     phi: &[bool],
@@ -112,23 +121,41 @@ pub fn until_probability(
     options: DiscretizationOptions,
 ) -> Result<DiscretizationResult, NumericsError> {
     let n = mrm.num_states();
-    if phi.len() != n {
-        return Err(NumericsError::SizeMismatch {
-            expected: n,
-            found: phi.len(),
-        });
-    }
-    if psi.len() != n {
-        return Err(NumericsError::SizeMismatch {
-            expected: n,
-            found: psi.len(),
-        });
-    }
     if start >= n {
         return Err(NumericsError::SizeMismatch {
             expected: n,
             found: start,
         });
+    }
+    let mut all = until_probabilities_all(mrm, phi, psi, t, r, options)?;
+    Ok(all.swap_remove(start))
+}
+
+/// Evaluate `P^M(s, Φ U^{[0,t]}_{[0,r]} Ψ)` for every state `s` by one
+/// backward sweep at step `d` (plus one at `2d` for the Richardson
+/// budgets, which stay per state).
+///
+/// # Errors
+///
+/// [`NumericsError`] for size mismatches, an unstable or degenerate step
+/// size, rewards that cannot be scaled to integers, or a reward grid
+/// exceeding the memory guard.
+pub fn until_probabilities_all(
+    mrm: &Mrm,
+    phi: &[bool],
+    psi: &[bool],
+    t: f64,
+    r: f64,
+    options: DiscretizationOptions,
+) -> Result<Vec<DiscretizationResult>, NumericsError> {
+    let n = mrm.num_states();
+    for len in [phi.len(), psi.len()] {
+        if len != n {
+            return Err(NumericsError::SizeMismatch {
+                expected: n,
+                found: len,
+            });
+        }
     }
     if !(t.is_finite() && t > 0.0) {
         return Err(NumericsError::InvalidParameter {
@@ -177,16 +204,15 @@ pub fn until_probability(
     let grid = GridProblem {
         absorbed: &absorbed,
         psi,
-        start,
         t,
         r,
         scale,
         max_cells: options.max_cells,
     };
-    let (probability, time_steps, reward_cells) = evolve_grid(&grid, d)?;
+    let fine = evolve_grid(&grid, d)?;
     mrmc_obs::record(|| mrmc_obs::Event::DiscretizationGrid {
-        time_steps: time_steps as u64,
-        reward_cells: reward_cells as u64,
+        time_steps: fine.time_steps as u64,
+        reward_cells: fine.reward_cells as u64,
         reward_scale: scale,
         step: d,
     });
@@ -196,142 +222,147 @@ pub fn until_probability(
     // coarse a-priori bound from the per-step local truncation error
     // O((E·d)²) accumulated over t/d steps.
     let a_priori = (max_exit * max_exit * t * d).min(1.0);
-    let discretization = if options.estimate_error && 2.0 * d <= stable_limit && 2.0 * d <= t {
-        match evolve_grid(&grid, 2.0 * d) {
-            Ok((coarse, _, _)) => 2.0 * (probability - coarse).abs(),
-            Err(_) => a_priori,
-        }
+    let coarse = if options.estimate_error && 2.0 * d <= stable_limit && 2.0 * d <= t {
+        evolve_grid(&grid, 2.0 * d).ok()
     } else {
-        a_priori
+        None
     };
-    // Per step, each density cell receives one self term plus the incoming
-    // transition terms — first-order rounding model on an O(1) total mass.
+    // Per step, each value cell receives one self term plus one term per
+    // outgoing transition — first-order rounding model on an O(1) value.
     let ops_per_step = 2.0 + absorbed.ctmc().rates().nnz() as f64 / n as f64;
-    let budget = ErrorBudget {
-        discretization,
-        float_accumulation: f64::EPSILON * time_steps as f64 * ops_per_step,
-        ..ErrorBudget::zero()
-    };
+    let float_accumulation = f64::EPSILON * fine.time_steps as f64 * ops_per_step;
 
-    Ok(DiscretizationResult {
-        probability,
-        budget,
-        time_steps,
-        reward_cells,
-        reward_scale: scale,
-    })
+    Ok(fine
+        .probabilities
+        .iter()
+        .enumerate()
+        .map(|(s, &probability)| DiscretizationResult {
+            probability,
+            budget: ErrorBudget {
+                discretization: coarse
+                    .as_ref()
+                    .map_or(a_priori, |c| 2.0 * (probability - c.probabilities[s]).abs()),
+                float_accumulation,
+                ..ErrorBudget::zero()
+            },
+            time_steps: fine.time_steps,
+            reward_cells: fine.reward_cells,
+            reward_scale: scale,
+        })
+        .collect())
 }
 
 /// The fixed part of a discretization run: everything except the step size.
 struct GridProblem<'a> {
     absorbed: &'a Mrm,
     psi: &'a [bool],
-    start: usize,
     t: f64,
     r: f64,
     scale: f64,
     max_cells: usize,
 }
 
-/// One incoming transition of a destination row: source state, `rate·d`,
-/// and the reward shift in cells.
+/// The grid's shape at one step size: `T = t/d` time steps and `R = r/d`
+/// reward cells (after scaling), and the per-state reward advance `ρ(s)`
+/// in cells.
+struct GridShape {
+    time_steps: usize,
+    reward_cells: usize,
+    rho: Vec<usize>,
+}
+
+impl GridProblem<'_> {
+    fn shape(&self, d: f64) -> Result<GridShape, NumericsError> {
+        let cells = ((self.r * self.scale) / d).floor();
+        if !(cells.is_finite() && cells >= 0.0) || cells as usize > self.max_cells {
+            return Err(NumericsError::InvalidParameter {
+                name: "step",
+                value: d,
+                requirement: "reward grid exceeds the memory guard; increase d or max_cells",
+            });
+        }
+        let rho = self
+            .absorbed
+            .state_rewards()
+            .as_slice()
+            .iter()
+            .map(|&x| (x * self.scale).round() as usize)
+            .collect();
+        Ok(GridShape {
+            time_steps: (self.t / d).round().max(1.0) as usize,
+            reward_cells: cells as usize,
+            rho,
+        })
+    }
+}
+
+/// One outgoing transition of a source row: destination state, `rate·d`,
+/// and the reward shift in cells (`ρ(source)` plus the impulse).
 #[derive(Debug, Clone, Copy)]
-struct Incoming {
-    from: usize,
+struct Outgoing {
+    to: usize,
     rate_d: f64,
     shift: usize,
 }
 
-/// Compute one destination row of the next grid layer from the current
-/// layer: the self term (stay in `to` for another `d` time units) followed
-/// by every incoming transition in ascending source order.
-#[allow(clippy::too_many_arguments)] // the sweep's full per-row context
-fn update_row(
-    to: usize,
-    dst: &mut [f64],
-    current: &[f64],
-    width: usize,
+/// The per-state answers of one sweep, and the grid they came from.
+struct Sweep {
+    /// `P(s)` for every state, clamped into `[0, 1]`.
+    probabilities: Vec<f64>,
+    time_steps: usize,
     reward_cells: usize,
-    stay: f64,
-    rho_to: usize,
-    incoming: &[Incoming],
-) {
-    dst.fill(0.0);
-    if stay != 0.0 && rho_to <= reward_cells {
-        let src = &current[to * width..(to + 1) * width];
-        for k in rho_to..width {
-            dst[k] += src[k - rho_to] * stay;
-        }
-    }
-    for &Incoming {
-        from,
-        rate_d,
-        shift,
-    } in incoming
-    {
-        if shift > reward_cells {
-            continue;
-        }
-        let src = &current[from * width..(from + 1) * width];
-        for k in shift..width {
-            dst[k] += src[k - shift] * rate_d;
-        }
-    }
 }
 
-/// Run Algorithm 4.6 on the absorbed model with step `d`, returning the
-/// clamped probability, the time-step count and the reward-cell count.
-/// Factored out of [`until_probability`] so the Richardson companion can
-/// re-run the same problem at `2d`.
+/// Run Algorithm 4.6 backward on the absorbed model with step `d`.
+/// Factored out of [`until_probabilities_all`] so the Richardson companion
+/// can re-run the same problem at `2d`.
 ///
-/// The density grid is one flat `n·width` buffer (state-major), double
-/// buffered. Transitions are stored incoming-major, so each destination row
-/// of the next layer is one pass over the *current* layer in a fixed order
-/// (self term, then sources ascending).
-fn evolve_grid(g: &GridProblem<'_>, d: f64) -> Result<(f64, usize, usize), NumericsError> {
+/// The value grid is one flat `n·width` buffer (state-major), double
+/// buffered. Transitions are stored source-major in CSR row order, so each
+/// source row of the next layer is one pass over the *current* layer in a
+/// fixed order (self term, then destinations ascending), each a zipped
+/// slice iteration that reads `width − shift` cells starting `shift` cells
+/// ahead.
+fn evolve_grid(g: &GridProblem<'_>, d: f64) -> Result<Sweep, NumericsError> {
     let n = g.absorbed.num_states();
-    let exit = g.absorbed.ctmc().exit_rates();
-    let cells = ((g.r * g.scale) / d).floor();
-    if !(cells.is_finite() && cells >= 0.0) || cells as usize > g.max_cells {
-        return Err(NumericsError::InvalidParameter {
-            name: "step",
-            value: d,
-            requirement: "reward grid exceeds the memory guard; increase d or max_cells",
-        });
-    }
-    let reward_cells = cells as usize;
-    let time_steps = (g.t / d).round().max(1.0) as usize;
-
-    // Per-state reward advance (cells per step) and stay probability.
-    let rho: Vec<usize> = g
-        .absorbed
-        .state_rewards()
-        .as_slice()
-        .iter()
-        .map(|&x| (x * g.scale).round() as usize)
-        .collect();
-    let stay: Vec<f64> = exit.iter().map(|&e| 1.0 - e * d).collect();
-    // Incoming-major transition lists. `rates.iter()` is row-major (source
-    // ascending), so each destination's list comes out sorted by source —
-    // the accumulation order `update_row` promises.
-    let rates = g.absorbed.ctmc().rates();
-    let mut incoming: Vec<Vec<Incoming>> = vec![Vec::new(); n];
-    for (from, to, rate) in rates.iter() {
-        let shift =
-            rho[from] + ((g.absorbed.impulse_reward(from, to) * g.scale) / d).round() as usize;
-        incoming[to].push(Incoming {
-            from,
-            rate_d: rate * d,
-            shift,
-        });
-    }
-
-    // Double-buffered flat density F[s·width + k].
+    let GridShape {
+        time_steps,
+        reward_cells,
+        rho,
+    } = g.shape(d)?;
     let width = reward_cells + 1;
+    let stay: Vec<f64> = g
+        .absorbed
+        .ctmc()
+        .exit_rates()
+        .iter()
+        .map(|&e| 1.0 - e * d)
+        .collect();
+    // Source-major transition lists; a shift past the grid reads only
+    // cells that are 0, so such transitions are dropped here.
+    let rates = g.absorbed.ctmc().rates();
+    let mut outgoing: Vec<Outgoing> = Vec::with_capacity(rates.nnz());
+    let mut row_end: Vec<usize> = Vec::with_capacity(n);
+    for (from, &rho_from) in rho.iter().enumerate() {
+        for (to, rate) in rates.row(from) {
+            let shift =
+                rho_from + ((g.absorbed.impulse_reward(from, to) * g.scale) / d).round() as usize;
+            if shift <= reward_cells {
+                outgoing.push(Outgoing {
+                    to,
+                    rate_d: rate * d,
+                    shift,
+                });
+            }
+        }
+        row_end.push(outgoing.len());
+    }
+
+    // Double-buffered flat values G[s·width + k].
     let mut current = vec![0.0f64; n * width];
     let mut next = vec![0.0f64; n * width];
-    if rho[g.start] <= reward_cells {
-        current[g.start * width + rho[g.start]] = 1.0 / d;
+    for (row, _) in current.chunks_mut(width).zip(g.psi).filter(|(_, &q)| q) {
+        row.fill(1.0);
     }
 
     // Progress is throttled by step count (at most ~100 events per run) so
@@ -345,28 +376,35 @@ fn evolve_grid(g: &GridProblem<'_>, d: f64) -> Result<(f64, usize, usize), Numer
                 total: time_steps as u64,
             });
         }
-        for (to, dst) in next.chunks_mut(width).enumerate() {
-            update_row(
-                to,
-                dst,
-                &current,
-                width,
-                reward_cells,
-                stay[to],
-                rho[to],
-                &incoming[to],
-            );
+        let row = |s: usize| &current[s * width..(s + 1) * width];
+        let mut first = 0;
+        for (s, dst) in next.chunks_mut(width).enumerate() {
+            let own = row(s).get(rho[s]..).unwrap_or(&[]);
+            let (head, tail) = dst.split_at_mut(own.len());
+            for (y, &x) in head.iter_mut().zip(own) {
+                *y = x * stay[s];
+            }
+            tail.fill(0.0);
+            for &Outgoing { to, rate_d, shift } in &outgoing[first..row_end[s]] {
+                for (y, &x) in dst.iter_mut().zip(&row(to)[shift..]) {
+                    *y += x * rate_d;
+                }
+            }
+            first = row_end[s];
         }
         std::mem::swap(&mut current, &mut next);
     }
 
-    let mut probability = 0.0;
-    for (row, &in_psi) in current.chunks(width).zip(g.psi.iter()).take(n) {
-        if in_psi {
-            probability += row.iter().sum::<f64>() * d;
-        }
-    }
-    Ok((probability.clamp(0.0, 1.0), time_steps, reward_cells))
+    let probabilities = current
+        .chunks(width)
+        .zip(&rho)
+        .map(|(row, &rho_s)| row.get(rho_s).map_or(0.0, |&p| p.clamp(0.0, 1.0)))
+        .collect();
+    Ok(Sweep {
+        probabilities,
+        time_steps,
+        reward_cells,
+    })
 }
 
 #[cfg(test)]
@@ -374,7 +412,134 @@ mod tests {
     use super::*;
     use crate::uniformization::{self, UniformOptions};
     use mrmc_ctmc::CtmcBuilder;
+    use mrmc_models::phone;
+    use mrmc_models::random::{random_mrm, RandomMrmConfig};
+    use mrmc_models::tmr::{tmr, TmrConfig};
     use mrmc_mrm::{ImpulseRewards, StateRewards};
+
+    /// One incoming transition of a destination row: source state, `rate·d`,
+    /// and the reward shift in cells.
+    #[derive(Debug, Clone, Copy)]
+    struct Incoming {
+        from: usize,
+        rate_d: f64,
+        shift: usize,
+    }
+
+    /// The reference: Algorithm 4.6 as written, pushing the density of one
+    /// start state forward (destination-major: self term, then incoming
+    /// transitions by ascending source).
+    fn forward_grid(g: &GridProblem<'_>, start: usize, d: f64) -> f64 {
+        let n = g.absorbed.num_states();
+        let GridShape {
+            time_steps,
+            reward_cells,
+            rho,
+        } = g.shape(d).unwrap();
+        let width = reward_cells + 1;
+        let exit = g.absorbed.ctmc().exit_rates();
+        let stay: Vec<f64> = exit.iter().map(|&e| 1.0 - e * d).collect();
+        let mut incoming: Vec<Vec<Incoming>> = vec![Vec::new(); n];
+        for (from, to, rate) in g.absorbed.ctmc().rates().iter() {
+            let shift =
+                rho[from] + ((g.absorbed.impulse_reward(from, to) * g.scale) / d).round() as usize;
+            incoming[to].push(Incoming {
+                from,
+                rate_d: rate * d,
+                shift,
+            });
+        }
+        let mut current = vec![0.0f64; n * width];
+        let mut next = vec![0.0f64; n * width];
+        if rho[start] <= reward_cells {
+            current[start * width + rho[start]] = 1.0 / d;
+        }
+        for _ in 1..time_steps {
+            for (to, dst) in next.chunks_mut(width).enumerate() {
+                dst.fill(0.0);
+                if rho[to] <= reward_cells {
+                    let src = &current[to * width..(to + 1) * width];
+                    for (y, &x) in dst[rho[to]..].iter_mut().zip(src) {
+                        *y += x * stay[to];
+                    }
+                }
+                for &Incoming {
+                    from,
+                    rate_d,
+                    shift,
+                } in &incoming[to]
+                {
+                    if shift > reward_cells {
+                        continue;
+                    }
+                    let src = &current[from * width..(from + 1) * width];
+                    for (y, &x) in dst[shift..].iter_mut().zip(src) {
+                        *y += x * rate_d;
+                    }
+                }
+            }
+            std::mem::swap(&mut current, &mut next);
+        }
+        let mut probability = 0.0;
+        for (row, &in_psi) in current.chunks(width).zip(g.psi) {
+            if in_psi {
+                probability += row.iter().sum::<f64>() * d;
+            }
+        }
+        probability.clamp(0.0, 1.0)
+    }
+
+    /// Check the backward sweep against [`forward_grid`] for every start
+    /// state: within `1e-13` and within the reported float accumulation.
+    fn assert_matches_forward(
+        name: &str,
+        m: &Mrm,
+        phi: &[bool],
+        psi: &[bool],
+        t: f64,
+        r: f64,
+        d: f64,
+    ) {
+        let opts = DiscretizationOptions::with_step(d);
+        let all = until_probabilities_all(m, phi, psi, t, r, opts).unwrap();
+        assert_eq!(all.len(), m.num_states());
+        let absorb: Vec<bool> = phi.iter().zip(psi).map(|(&p, &q)| !p || q).collect();
+        let absorbed = make_absorbing(m, &absorb).unwrap();
+        let grid = GridProblem {
+            absorbed: &absorbed,
+            psi,
+            t,
+            r,
+            scale: integer_scale(absorbed.state_rewards().as_slice()).unwrap(),
+            max_cells: opts.max_cells,
+        };
+        for (s, res) in all.iter().enumerate() {
+            let expect = forward_grid(&grid, s, d);
+            let deviation = (res.probability - expect).abs();
+            assert!(
+                deviation <= 1e-13 && deviation <= res.budget.float_accumulation,
+                "{name}, d = {d}, state {s}: backward {} vs forward {expect} (budget {})",
+                res.probability,
+                res.budget.float_accumulation
+            );
+        }
+    }
+
+    /// [`until_probability`] is [`until_probabilities_all`] read at the
+    /// start state, bit for bit.
+    fn assert_single_reads_the_sweep(m: &Mrm, phi: &[bool], psi: &[bool], t: f64, r: f64, d: f64) {
+        let opts = DiscretizationOptions::with_step(d);
+        let all = until_probabilities_all(m, phi, psi, t, r, opts).unwrap();
+        for (s, res) in all.iter().enumerate() {
+            let single = until_probability(m, phi, psi, t, r, s, opts).unwrap();
+            assert_eq!(
+                single.probability.to_bits(),
+                res.probability.to_bits(),
+                "d = {d}, state {s}"
+            );
+            assert_eq!(single, *res, "d = {d}, state {s}");
+        }
+    }
 
     fn wavelan() -> Mrm {
         let mut b = CtmcBuilder::new(5);
@@ -609,5 +774,89 @@ mod tests {
         .probability;
         // Idle earns 1319/h: reward 1 is exhausted almost immediately.
         assert!(tight < 0.01, "tight = {tight}");
+    }
+
+    #[test]
+    fn backward_sweep_matches_forward_on_the_phone_model() {
+        let m = phone::phone();
+        let phi: Vec<bool> = (0..m.num_states())
+            .map(|s| m.labeling().has(s, "Call_Idle") || m.labeling().has(s, "Doze"))
+            .collect();
+        let psi = m.labeling().states_with("Call_Initiated");
+        // Table 5.1's formula on a shorter horizon and reward bound, so the
+        // per-state reference runs stay quick in unoptimized test builds.
+        for d in [1.0 / 16.0, 1.0 / 64.0] {
+            assert_matches_forward("phone", &m, &phi, &psi, 4.0, 100.0, d);
+            assert_single_reads_the_sweep(&m, &phi, &psi, 4.0, 100.0, d);
+        }
+        let all = until_probabilities_all(
+            &m,
+            &phi,
+            &psi,
+            4.0,
+            100.0,
+            DiscretizationOptions::with_step(1.0 / 64.0),
+        )
+        .unwrap();
+        assert!(all[phone::DOZE].probability > 0.01, "{all:?}");
+    }
+
+    #[test]
+    fn backward_sweep_matches_forward_on_tmr_at_the_table_5_8_horizons() {
+        let config = TmrConfig::classic();
+        let m = tmr(&config);
+        let phi = m.labeling().states_with("Sup");
+        let psi = m.labeling().states_with("failed");
+        for t in [50.0, 100.0, 150.0, 200.0] {
+            assert_matches_forward("tmr", &m, &phi, &psi, t, 3000.0, 0.25);
+        }
+        assert_single_reads_the_sweep(&m, &phi, &psi, 50.0, 3000.0, 0.25);
+    }
+
+    #[test]
+    fn backward_sweep_matches_forward_with_impulses() {
+        // WaveLAN's impulses shift the reward index by 27 and 23 cells at
+        // d = 1/64. r = 206.25 is 13 200 cells, 10 past ten idle steps of
+        // 1319 cells, so leaving idle after ten steps counts only when the
+        // impulse is left out. A tight bound makes the idle state's own
+        // reward overrun the grid: ρ(start) > reward_cells.
+        let m = wavelan();
+        let phi = m.labeling().states_with("idle");
+        let psi = m.labeling().states_with("busy");
+        assert_matches_forward("wavelan", &m, &phi, &psi, 1.0, 206.25, 1.0 / 64.0);
+        assert_single_reads_the_sweep(&m, &phi, &psi, 1.0, 206.25, 1.0 / 64.0);
+        let tight = until_probabilities_all(
+            &m,
+            &phi,
+            &psi,
+            1.0,
+            10.0,
+            DiscretizationOptions::with_step(1.0 / 64.0),
+        )
+        .unwrap();
+        assert!(tight[0].reward_cells < 1319);
+        assert_eq!(tight[2].probability, 0.0);
+        assert_matches_forward("wavelan, tight r", &m, &phi, &psi, 1.0, 10.0, 1.0 / 64.0);
+    }
+
+    #[test]
+    fn backward_sweep_matches_forward_on_random_models() {
+        let config = RandomMrmConfig {
+            states: 7,
+            extra_transitions_per_state: 1.5,
+            max_rate: 2.0,
+            reward_levels: vec![0.0, 1.0, 3.0],
+            impulse_levels: vec![0.0, 0.5, 2.0],
+            goal_fraction: 0.3,
+        };
+        for seed in 0..6 {
+            let m = random_mrm(seed, &config);
+            let phi = vec![true; m.num_states()];
+            let psi = m.labeling().states_with("goal");
+            let max_exit = m.ctmc().exit_rates().iter().fold(0.0f64, |a, &e| a.max(e));
+            let d = 1.0 / (8.0 * max_exit.ceil());
+            assert_matches_forward(&format!("random seed {seed}"), &m, &phi, &psi, 1.0, 4.0, d);
+            assert_single_reads_the_sweep(&m, &phi, &psi, 1.0, 4.0, d);
+        }
     }
 }

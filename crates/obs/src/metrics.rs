@@ -56,9 +56,11 @@ pub struct RunMetrics {
     pub omega_cache_entries: u64,
     /// Deepest Omega recursion.
     pub omega_max_depth: u64,
-    /// Discretization runs (including Richardson companion runs).
+    /// Discretization grids run: one per check (or per adaptive round),
+    /// however many start states it answers; the Richardson companion at
+    /// `2d` is not counted.
     pub grid_runs: u64,
-    /// Time steps evolved, summed over runs.
+    /// Time steps evolved, summed over the counted grids.
     pub grid_time_steps: u64,
     /// Largest reward-cell count of any grid.
     pub grid_reward_cells: u64,

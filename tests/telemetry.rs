@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use mrmc::{CheckOptions, CheckOutcome, ModelChecker};
+use mrmc::{CheckOptions, CheckOutcome, ModelChecker, UntilEngine};
 use mrmc_mrm::Mrm;
 use mrmc_obs::{JsonlTraceRecorder, MetricsRecorder, NullRecorder, ProfileNode, ProfileRecorder};
 
@@ -241,4 +241,29 @@ fn metrics_reflect_the_work_the_engines_did() {
     assert!(snap.nodes_explored >= snap.paths_generated, "{snap:?}");
     assert!(snap.phases.contains_key("engine"), "{snap:?}");
     assert!(snap.phases.contains_key("preflight"), "{snap:?}");
+}
+
+#[test]
+fn discretization_check_runs_one_grid_for_all_states() {
+    // One backward sweep answers every start state, so a non-adaptive
+    // discretization check records one grid, not one per evaluated state.
+    let m = tmr(&TmrConfig::classic());
+    let options = CheckOptions::new().with_engine(UntilEngine::discretization(0.25));
+    let checker = ModelChecker::new(m, options);
+    let metrics = Arc::new(MetricsRecorder::new());
+    let outcome = mrmc_obs::with_recorder(metrics.clone(), || {
+        checker
+            .check_str("P(> 0.1) [Sup U[0,50][0,3000] failed]")
+            .unwrap()
+    });
+    let evaluated = outcome
+        .probabilities()
+        .expect("a P2 check reports probabilities")
+        .iter()
+        .filter(|&&p| p > 0.0)
+        .count();
+    assert!(evaluated > 1, "{outcome:?}");
+    let snap = metrics.snapshot();
+    assert_eq!(snap.grid_runs, 1, "{snap:?}");
+    assert_eq!(snap.grid_time_steps, 200, "{snap:?}");
 }
