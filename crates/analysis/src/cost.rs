@@ -80,7 +80,7 @@ pub struct UniformizationCost {
     /// exploration depth.
     pub truncation_depth: u64,
     /// Mean out-degree of non-absorbing states (branching factor of the
-    /// depth-first search).
+    /// path tree).
     pub mean_branching: f64,
     /// `mean_branching ^ truncation_depth`, saturating at `f64::INFINITY`:
     /// a coarse upper bound on the number of path-tree nodes visited.

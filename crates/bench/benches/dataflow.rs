@@ -17,7 +17,7 @@
 //!   reading the certain-zero states;
 //! * `cluster4_uniform_premium_u_down` — the same formula under the
 //!   default uniformization engine, where the sliced invariant empties
-//!   and the depth-first path exploration (`nodes_explored`) shrinks to
+//!   and the path exploration (`nodes_explored`) shrinks to
 //!   the goal states.
 
 use mrmc::{CheckOptions, ModelChecker, UntilEngine};

@@ -133,7 +133,8 @@ pub struct TmrUntilRow {
     pub error_bound: f64,
     /// Wall-clock seconds `T`.
     pub seconds: f64,
-    /// DFS nodes explored (extra diagnostic, not in the thesis table).
+    /// Path-tree nodes explored, merged or not (extra diagnostic, not in
+    /// the thesis table).
     pub explored_nodes: u64,
 }
 

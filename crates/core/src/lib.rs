@@ -16,7 +16,7 @@
 //!   intervals (Algorithm 4.4);
 //! * until formulas — the make-absorbing transformation (Theorems 4.1–4.3)
 //!   followed by one of two engines (Algorithm 4.5): uniformization with
-//!   depth-first path generation, or discretization.
+//!   level-synchronous, merged path generation, or discretization.
 //!
 //! # Quickstart
 //!

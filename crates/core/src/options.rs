@@ -9,9 +9,9 @@ use mrmc_sparse::solver::SolverOptions;
 /// (the `[u|d] = f` switch of the thesis tool's command line).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum UntilEngine {
-    /// Uniformization with depth-first path generation and the given
-    /// truncation probability `w` (Section 4.6). The tool's default with
-    /// `w = 1e-8`.
+    /// Uniformization with level-synchronous, merged path generation and
+    /// the given truncation probability `w` (Section 4.6). The tool's
+    /// default with `w = 1e-8`.
     Uniformization(UniformOptions),
     /// Discretization with the given step `d` (Section 4.5).
     Discretization(DiscretizationOptions),

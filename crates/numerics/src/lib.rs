@@ -8,10 +8,10 @@
 //!
 //! Two independent engines are provided, mirroring the thesis:
 //!
-//! * [`uniformization`] — depth-first path generation over the uniformized
-//!   MRM (Algorithm 4.7) with path truncation by probability `w`, path-class
-//!   aggregation on `(k, j)` reward-count vectors, conditional probabilities
-//!   by the Omega algorithm of Diniz, de Souza e Silva & Gail
+//! * [`uniformization`] — level-synchronous, merged path generation over
+//!   the uniformized MRM (Algorithm 4.7) with path truncation by
+//!   probability `w`, path-class aggregation on `(k, j)` reward-count
+//!   vectors, conditional probabilities by the Omega algorithm of Diniz, de Souza e Silva & Gail
 //!   (Algorithm 4.8, module [`omega`]), and the error bound of Eq. 4.6;
 //! * [`discretization`] — the Tijms–Veldman discretization extended with
 //!   impulse rewards (Algorithm 4.6).

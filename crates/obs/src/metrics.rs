@@ -38,8 +38,13 @@ pub struct RunMetrics {
     pub poisson_right: u64,
     /// Largest requested tail bound.
     pub poisson_tail_bound: f64,
-    /// Path-tree nodes visited by the uniformization engine.
+    /// Path-tree nodes represented by the uniformization engine, merged
+    /// or not.
     pub nodes_explored: u64,
+    /// Groups the merged path exploration expanded; each stands for the
+    /// nodes of one depth with identical subtrees (at most
+    /// `nodes_explored`).
+    pub path_groups: u64,
     /// Paths generated (stored into reward-count classes).
     pub paths_generated: u64,
     /// Paths pruned by the truncation rule.
@@ -102,6 +107,7 @@ impl RunMetrics {
             }
             Event::PathExploration {
                 explored_nodes,
+                explored_groups,
                 stored_paths,
                 truncated_paths,
                 max_depth,
@@ -110,6 +116,7 @@ impl RunMetrics {
                 ..
             } => {
                 self.nodes_explored += explored_nodes;
+                self.path_groups += explored_groups;
                 self.paths_generated += stored_paths;
                 self.paths_pruned += truncated_paths;
                 self.path_max_depth = self.path_max_depth.max(*max_depth);
@@ -155,13 +162,14 @@ impl RunMetrics {
     /// order (the golden-shape contract pinned by the CLI tests).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{");
-        let counts: [(&str, u64); 17] = [
+        let counts: [(&str, u64); 18] = [
             ("solver_solves", self.solver_solves),
             ("solver_iterations", self.solver_iterations),
             ("poisson_windows", self.poisson_windows),
             ("poisson_left", self.poisson_left),
             ("poisson_right", self.poisson_right),
             ("nodes_explored", self.nodes_explored),
+            ("path_groups", self.path_groups),
             ("paths_generated", self.paths_generated),
             ("paths_pruned", self.paths_pruned),
             ("path_max_depth", self.path_max_depth),
@@ -222,6 +230,7 @@ impl RunMetrics {
             ("paths generated", self.paths_generated),
             ("paths pruned", self.paths_pruned),
             ("nodes explored", self.nodes_explored),
+            ("path groups", self.path_groups),
             ("path classes", self.path_classes),
             ("max path depth", self.path_max_depth),
             ("omega requests", self.omega_requests),
@@ -314,6 +323,7 @@ mod tests {
         m.record(&Event::PathExploration {
             start_state: 0,
             explored_nodes: 10,
+            explored_groups: 4,
             stored_paths: 4,
             truncated_paths: 6,
             max_depth: 3,
@@ -323,6 +333,7 @@ mod tests {
         m.record(&Event::PathExploration {
             start_state: 1,
             explored_nodes: 5,
+            explored_groups: 5,
             stored_paths: 2,
             truncated_paths: 1,
             max_depth: 7,
@@ -357,6 +368,7 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.paths_generated, 6);
         assert_eq!(s.paths_pruned, 7);
+        assert_eq!(s.path_groups, 9);
         assert_eq!(s.path_max_depth, 7);
         assert_eq!(s.poisson_left, 2);
         assert_eq!(s.poisson_right, 90);
@@ -367,6 +379,7 @@ mod tests {
         let json = s.to_json();
         for key in [
             "\"paths_generated\":6",
+            "\"path_groups\":9",
             "\"paths_pruned\":7",
             "\"poisson_left\":2",
             "\"poisson_right\":90",
@@ -393,6 +406,7 @@ mod tests {
             "poisson_left",
             "poisson_right",
             "paths_generated",
+            "path_groups",
             "paths_pruned",
             "grid_reward_cells",
             "adaptive_attempts",

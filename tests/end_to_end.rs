@@ -122,6 +122,35 @@ fn error_reporting_is_actionable() {
 }
 
 #[test]
+fn path_counts_beyond_u64_are_a_check_error() {
+    use mrmc_ctmc::CtmcBuilder;
+    use mrmc_numerics::uniformization::UniformOptions;
+    use mrmc_numerics::NumericsError;
+
+    // At Λ = 2 every step probability is a power of two, so the merged
+    // exploration stays a handful of groups per depth while the paths it
+    // stands for double with each step: their count passes 2^64 − 1
+    // long before the truncation probability stops the search.
+    let mut b = CtmcBuilder::new(3);
+    b.transition(0, 1, 1.0)
+        .transition(1, 0, 0.5)
+        .transition(1, 2, 0.5);
+    b.label(0, "a").label(1, "a").label(2, "goal");
+    let m = mrmc_mrm::Mrm::without_rewards(b.build().unwrap());
+    let engine = UntilEngine::Uniformization(UniformOptions {
+        truncation: 1e-300,
+        lambda: Some(2.0),
+        ..UniformOptions::new()
+    });
+    let checker = ModelChecker::new(m, CheckOptions::new().with_engine(engine));
+    let e = checker
+        .check_str("P(> 0.5) [a U[0,50][0,1000] goal]")
+        .unwrap_err();
+    assert_eq!(e, CheckError::Numerics(NumericsError::PathCountOverflow));
+    assert!(e.to_string().contains("2^64"), "{e}");
+}
+
+#[test]
 fn outcome_accessors_are_consistent() {
     let checker = ModelChecker::new(wavelan(), CheckOptions::new());
     let out = checker.check_str("S(> 0.0) (busy)").unwrap();

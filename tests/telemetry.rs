@@ -244,6 +244,33 @@ fn metrics_reflect_the_work_the_engines_did() {
 }
 
 #[test]
+fn merged_path_exploration_expands_fewer_groups_than_nodes() {
+    // Table 5.4, t = 400: prefixes with identical subtrees merge into one
+    // group, while `nodes_explored` still counts every path-tree node the
+    // per-path depth-first search visited (463 070 from the fully
+    // operational state).
+    use mrmc_numerics::uniformization::{until_probability, UniformOptions};
+
+    let config = TmrConfig::classic();
+    let m = tmr(&config);
+    let phi = m.labeling().states_with("Sup");
+    let psi = m.labeling().states_with("failed");
+    let options = UniformOptions::new()
+        .with_truncation(1e-11)
+        .with_lambda(0.0505);
+    let start = config.state_with_working(config.modules);
+    let metrics = Arc::new(MetricsRecorder::new());
+    let res = mrmc_obs::with_recorder(metrics.clone(), || {
+        until_probability(&m, &phi, &psi, 400.0, 3000.0, start, options).unwrap()
+    });
+    let snap = metrics.snapshot();
+    assert_eq!(snap.nodes_explored, 463_070, "{snap:?}");
+    assert_eq!(res.explored_nodes, snap.nodes_explored);
+    assert!(snap.path_groups > 0, "{snap:?}");
+    assert!(snap.path_groups < snap.nodes_explored, "{snap:?}");
+}
+
+#[test]
 fn discretization_check_runs_one_grid_for_all_states() {
     // One backward sweep answers every start state, so a non-adaptive
     // discretization check records one grid, not one per evaluated state.
