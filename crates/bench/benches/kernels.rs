@@ -9,7 +9,7 @@
 use mrmc_bench::harness::{BenchmarkId, Criterion};
 use mrmc_bench::{criterion_group, criterion_main};
 use mrmc_ctmc::bscc::SccDecomposition;
-use mrmc_ctmc::poisson::{pmf, FoxGlynn, Weights};
+use mrmc_ctmc::poisson::{pmf, FoxGlynn};
 use mrmc_models::cluster::{cluster, ClusterConfig};
 use mrmc_models::queue::{queue, QueueConfig};
 use mrmc_models::random::{random_mrm, RandomMrmConfig};
@@ -25,13 +25,6 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("poisson/fox_glynn", lt), &lt, |b, &lt| {
             b.iter(|| FoxGlynn::new(lt, 1e-10).weights().len());
         });
-        group.bench_with_input(
-            BenchmarkId::new("poisson/recursion_100", lt),
-            &lt,
-            |b, &lt| {
-                b.iter(|| Weights::new(lt).take(100).sum::<f64>());
-            },
-        );
         group.bench_with_input(
             BenchmarkId::new("poisson/log_pmf_100", lt),
             &lt,

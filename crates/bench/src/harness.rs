@@ -288,6 +288,10 @@ impl Bencher {
         // Calibration: one warm-up iteration, also priming caches.
         let recorder = Arc::new(MetricsRecorder::new());
         let once = mrmc_obs::with_recorder(recorder.clone(), || {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "timing is what a benchmark reports"
+            )]
             let start = Instant::now();
             black_box(f());
             start.elapsed().as_secs_f64().max(1e-9)
@@ -298,6 +302,10 @@ impl Bencher {
 
         self.samples.clear();
         for _ in 0..self.sample_size {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "timing is what a benchmark reports"
+            )]
             let start = Instant::now();
             for _ in 0..per_sample {
                 black_box(f());

@@ -22,6 +22,10 @@ use std::time::Instant;
 
 /// Measure the wall-clock seconds a closure takes, returning its result.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "timing is what a benchmark reports"
+    )]
     let start = Instant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64())

@@ -68,7 +68,7 @@ pub fn next_probabilities(
     }
 
     let mut out = vec![0.0; n];
-    #[allow(clippy::needless_range_loop)] // s also indexes the rate matrix
+    #[expect(clippy::needless_range_loop, reason = "s also indexes the rate matrix")]
     for s in 0..n {
         let exit = mrm.ctmc().exit_rate(s);
         if exit == 0.0 {

@@ -144,7 +144,10 @@ impl StateFormula {
     }
 
     /// `¬Φ`.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "a named constructor of the AST, not the `!` operator on formulas"
+    )]
     pub fn not(self) -> StateFormula {
         StateFormula::Not(Box::new(self))
     }

@@ -1,13 +1,11 @@
 //! Poisson probabilities for uniformization.
 //!
-//! Three evaluation layers, matching the needs of the algorithms in the
+//! Two evaluation layers, matching the needs of the algorithms in the
 //! thesis:
 //!
 //! * [`pmf`]/[`cdf`]/[`upper_tail`] — direct, log-space-stable point
-//!   evaluations used for error bounds (Eq. 4.6);
-//! * [`Weights`] — the incremental recursion `P_0 = e^{-Λt}`,
-//!   `P_i = (Λt/i)·P_{i-1}` used by depth-first path generation
-//!   (Algorithm 4.7);
+//!   evaluations, used for the path probabilities and error bounds of
+//!   Algorithm 4.7 (Eq. 4.6);
 //! * [`FoxGlynn`] — the Fox–Glynn style weighting used for transient state
 //!   probabilities and the state-reward-only baseline, stable for large
 //!   `Λt`.
@@ -21,7 +19,10 @@
 pub fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma requires a positive argument");
     const G: f64 = 7.0;
-    #[allow(clippy::excessive_precision)]
+    #[expect(
+        clippy::excessive_precision,
+        reason = "the Lanczos coefficients are kept as published"
+    )]
     const COEFFS: [f64; 9] = [
         0.999_999_999_999_809_93,
         676.520_368_121_885_1,
@@ -129,51 +130,6 @@ pub fn upper_tail(lambda_t: f64, n: u64) -> f64 {
         }
     }
     acc.min(1.0)
-}
-
-/// Incremental Poisson weights: `next()` yields `pmf(λt, 0)`, `pmf(λt, 1)`,
-/// … using the recursion of Section 4.6.2.
-///
-/// ```
-/// let mut w = mrmc_ctmc::poisson::Weights::new(2.0);
-/// let p0 = w.next().unwrap();
-/// assert!((p0 - (-2.0f64).exp()).abs() < 1e-15);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Weights {
-    lambda_t: f64,
-    next_n: u64,
-    current: f64,
-}
-
-impl Weights {
-    /// Weights for a Poisson process observed for `lambda_t = Λ·t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda_t` is negative or non-finite.
-    pub fn new(lambda_t: f64) -> Self {
-        assert!(
-            lambda_t.is_finite() && lambda_t >= 0.0,
-            "lambda_t must be finite and non-negative"
-        );
-        Weights {
-            lambda_t,
-            next_n: 0,
-            current: (-lambda_t).exp(),
-        }
-    }
-}
-
-impl Iterator for Weights {
-    type Item = f64;
-
-    fn next(&mut self) -> Option<f64> {
-        let out = self.current;
-        self.next_n += 1;
-        self.current *= self.lambda_t / self.next_n as f64;
-        Some(out)
-    }
 }
 
 /// Fox–Glynn style truncated Poisson weights.
@@ -335,10 +291,14 @@ mod tests {
 
     #[test]
     fn weights_match_pmf() {
-        let lt = 7.3;
-        let ws: Vec<f64> = Weights::new(lt).take(40).collect();
-        for (n, w) in ws.iter().enumerate() {
-            assert!((w - pmf(lt, n as u64)).abs() < 1e-12 * (1.0 + w), "n = {n}");
+        // P_0 = e^{-Λt}, P_i = (Λt/i)·P_{i-1} (Section 4.6.2).
+        let lt: f64 = 7.3;
+        let mut w = (-lt).exp();
+        for n in 0..40u64 {
+            if n > 0 {
+                w *= lt / n as f64;
+            }
+            assert!((w - pmf(lt, n)).abs() < 1e-12 * (1.0 + w), "n = {n}");
         }
     }
 

@@ -139,7 +139,10 @@ pub fn cluster(config: &ClusterConfig) -> Mrm {
     let mut iota = ImpulseRewards::new();
     let mut rewards = vec![0.0; n];
 
-    #[allow(clippy::needless_range_loop)] // state is decoded, not just an index
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "state is decoded, not just an index"
+    )]
     for state in 0..n {
         let (left, right, ls, rs, bb) = config.decode(state);
 

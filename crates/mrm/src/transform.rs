@@ -37,7 +37,7 @@ pub fn make_absorbing(mrm: &Mrm, absorb: &[bool]) -> Result<Mrm, MrmError> {
     }
 
     let mut b = CtmcBuilder::new(n);
-    #[allow(clippy::needless_range_loop)] // s also indexes the rate matrix
+    #[expect(clippy::needless_range_loop, reason = "s also indexes the rate matrix")]
     for s in 0..n {
         if absorb[s] {
             continue;

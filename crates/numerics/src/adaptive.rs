@@ -102,7 +102,10 @@ impl AdaptiveOptions {
 /// round stops making progress (the floating-point floor of the budget
 /// cannot be refined away by `w`); other [`NumericsError`]s as for
 /// [`uniformization::until_probability`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the engine inputs are the formula operands, bounds and knobs, each its own argument"
+)]
 pub fn uniformization_until(
     mrm: &Mrm,
     phi: &[bool],
@@ -132,7 +135,10 @@ fn with_run_omega_cache<T>(f: impl FnOnce() -> T) -> T {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the engine inputs are the formula operands, bounds and knobs, each its own argument"
+)]
 fn uniformization_until_rounds(
     mrm: &Mrm,
     phi: &[bool],
@@ -251,7 +257,10 @@ fn uniformization_until_all_rounds(
 /// [`NumericsError::ToleranceNotMet`] when the round cap or the reward-grid
 /// memory guard halts refinement first; other [`NumericsError`]s as for
 /// [`discretization::until_probability`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the engine inputs are the formula operands, bounds and knobs, each its own argument"
+)]
 pub fn discretization_until(
     mrm: &Mrm,
     phi: &[bool],
@@ -277,7 +286,10 @@ pub fn discretization_until(
 ///
 /// As for [`discretization_until`], reported for the first state in
 /// `states` order that does not meet the tolerance.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the engine inputs are the formula operands, bounds and knobs, each its own argument"
+)]
 pub fn discretization_until_states(
     mrm: &Mrm,
     phi: &[bool],

@@ -242,7 +242,7 @@ mod tests {
         let phi = m.labeling().states_with("a");
         let psi = m.labeling().states_with("goal");
         let baseline = until_time_bounded(&m, &phi, &psi, 1.5, 1e-12).unwrap();
-        #[allow(clippy::needless_range_loop)] // s is also the start state
+        #[expect(clippy::needless_range_loop, reason = "s is also the start state")]
         for s in 0..3 {
             let engine = uniformization::until_probability(
                 &m,

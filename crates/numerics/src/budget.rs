@@ -7,9 +7,13 @@
 //! Monte-Carlo estimator — but a caller asking `P ⋈ p [Φ U^I_J Ψ]` needs a
 //! *bound on the probability itself*. [`ErrorBudget`] is that accounting:
 //! every engine reports where its error comes from, component by
-//! component, and the total is the half-width of the interval guaranteed
-//! (or, for the statistical components, guaranteed with the stated
-//! confidence) to contain the true probability.
+//! component, and the total is the half-width of an interval around the
+//! reported value. That interval is guaranteed to contain the true
+//! probability only as far as each component is a bound: the
+//! [`statistical`](ErrorBudget::statistical) component holds with its
+//! stated confidence, and the
+//! [`discretization`](ErrorBudget::discretization) component is a
+//! Richardson estimate of the step error, not a bound on it.
 //!
 //! # Components and their provenance
 //!
@@ -31,7 +35,9 @@ use std::fmt;
 ///
 /// The true probability lies within `total()` of the reported value
 /// (with confidence `1 − δ` when the [`statistical`](Self::statistical)
-/// component is non-zero).
+/// component is non-zero), except that the
+/// [`discretization`](Self::discretization) component is an estimate of
+/// the step error, not a bound on it.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ErrorBudget {
     /// Path-truncation mass per Eq. 4.6 (uniformization engine).

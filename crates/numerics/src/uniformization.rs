@@ -333,7 +333,6 @@ pub fn performability(
 ///
 /// [`NumericsError::PathCountOverflow`] when the paths it stands for
 /// outgrow the `u64` work counters.
-#[allow(clippy::too_many_arguments)]
 pub fn generate_path_classes(
     uni: &UniformizedMrm,
     classes_def: &RewardClasses,
@@ -603,7 +602,10 @@ impl<'a> Rules<'a> {
     /// Expand `node`, at depth `depths[0].n` with class `key`, and its
     /// whole subtree, which ends within `height` levels below it,
     /// depth-first. `frames` holds a class buffer per level below.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the subtree's root, depth table, height, class key and frame buffers are all distinct state"
+    )]
     fn expand_short(
         &self,
         node: Group,
@@ -1710,7 +1712,6 @@ mod merged_exploration_tests {
     /// Explore from every live state of `uni` both ways and compare;
     /// returns the largest relative deviation seen and whether any two
     /// prefixes merged.
-    #[allow(clippy::too_many_arguments)]
     fn assert_matches_reference(
         name: &str,
         uni: &UniformizedMrm,

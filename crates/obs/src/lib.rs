@@ -173,6 +173,10 @@ pub struct Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(start) = self.start {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "span timing is observation-only; no result reads it"
+            )]
             let end = Instant::now();
             let seconds = end.duration_since(start).as_secs_f64();
             // The origin was pinned no later than `start`, so this is a
@@ -194,6 +198,10 @@ pub fn span(name: &'static str) -> Span {
     Span {
         name,
         start: enabled().then(|| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "span timing is observation-only; no result reads it"
+            )]
             let now = Instant::now();
             ORIGIN.get_or_init(|| now);
             now

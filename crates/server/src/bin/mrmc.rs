@@ -106,7 +106,6 @@ use std::io::{BufRead, IsTerminal, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
-// devlint::allow(D002): the CLI reports per-formula wall time; results never branch on it
 use std::time::Instant;
 
 use mrmc::report::json_outcome;
@@ -146,7 +145,6 @@ fn usage() -> &'static str {
      \x20      mrmc serve [--listen ADDR] [--workers N] [--connections N]\n\
      \x20      mrmc batch <ADDR>\n\
      \x20      mrmc bench diff <snapshot.json> <baseline.json> [--json] [--max-ratio R]\n\
-     \x20      mrmc devlint [--json] [ROOT]\n\
      \n\
      Reads CSRL formulas from stdin, one per line, e.g.\n\
      \x20 P(>= 0.3) [a U[0,3][0,23] b]\n\
@@ -202,15 +200,6 @@ fn usage() -> &'static str {
      gate when its median slows by more than --max-ratio (default 1.5) by\n\
      more than an absolute slack, or when any work counter in its metrics\n\
      drifts (hard check, no tolerance). Exit code 1 on regression.\n\
-     \n\
-     The devlint subcommand statically analyzes the mrmc workspace source\n\
-     tree itself (default ROOT: the current directory) for determinism and\n\
-     hermeticity hazards, reporting stable D codes (D000-D008): hash-order\n\
-     iteration in result paths, wall-clock reads, unscoped threads,\n\
-     unordered float reductions, panics in server request paths,\n\
-     non-workspace dependencies, and lint-gate gaps (D007 is retired).\n\
-     Suppressions require an inline reason. Exit code 2 when findings\n\
-     are present.\n\
      \n\
      Exit codes reflect the worst outcome across the batch: 0 all decided,\n\
      1 operational error, 2 pre-flight rejection, 3 tolerance not met,\n\
@@ -600,7 +589,10 @@ fn check_formulas(
         if !cli.json {
             println!("formula: {text}");
         }
-        // devlint::allow(D002): reported as elapsed_s, never branched on
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reported as elapsed_s, never branched on"
+        )]
         let started = Instant::now();
         let result = match mrmc_csrl::parse(text) {
             Ok(f) => {
@@ -823,30 +815,6 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-/// The `mrmc devlint` subcommand: run the workspace determinism &
-/// hermeticity analyzer (same engine as the standalone `mrmc-devlint`
-/// binary).
-fn run_devlint(args: &[String]) -> Result<ExitCode, String> {
-    let parsed = parse_flags(args, &[("--json", Arity::Switch)])?;
-    let root = match parsed.positional[..] {
-        [] => ".",
-        [root] => root,
-        _ => return Err(format!("devlint takes at most one ROOT\n\n{}", usage())),
-    };
-    let report = mrmc_devlint::lint_workspace(Path::new(root))
-        .map_err(|e| format!("devlint failed reading `{root}`: {e}"))?;
-    if parsed.has("--json") {
-        println!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_human());
-    }
-    Ok(if report.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(2)
-    })
-}
-
 fn run() -> Result<ExitCode, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -858,7 +826,6 @@ fn run() -> Result<ExitCode, String> {
         Some("serve") => return run_serve(&args[1..]),
         Some("batch") => return run_batch(&args[1..]),
         Some("bench") => return run_bench(&args[1..]),
-        Some("devlint") => return run_devlint(&args[1..]),
         _ => {}
     }
     // `check` is an optional explicit subcommand for the default mode.

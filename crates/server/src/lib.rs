@@ -58,6 +58,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The request path and the JSON codec it feeds answer bad input with an
+// error reply, never a panic. `allow-{unwrap,expect,panic}-in-tests` in
+// `clippy.toml` exempts the tests.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
 
 pub mod json;
 
@@ -65,8 +76,7 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-// devlint::allow(D002): request latency and uptime are observability-only; no checking result reads the clock
+use std::sync::{mpsc, Arc, Condvar, LockResult, Mutex};
 use std::time::Instant;
 
 use mrmc::report;
@@ -103,7 +113,6 @@ impl Default for ServerConfig {
 /// worker. Purely additive — nothing here feeds back into results.
 #[derive(Debug)]
 struct ServerObs {
-    // devlint::allow(D002): uptime anchor for the stats reply; observability-only
     start: Instant,
     slow_request_s: f64,
     latency: Mutex<BTreeMap<&'static str, Histogram>>,
@@ -112,7 +121,10 @@ struct ServerObs {
 impl ServerObs {
     fn new(slow_request_s: f64) -> Self {
         ServerObs {
-            // devlint::allow(D002): uptime anchor for the stats reply; observability-only
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "uptime anchor for the stats reply; observability-only"
+            )]
             start: Instant::now(),
             slow_request_s,
             latency: Mutex::new(BTreeMap::new()),
@@ -134,16 +146,14 @@ impl ServerObs {
                 eprintln!("mrmc serve: slow request: {kind} `{detail}` took {seconds:.3}s");
             }
         }
-        // devlint::allow(D005): poisoned only if a holder panicked; no recovery short of dropping the connection
-        let mut latency = self.latency.lock().expect("latency poisoned");
+        let mut latency = unpoison(self.latency.lock());
         latency.entry(kind).or_default().observe_seconds(seconds);
     }
 
     /// The per-kind latency map as a JSON object; BTreeMap keeps the kind
     /// order fixed, and each histogram renders in its documented shape.
     fn latency_json(&self) -> String {
-        // devlint::allow(D005): poisoned only if a holder panicked; no recovery short of dropping the connection
-        let latency = self.latency.lock().expect("latency poisoned");
+        let latency = unpoison(self.latency.lock());
         let mut out = String::from("{");
         for (i, (kind, hist)) in latency.iter().enumerate() {
             if i > 0 {
@@ -170,8 +180,7 @@ impl ServerObs {
             self.uptime_s()
         ));
         out.push_str("# TYPE mrmc_request_seconds histogram\n");
-        // devlint::allow(D005): poisoned only if a holder panicked; no recovery short of dropping the connection
-        let latency = self.latency.lock().expect("latency poisoned");
+        let latency = unpoison(self.latency.lock());
         for (kind, hist) in latency.iter() {
             hist.write_prometheus(&mut out, "mrmc_request_seconds", &[("kind", kind)]);
         }
@@ -288,7 +297,6 @@ struct ConnState {
     idle: Condvar,
     formulas: AtomicU64,
     failures: AtomicU64,
-    // devlint::allow(D002): feeds the run_summary `elapsed_s` field only
     started: Instant,
 }
 
@@ -300,7 +308,10 @@ impl ConnState {
             idle: Condvar::new(),
             formulas: AtomicU64::new(0),
             failures: AtomicU64::new(0),
-            // devlint::allow(D002): feeds the run_summary `elapsed_s` field only
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "feeds the run_summary `elapsed_s` field only"
+            )]
             started: Instant::now(),
         }
     }
@@ -312,20 +323,17 @@ impl ConnState {
         let mut buf = Vec::with_capacity(line.len() + 1);
         buf.extend_from_slice(line.as_bytes());
         buf.push(b'\n');
-        // devlint::allow(D005): poisoned only if a holder panicked; no recovery short of dropping the connection
-        let mut w = self.writer.lock().expect("writer poisoned");
+        let mut w = unpoison(self.writer.lock());
         let _ = w.write_all(&buf);
         let _ = w.flush();
     }
 
     fn job_queued(&self) {
-        // devlint::allow(D005): poisoned only if a holder panicked; no recovery short of dropping the connection
-        *self.pending.lock().expect("pending poisoned") += 1;
+        *unpoison(self.pending.lock()) += 1;
     }
 
     fn job_done(&self) {
-        // devlint::allow(D005): poisoned only if a holder panicked; no recovery short of dropping the connection
-        let mut pending = self.pending.lock().expect("pending poisoned");
+        let mut pending = unpoison(self.pending.lock());
         *pending -= 1;
         if *pending == 0 {
             self.idle.notify_all();
@@ -334,20 +342,28 @@ impl ConnState {
 
     /// Block until every dispatched job for this connection completed.
     fn wait_idle(&self) {
-        // devlint::allow(D005): poisoned only if a holder panicked; no recovery short of dropping the connection
-        let mut pending = self.pending.lock().expect("pending poisoned");
+        let mut pending = unpoison(self.pending.lock());
         while *pending > 0 {
-            // devlint::allow(D005): same poisoning caveat as the lock above
-            pending = self.idle.wait(pending).expect("pending poisoned");
+            pending = unpoison(self.idle.wait(pending));
         }
     }
+}
+
+/// The guard behind a lock or condvar result. A lock is poisoned only if
+/// a holder panicked, and nothing short of dropping the connection
+/// recovers from that, so poison still panics.
+fn unpoison<G>(r: LockResult<G>) -> G {
+    #[expect(
+        clippy::expect_used,
+        reason = "poisoned only if a holder panicked; no recovery short of dropping the connection"
+    )]
+    r.expect("lock poisoned")
 }
 
 fn worker_loop(rx: &Mutex<mpsc::Receiver<Job>>) {
     loop {
         // Hold the lock only while receiving, not while checking.
-        // devlint::allow(D005): poisoned only if a holder panicked; no recovery short of dropping the connection
-        let Ok(job) = rx.lock().expect("queue poisoned").recv() else {
+        let Ok(job) = unpoison(rx.lock()).recv() else {
             return;
         };
         let line = execute(&job);
@@ -360,7 +376,10 @@ fn worker_loop(rx: &Mutex<mpsc::Receiver<Job>>) {
 /// spends here becomes the response's `elapsed_s` correlation field and
 /// a `check` latency observation; it never influences the result object.
 fn execute(job: &Job) -> String {
-    // devlint::allow(D002): wall time feeds the latency histogram and the `elapsed_s` field, never the result
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall time feeds the latency histogram and the `elapsed_s` field, never the result"
+    )]
     let started = Instant::now();
     let metrics = job.metrics.then(|| Arc::new(MetricsRecorder::new()));
     let check = || {
@@ -451,7 +470,10 @@ fn handle_request(
     models: &mut BTreeMap<String, ModelHandle>,
     line: &str,
 ) -> Result<(), String> {
-    // devlint::allow(D002): synchronous requests are timed for the latency histograms only
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "synchronous requests are timed for the latency histograms only"
+    )]
     let started = Instant::now();
     let request = json::parse(line).map_err(|e| e.to_string())?;
     if let Some(load) = request.get("load") {
@@ -659,19 +681,16 @@ impl RunTotals {
 ///
 /// The last connect failure once the retry budget is exhausted.
 pub fn connect_with_retry(addr: &str, attempts: u32) -> std::io::Result<TcpStream> {
-    let mut last = None;
-    for _ in 0..attempts.max(1) {
-        match TcpStream::connect(addr) {
-            Ok(stream) => {
-                stream.set_nodelay(true)?;
-                return Ok(stream);
-            }
-            Err(e) => last = Some(e),
+    for _ in 1..attempts {
+        if let Ok(stream) = TcpStream::connect(addr) {
+            stream.set_nodelay(true)?;
+            return Ok(stream);
         }
         std::thread::sleep(std::time::Duration::from_millis(100));
     }
-    // devlint::allow(D005): attempts.max(1) guarantees the loop ran and set `last`
-    Err(last.expect("at least one attempt"))
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 /// Render the `stats` reply line. The field order is part of the wire

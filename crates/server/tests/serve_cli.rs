@@ -250,6 +250,10 @@ fn closed_loop_round_trips_do_not_wait_on_delayed_acks() {
     let mut reader = BufReader::new(stream);
     let mut round_trips = Vec::new();
     for _ in 0..20 {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test asserts on round-trip wall time"
+        )]
         let started = std::time::Instant::now();
         writer.write_all(b"{\"stats\":true}\n").unwrap();
         let mut line = String::new();

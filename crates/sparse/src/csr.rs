@@ -270,7 +270,7 @@ impl CsrMatrix {
     /// # Panics
     ///
     /// Panics if `x.len() != ncols`.
-    #[allow(clippy::needless_range_loop)] // rows pair with dense outputs
+    #[expect(clippy::needless_range_loop, reason = "rows pair with dense outputs")]
     pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.ncols, "mul_vec: length mismatch");
         let mut y = vec![0.0; self.nrows];
@@ -345,7 +345,7 @@ impl CsrMatrix {
     /// # Panics
     ///
     /// Panics if `x.len() != ncols`.
-    #[allow(clippy::needless_range_loop)] // rows pair with dense outputs
+    #[expect(clippy::needless_range_loop, reason = "rows pair with dense outputs")]
     pub fn mul_vec_compensated(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.ncols, "mul_vec_compensated: length mismatch");
         #[inline]
@@ -408,7 +408,7 @@ impl CsrMatrix {
     /// # Panics
     ///
     /// Panics if `x.len() != nrows`.
-    #[allow(clippy::needless_range_loop)] // rows pair with dense inputs
+    #[expect(clippy::needless_range_loop, reason = "rows pair with dense inputs")]
     pub fn vec_mul(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.nrows, "vec_mul: length mismatch");
         let mut y = vec![0.0; self.ncols];

@@ -59,7 +59,7 @@ pub fn gauss_seidel(
 
     // Pre-extract diagonals and verify them once.
     let mut diag = vec![0.0; n];
-    #[allow(clippy::needless_range_loop)] // r also indexes the matrix rows
+    #[expect(clippy::needless_range_loop, reason = "r also indexes the matrix rows")]
     for r in 0..n {
         for (c, v) in a.row(r) {
             if c == r {
