@@ -9,7 +9,7 @@
 
 use std::path::Path;
 
-use mrmc_server::json::{self, Value};
+use mrmc_obs::json::{self, Value};
 
 const SNAPSHOTS: &[&str] = &[
     "BENCH_kernels.json",

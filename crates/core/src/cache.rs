@@ -3,7 +3,8 @@
 //!
 //! Every session cache — these three and the session's two model maps —
 //! is one counted store: an ordered map behind a mutex, with hit and miss
-//! counters. A lookup counts a hit or a miss; on a miss the value is
+//! counters. A lookup counts a hit or a miss, also as an increment of the
+//! per-check counter the store registered for it; on a miss the value is
 //! computed outside the lock (so a computation may itself consult the
 //! store) and the first value inserted for a key wins. Entries are never
 //! evicted. The Ω-term cache is not one of these stores: it lives in
@@ -47,6 +48,7 @@ use mrmc_analysis::AnalysisInputs;
 use mrmc_csrl::StateFormula;
 use mrmc_ctmc::bscc::SccDecomposition;
 use mrmc_mrm::Mrm;
+use mrmc_obs::counters::Counter;
 
 use crate::error::CheckError;
 use crate::options::CheckOptions;
@@ -135,21 +137,38 @@ pub fn options_fingerprint(options: &CheckOptions) -> u64 {
 }
 
 /// A counted memo table: a mutex-guarded ordered map plus hit and miss
-/// counters. Every session cache is one of these; entries are never
+/// tallies. Every session cache is one of these; entries are never
 /// evicted, so `len()` is also the number of distinct keys ever stored.
 #[derive(Debug)]
 pub(crate) struct Store<K, V> {
     entries: Mutex<BTreeMap<K, V>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    hits: Tally,
+    misses: Tally,
 }
 
-impl<K, V> Default for Store<K, V> {
-    fn default() -> Self {
+/// A lifetime total, plus the per-check counter that each bump also
+/// increments when one is registered.
+#[derive(Debug)]
+struct Tally(AtomicU64, Option<&'static Counter>);
+
+impl Tally {
+    fn bump(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        if let Some(counter) = self.1 {
+            mrmc_obs::count(counter, 1);
+        }
+    }
+}
+
+impl<K, V> Store<K, V> {
+    /// An empty store that registers `hit` and `miss` as the per-check
+    /// counters its lookups increment (`None`: that side counts only its
+    /// lifetime total).
+    pub(crate) fn new(hit: Option<&'static Counter>, miss: Option<&'static Counter>) -> Self {
         Store {
-            entries: Mutex::new(BTreeMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            entries: Mutex::default(),
+            hits: Tally(AtomicU64::new(0), hit),
+            misses: Tally(AtomicU64::new(0), miss),
         }
     }
 }
@@ -180,10 +199,10 @@ impl<K: Ord, V: Clone> Store<K, V> {
     ) -> Result<V, E> {
         let cached = self.entries().get(&key).cloned();
         if let Some(value) = cached {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits.bump();
             return Ok(value);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.misses.bump();
         let value = compute()?;
         Ok(self.entries().entry(key).or_insert(value).clone())
     }
@@ -193,14 +212,14 @@ impl<K: Ord, V: Clone> Store<K, V> {
         self.entries().len()
     }
 
-    /// Cumulative lookup hits.
+    /// Lifetime lookup hits.
     pub(crate) fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.0.load(Ordering::Relaxed)
     }
 
-    /// Cumulative lookup misses.
+    /// Lifetime lookup misses.
     pub(crate) fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses.0.load(Ordering::Relaxed)
     }
 }
 
@@ -214,8 +233,8 @@ pub(crate) struct SatKey {
     formula: String,
 }
 
-/// Memoized `Sat` sub-results (the `sat_cache_hits`/`sat_cache_misses`
-/// counters in the `mrmc_obs::counters` registry).
+/// Memoized `Sat` sub-results (counted as `sat_cache_hits` and
+/// `sat_cache_misses`).
 pub(crate) type SatCache = Store<SatKey, CachedSat>;
 
 /// Tarjan SCC decompositions keyed by [`model_hash`]. The condensation
@@ -356,7 +375,7 @@ mod tests {
 
     #[test]
     fn store_counts_hits_and_misses() {
-        let store: Store<u32, &str> = Store::default();
+        let store: Store<u32, &str> = Store::new(None, None);
         assert_eq!(store.get_or_insert_with(1, || "one"), "one");
         assert_eq!(
             store.get_or_insert_with(1, || panic!("a hit must not recompute")),
@@ -367,8 +386,27 @@ mod tests {
     }
 
     #[test]
+    fn counting_store_records_one_increment_per_lookup() {
+        use mrmc_obs::counters::{SAT_CACHE_HITS, SAT_CACHE_MISSES};
+        let store: Store<u32, u32> = Store::new(Some(SAT_CACHE_HITS), Some(SAT_CACHE_MISSES));
+        store.get_or_insert_with(1, || 10);
+        let metrics = Arc::new(mrmc_obs::MetricsRecorder::new());
+        mrmc_obs::with_recorder(metrics.clone(), || {
+            for key in [1, 1, 2] {
+                store.get_or_insert_with(key, || 20);
+            }
+        });
+        let counters = metrics.take().counters;
+        assert_eq!(
+            (counters[SAT_CACHE_HITS], counters[SAT_CACHE_MISSES]),
+            (2, 1)
+        );
+        assert_eq!((store.hits(), store.misses()), (2, 2));
+    }
+
+    #[test]
     fn failed_compute_is_a_miss_and_stores_nothing() {
-        let store: Store<u32, u32> = Store::default();
+        let store: Store<u32, u32> = Store::new(None, None);
         assert_eq!(store.get_or_try_insert_with(1, || Err("boom")), Err("boom"));
         assert_eq!((store.hits(), store.misses(), store.len()), (0, 1, 0));
         // The failure is not remembered: the next lookup computes again.
@@ -380,7 +418,7 @@ mod tests {
     #[test]
     fn racing_computes_return_the_first_inserted_value() {
         use std::sync::mpsc;
-        let store: Store<u32, u32> = Store::default();
+        let store: Store<u32, u32> = Store::new(None, None);
         let (missed_tx, missed_rx) = mpsc::channel();
         let (done_tx, done_rx) = mpsc::channel();
         let (slow, fast) = std::thread::scope(|scope| {
@@ -403,7 +441,6 @@ mod tests {
     }
 
     /// Fresh session caches, viewed through a memo per model hash.
-    #[derive(Default)]
     struct Caches {
         sat: SatCache,
         scc: SccCache,
@@ -411,6 +448,14 @@ mod tests {
     }
 
     impl Caches {
+        fn new() -> Self {
+            Caches {
+                sat: Store::new(None, None),
+                scc: Store::new(None, None),
+                certs: Store::new(None, None),
+            }
+        }
+
         fn memo(&self, model_hash: u64) -> Memo<'_> {
             Memo {
                 sat: &self.sat,
@@ -424,7 +469,7 @@ mod tests {
 
     #[test]
     fn cache_counts_hits_and_misses() {
-        let caches = Caches::default();
+        let caches = Caches::new();
         let formula = mrmc_csrl::parse("S(> 0.5) (up)").unwrap();
         let compute = || Ok((vec![true], vec![false], None));
         caches.memo(7).sat(&formula, compute).unwrap();
@@ -449,7 +494,7 @@ mod tests {
         let mut b = CtmcBuilder::new(2);
         b.transition(0, 1, 1.0).transition(1, 0, 1.0);
         let m = Mrm::without_rewards(b.build().unwrap());
-        let caches = Caches::default();
+        let caches = Caches::new();
         assert_eq!(caches.scc.len(), 0);
         let memo = caches.memo(model_hash(&m));
         let (a, b) = (

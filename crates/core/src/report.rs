@@ -7,11 +7,12 @@
 //! byte-identical to the one-shot CLI line for the same check, which is
 //! what the conformance suite pins.
 //!
-//! Rendering is hand-rolled (the workspace is dependency-free by policy)
-//! but tiny: strings are escaped per RFC 8259, and `f64`s print in the
-//! `{:e}` scientific form (`null` when non-finite, which JSON cannot
-//! represent).
+//! Strings and numbers are written by the workspace's one JSON writer,
+//! [`mrmc_obs::json`]: strings are escaped per RFC 8259, and `f64`s print
+//! in the `{:e}` scientific form (`null` when non-finite, which JSON
+//! cannot represent).
 
+use mrmc_obs::json::{push_escaped, push_f64};
 use mrmc_obs::RunMetrics;
 
 use crate::error::CheckError;
@@ -20,25 +21,16 @@ use crate::outcome::{CheckOutcome, Verdict};
 /// Escape a string for inclusion in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    push_escaped(&mut out, s);
     out
 }
 
 /// Format an `f64` as a JSON value (`null` for non-finite values, which
 /// JSON cannot represent).
 pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "null".to_string()
-    }
+    let mut out = String::new();
+    push_f64(&mut out, v);
+    out
 }
 
 /// The stable lowercase name of a verdict, as used in the JSON output.
@@ -158,6 +150,29 @@ mod tests {
         assert_eq!(json_f64(0.5), "5e-1");
         assert_eq!(json_f64(f64::NAN), "null");
         assert_eq!(json_f64(f64::INFINITY), "null");
+    }
+
+    #[test]
+    fn formulas_with_control_characters_render_parseable_json() {
+        use crate::{CheckOptions, ModelChecker};
+        use mrmc_ctmc::CtmcBuilder;
+        let mut b = CtmcBuilder::new(2);
+        b.transition(0, 1, 0.1).transition(1, 0, 0.9);
+        b.label(0, "up").label(1, "down");
+        let mrm = mrmc_mrm::Mrm::without_rewards(b.build().unwrap());
+        let formula = "S(>= 0.85)\t(up)";
+        let outcome = ModelChecker::new(mrm, CheckOptions::new())
+            .check_str(formula)
+            .unwrap();
+        let line = json_outcome(formula, &outcome, None);
+        assert!(line.contains("S(>= 0.85)\\u0009(up)"), "{line}");
+        let parsed = mrmc_obs::json::parse(&line).expect("outcome line parses");
+        assert_eq!(
+            parsed
+                .get("formula")
+                .and_then(mrmc_obs::json::Value::as_str),
+            Some(formula)
+        );
     }
 
     #[test]

@@ -23,18 +23,17 @@
 //!   list), and requests;
 //! * **memoized `Sat` sub-results** — every engine-backed subformula's
 //!   full result, keyed by `(model_hash, subformula, options)` (see
-//!   [`crate::cache`]), with `sat_cache_hits`/`sat_cache_misses`
-//!   counters in the [`mrmc_obs::counters`] registry;
+//!   [`crate::cache`]), counted as `sat_cache_hits`/`sat_cache_misses`;
 //! * **a session-scoped condensation cache** — the Tarjan SCC
 //!   decomposition the qualitative dataflow pre-pass slices with is a
 //!   pure function of the rate graph and is computed once per model hash.
 //!
 //! The two model maps and the Sat, SCC and certificate caches are all one
-//! type, the counted store of [`crate::cache`]: a mutex-guarded ordered
-//! map with hit and miss counters and no eviction. [`SessionStats`] reads
-//! its counters off the stores (`models_loaded` is the content store's
-//! entry count) and lists them by name in one place,
-//! [`SessionStats::counters`]. The Ω-term cache is the exception: it is a
+//! type, the counted store of [`crate::cache`]. A lookup also records an
+//! increment of the store's per-check counter, so a check's metrics hold
+//! its own lookups even while other threads share the session;
+//! [`SessionStats`] holds the lifetime totals (`models_loaded` is the
+//! content store's entry count). The Ω-term cache is the exception: a
 //! two-level table owned by `mrmc-numerics`, below this crate.
 //!
 //! Both entry points run one pipeline, `run_check`: the pre-flight gate,
@@ -59,7 +58,8 @@ use mrmc_csrl::StateFormula;
 use mrmc_mrm::io::LoadError;
 use mrmc_mrm::Mrm;
 use mrmc_numerics::omega::{with_omega_cache, OmegaTermCache};
-use mrmc_obs::{counters, Event};
+use mrmc_obs::counters::{CERT_CACHE_HITS, MODELS_LOADED, SAT_CACHE_HITS, SAT_CACHE_MISSES};
+pub use mrmc_obs::SessionStats;
 
 use crate::cache::{self, CertCache, Memo, SatCache, SccCache, Store};
 use crate::error::CheckError;
@@ -101,46 +101,6 @@ impl PartialEq for ModelHandle {
 }
 
 impl Eq for ModelHandle {}
-
-/// A point-in-time snapshot of a session's cache accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SessionStats {
-    /// Check requests served (successful or not).
-    pub requests: u64,
-    /// Distinct model contents parsed (cache misses on load/insert).
-    pub models_loaded: u64,
-    /// Memoized `Sat` sub-results served from the cache.
-    pub sat_cache_hits: u64,
-    /// Engine-backed subformulas computed and stored.
-    pub sat_cache_misses: u64,
-    /// Lumping certificates (or certified negative results) reused.
-    pub cert_cache_hits: u64,
-    /// Entries in the session's shared Omega-term cache.
-    pub omega_cache_entries: u64,
-    /// Cumulative Omega-term cache hits.
-    pub omega_cache_hits: u64,
-    /// SCC condensations served from the session cache instead of being
-    /// recomputed by the dataflow pre-pass.
-    pub scc_cache_hits: u64,
-}
-
-impl SessionStats {
-    /// Every counter as `(name, value)`, in field order. The server's
-    /// `stats` reply and its `metrics` exposition are both rendered from
-    /// this list, so the names are written in this one place.
-    pub fn counters(&self) -> [(&'static str, u64); 8] {
-        [
-            ("requests", self.requests),
-            (counters::MODELS_LOADED.name(), self.models_loaded),
-            (counters::SAT_CACHE_HITS.name(), self.sat_cache_hits),
-            (counters::SAT_CACHE_MISSES.name(), self.sat_cache_misses),
-            (counters::CERT_CACHE_HITS.name(), self.cert_cache_hits),
-            ("omega_cache_entries", self.omega_cache_entries),
-            (counters::OMEGA_CACHE_HITS.name(), self.omega_cache_hits),
-            ("scc_cache_hits", self.scc_cache_hits),
-        ]
-    }
-}
 
 /// What lumping analysis plus independent verification concluded for one
 /// model and one set of analysis inputs; sessions cache it, negative
@@ -243,7 +203,7 @@ fn reduction(
 
 /// A reusable checking engine with session-scoped caches; see the module
 /// docs for what is amortized and why every cache is exact.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct CheckSession {
     /// Load-once file store: digest of the four files' bytes → handle.
     by_file_digest: Store<u64, ModelHandle>,
@@ -255,6 +215,20 @@ pub struct CheckSession {
     certs: CertCache,
     omega: Arc<OmegaTermCache>,
     requests: AtomicU64,
+}
+
+impl Default for CheckSession {
+    fn default() -> Self {
+        CheckSession {
+            by_file_digest: Store::new(None, None),
+            by_content: Store::new(None, Some(MODELS_LOADED)),
+            sat_cache: Store::new(Some(SAT_CACHE_HITS), Some(SAT_CACHE_MISSES)),
+            scc: Store::new(None, None),
+            certs: Store::new(Some(CERT_CACHE_HITS), None),
+            omega: Arc::default(),
+            requests: AtomicU64::new(0),
+        }
+    }
 }
 
 impl CheckSession {
@@ -337,9 +311,16 @@ impl CheckSession {
         options: &CheckOptions,
     ) -> Result<CheckOutcome, CheckError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let result = self.check_inner(model, formula, options);
-        self.emit_counters();
-        result
+        let memo = Memo {
+            sat: &self.sat_cache,
+            scc: &self.scc,
+            certs: &self.certs,
+            model_hash: model.content_hash(),
+            options_fp: cache::options_fingerprint(options),
+        };
+        with_omega_cache(self.omega.clone(), || {
+            run_check(model.mrm(), options, formula, Some(memo))
+        })
     }
 
     /// Parse and check a formula given in concrete syntax.
@@ -358,41 +339,8 @@ impl CheckSession {
         self.check(model, &parsed, options)
     }
 
-    fn check_inner(
-        &self,
-        model: &ModelHandle,
-        formula: &StateFormula,
-        options: &CheckOptions,
-    ) -> Result<CheckOutcome, CheckError> {
-        let memo = Memo {
-            sat: &self.sat_cache,
-            scc: &self.scc,
-            certs: &self.certs,
-            model_hash: model.content_hash(),
-            options_fp: cache::options_fingerprint(options),
-        };
-        with_omega_cache(self.omega.clone(), || {
-            run_check(model.mrm(), options, formula, Some(memo))
-        })
-    }
-
-    /// Report the cumulative cache counters to the installed telemetry
-    /// recorder, if any ([`RunMetrics`](mrmc_obs::RunMetrics) merges
-    /// counters by maximum, so re-emitting totals is safe).
-    fn emit_counters(&self) {
-        let stats = self.stats();
-        for (name, value) in [
-            (counters::SAT_CACHE_HITS, stats.sat_cache_hits),
-            (counters::SAT_CACHE_MISSES, stats.sat_cache_misses),
-            (counters::CERT_CACHE_HITS, stats.cert_cache_hits),
-            (counters::MODELS_LOADED, stats.models_loaded),
-        ] {
-            mrmc_obs::record(|| Event::Counter { name, value });
-        }
-    }
-
-    /// A point-in-time snapshot of the session's cache accounting. Every
-    /// counter is monotone over the session's lifetime.
+    /// The session's lifetime counter totals. Every counter is monotone
+    /// over the session's lifetime.
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             requests: self.requests.load(Ordering::Relaxed),
@@ -625,6 +573,68 @@ mod tests {
             }
         }
         assert!(reduced > 0, "no case exercised the quotient path");
+    }
+
+    #[test]
+    fn concurrent_checks_count_only_their_own_lookups() {
+        use mrmc_obs::counters::{CERT_CACHE_HITS, SAT_CACHE_HITS, SAT_CACHE_MISSES};
+        let session = CheckSession::new();
+        let handle = session.insert(tmr(&TmrConfig::classic()));
+        let options = CheckOptions::new();
+        let before = session.stats();
+        let batches = [
+            [
+                "S(> 0.5) (allUp)",
+                "P(> 0.1) [TT U[0,1][0,10] failed]",
+                "S(> 0.5) (allUp)",
+            ],
+            [
+                "P(> 0.1) [TT U[0,1][0,10] failed]",
+                "S(> 0.9) (allUp)",
+                "S(> 0.9) (allUp)",
+            ],
+        ];
+        let snapshots: Vec<mrmc_obs::RunMetrics> = std::thread::scope(|scope| {
+            let workers: Vec<_> = batches
+                .iter()
+                .map(|batch| {
+                    let (session, handle) = (&session, &handle);
+                    scope.spawn(move || {
+                        let metrics = Arc::new(mrmc_obs::MetricsRecorder::new());
+                        mrmc_obs::with_recorder(metrics.clone(), || {
+                            for formula in batch {
+                                session.check_str(handle, formula, &options).unwrap();
+                            }
+                        });
+                        metrics.take()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let after = session.stats();
+        let count = |m: &mrmc_obs::RunMetrics, c| m.counters.get(c).copied().unwrap_or(0);
+        for m in &snapshots {
+            // Three checks, one top-level `Sat` lookup each, and the
+            // repeated formula of each batch is a hit.
+            assert_eq!(count(m, SAT_CACHE_HITS) + count(m, SAT_CACHE_MISSES), 3);
+            assert!(count(m, SAT_CACHE_HITS) >= 1, "{:?}", m.counters);
+        }
+        for (counter, total) in [
+            (SAT_CACHE_HITS, after.sat_cache_hits - before.sat_cache_hits),
+            (
+                SAT_CACHE_MISSES,
+                after.sat_cache_misses - before.sat_cache_misses,
+            ),
+            (
+                CERT_CACHE_HITS,
+                after.cert_cache_hits - before.cert_cache_hits,
+            ),
+        ] {
+            let summed: u64 = snapshots.iter().map(|m| count(m, counter)).sum();
+            assert_eq!(summed, total, "{}", counter.name());
+        }
+        assert_eq!(after.requests - before.requests, 6);
     }
 
     #[test]

@@ -382,22 +382,14 @@ fn dataflow_prepass(
         slice_states_removed: cert.slice_states_removed(),
         certificate_hash: cert.content_hash(),
     };
-    mrmc_obs::record(|| mrmc_obs::Event::Counter {
-        name: counters::SCC_COUNT,
-        value: info.scc_count as u64,
-    });
-    mrmc_obs::record(|| mrmc_obs::Event::Counter {
-        name: counters::QUAL_ZERO_STATES,
-        value: info.qual_zero_states as u64,
-    });
-    mrmc_obs::record(|| mrmc_obs::Event::Counter {
-        name: counters::QUAL_ONE_STATES,
-        value: info.qual_one_states as u64,
-    });
-    mrmc_obs::record(|| mrmc_obs::Event::Counter {
-        name: counters::SLICE_STATES_REMOVED,
-        value: info.slice_states_removed as u64,
-    });
+    for (name, value) in [
+        (counters::SCC_COUNT, info.scc_count),
+        (counters::QUAL_ZERO_STATES, info.qual_zero_states),
+        (counters::QUAL_ONE_STATES, info.qual_one_states),
+        (counters::SLICE_STATES_REMOVED, info.slice_states_removed),
+    ] {
+        mrmc_obs::count(name, value as u64);
+    }
     Some((cert, info))
 }
 

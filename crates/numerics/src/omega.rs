@@ -201,7 +201,7 @@ type TermTable = HashMap<(u64, Box<[u32]>), f64>;
 /// re-generates most of the previous round's path classes, whose Omega
 /// requests then hit the cache instead of re-running the recursion —
 /// observable as the `omega_table_requests` metric dropping round over
-/// round (and the cumulative `omega_cache_hits` counter rising).
+/// round (and the per-check `omega_cache_hits` counter rising).
 ///
 /// The store is `Mutex`-protected and meant to be shared via
 /// [`with_omega_cache`]; hit accounting is atomic and cumulative over the
@@ -320,9 +320,9 @@ pub(crate) struct TermRequest<'a> {
 /// When a term cache is installed ([`with_omega_cache`]), known `Ω` values
 /// are served from it and only the misses run the recursion — the emitted
 /// `OmegaTable` event then reports the miss count as `requests` (the table
-/// work actually performed), and a cumulative `omega_cache_hits` counter is
-/// emitted. Ω is pure, so cached runs return bit-identical terms to
-/// uncached ones.
+/// work actually performed), and the call's own hits are recorded as an
+/// `omega_cache_hits` increment. Ω is pure, so cached runs return
+/// bit-identical terms to uncached ones.
 pub(crate) fn omega_terms(
     requests: &[TermRequest<'_>],
     coefficients: Vec<f64>,
@@ -357,11 +357,11 @@ pub(crate) fn omega_terms(
         cache_entries: omega.cache_len() as u64,
         max_recursion_depth: omega.max_recursion_depth(),
     });
-    if let Some((cache, _)) = &cache {
-        mrmc_obs::record(|| mrmc_obs::Event::Counter {
-            name: mrmc_obs::counters::OMEGA_CACHE_HITS,
-            value: cache.hits(),
-        });
+    if cache.is_some() {
+        mrmc_obs::count(
+            mrmc_obs::counters::OMEGA_CACHE_HITS,
+            requests.len() as u64 - misses,
+        );
     }
     Ok(requests
         .iter()

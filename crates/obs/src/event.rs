@@ -157,12 +157,12 @@ pub enum Event {
         /// nesting tree from a flat close-ordered event stream.
         end_s: f64,
     },
-    /// A named monotone counter; sinks merge repeated observations by
-    /// maximum, so emitting a stale (smaller) value is harmless.
+    /// An increment of a registered per-check counter: the work of the
+    /// emitting site alone. Sinks sum repeated observations.
     Counter {
         /// Which registered counter.
         name: &'static Counter,
-        /// Observed value.
+        /// The increment.
         value: u64,
     },
     /// End-of-run marker: the final event of a CLI trace.

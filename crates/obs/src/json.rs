@@ -27,20 +27,24 @@ pub fn push_f64(out: &mut String, v: f64) {
 /// Append `s` as a JSON string literal.
 pub fn push_str(out: &mut String, s: &str) {
     out.push('"');
+    push_escaped(out, s);
+    out.push('"');
+}
+
+/// Append the body of a JSON string literal for `s`, without the quotes:
+/// `"` and `\\` are backslash-escaped and every control character is
+/// written as `\\u00XX` (so a newline becomes `\\u000a`).
+pub fn push_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
                 write!(out, "\\u{:04x}", c as u32).unwrap();
             }
             c => out.push(c),
         }
     }
-    out.push('"');
 }
 
 /// A parsed JSON value.
@@ -119,26 +123,11 @@ impl Value {
             Value::Num(v) => {
                 if v.fract() == 0.0 && v.abs() <= 2f64.powi(53) {
                     write!(out, "{}", *v as i64).unwrap();
-                } else if v.is_finite() {
-                    write!(out, "{v:e}").unwrap();
                 } else {
-                    out.push_str("null");
+                    push_f64(out, *v);
                 }
             }
-            Value::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        c if (c as u32) < 0x20 => {
-                            write!(out, "\\u{:04x}", c as u32).unwrap();
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Value::Str(s) => push_str(out, s),
             Value::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -438,8 +427,9 @@ mod tests {
     #[test]
     fn strings_escape_specials() {
         let mut s = String::new();
-        push_str(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
+        push_str(&mut s, "a\"b\\c\nd\u{1}\t");
+        assert_eq!(s, "\"a\\\"b\\\\c\\u000ad\\u0001\\u0009\"");
+        assert_eq!(parse(&s).unwrap(), Value::Str("a\"b\\c\nd\u{1}\t".into()));
     }
 
     #[test]

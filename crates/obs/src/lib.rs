@@ -36,30 +36,32 @@
 //! ```
 //! use std::sync::Arc;
 //! use mrmc_obs::counters::SCC_COUNT;
-//! use mrmc_obs::{record, with_recorder, Event, MetricsRecorder};
+//! use mrmc_obs::{count, record, with_recorder, Event, MetricsRecorder};
 //!
 //! let metrics = Arc::new(MetricsRecorder::new());
 //! with_recorder(metrics.clone(), || {
 //!     record(|| Event::Counter { name: SCC_COUNT, value: 3 });
+//!     count(SCC_COUNT, 1);
 //! });
-//! assert_eq!(metrics.snapshot().counters[SCC_COUNT], 3);
+//! assert_eq!(metrics.snapshot().counters[SCC_COUNT], 4);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod counters;
 mod event;
 pub mod hist;
 pub mod json;
 mod metrics;
 mod profile;
+mod registry;
 mod sinks;
 
 pub use event::{Event, EVENT_KINDS};
 pub use hist::Histogram;
-pub use metrics::{MetricsRecorder, RunMetrics};
+pub use metrics::MetricsRecorder;
 pub use profile::{ProfileNode, ProfileRecorder, ProfileReport};
+pub use registry::{counters, RunMetrics, SessionStats};
 pub use sinks::{JsonlTraceRecorder, MultiRecorder, NullRecorder, ProgressRecorder};
 
 use std::cell::{Cell, RefCell};
@@ -141,6 +143,11 @@ pub fn record(make: impl FnOnce() -> Event) {
             rec.record(&event);
         }
     });
+}
+
+/// Record an increment of `value` on the per-check counter `name`.
+pub fn count(name: &'static counters::Counter, value: u64) {
+    record(|| Event::Counter { name, value });
 }
 
 /// Ask the installed recorder to flush buffered output.
@@ -250,7 +257,7 @@ mod tests {
             });
         });
         assert!(!enabled(), "recorder leaked past its scope");
-        assert_eq!(outer.snapshot().counters[SAT_CACHE_HITS], 2);
+        assert_eq!(outer.snapshot().counters[SAT_CACHE_HITS], 3);
         assert!(!outer.snapshot().counters.contains_key(SAT_CACHE_MISSES));
         assert_eq!(inner.snapshot().counters[SAT_CACHE_MISSES], 1);
     }

@@ -74,8 +74,8 @@
 //!
 //! Checking runs on a [`CheckSession`], so a multi-formula batch shares
 //! memoized `Sat` sub-results, lumping certificates, and Omega tables
-//! across formulas — `--metrics` surfaces the `sat_cache_hits` /
-//! `sat_cache_misses` counters.
+//! across formulas — `--metrics` shows each formula's own
+//! `sat_cache_hits` / `sat_cache_misses` increments.
 //!
 //! Two further subcommands expose the checker as a service (see the
 //! `mrmc-server` crate docs for the JSONL wire protocol):
@@ -565,8 +565,8 @@ fn timing_prefix(elapsed_s: f64, snapshot: Option<&RunMetrics>) -> String {
 /// Runs under whatever recorder the caller installed; per-formula metrics
 /// are scoped by draining `metrics` (when `--metrics` was given) after
 /// each check. Because the whole batch shares the session, repeated (sub-)
-/// formulas are served from its caches — visible as `sat_cache_hits` in
-/// the metrics. Ends by emitting the `run_summary` event and flushing the
+/// formulas are served from its caches — visible as that formula's own
+/// `sat_cache_hits` in the metrics. Ends by emitting the `run_summary` event and flushing the
 /// sinks, so a `--trace` file always terminates with that line.
 fn check_formulas(
     cli: &Cli,

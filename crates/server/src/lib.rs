@@ -29,9 +29,9 @@
 //!   Responses arrive in *completion* order — use `"id"` to correlate.
 //!   `options` accepts `engine` (`"u=1e-8"` / `"d=0.05"` / `"s=10000"`),
 //!   `tolerance`, `no_reduction`, and `metrics` (embed the per-request
-//!   metrics object).
+//!   metrics object, whose counters are this check's own increments).
 //! * `{"stats": true}` — answered in line order with the session's
-//!   cumulative cache counters (`sat_cache_hits`, `sat_cache_misses`,
+//!   lifetime cache counters (`sat_cache_hits`, `sat_cache_misses`,
 //!   `cert_cache_hits`, `models_loaded`, `omega_cache_hits`, …), each
 //!   monotone over the server's lifetime, followed by the latency
 //!   observability fields: `uptime_s`, `sat_hit_ratio`, and a `latency`
@@ -70,8 +70,6 @@
     clippy::unreachable
 )]
 
-pub mod json;
-
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -83,9 +81,8 @@ use mrmc::report;
 use mrmc::{
     CheckError, CheckOptions, CheckSession, ModelHandle, Reduction, SessionStats, UntilEngine,
 };
+use mrmc_obs::json::{self, Value};
 use mrmc_obs::{Histogram, MetricsRecorder, Recorder};
-
-use json::Value;
 
 /// How many checks may run concurrently across all connections, and when
 /// a request counts as slow.

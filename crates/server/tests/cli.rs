@@ -447,26 +447,26 @@ fn profile_flag_writes_flame_table_and_json_tree() {
     // child total exceed its parent.
     let text = std::fs::read_to_string(&profile_path).expect("profile written");
     assert!(text.starts_with("{\"total_s\":"), "{text}");
-    let doc = mrmc_server::json::parse(&text).expect("profile JSON parses");
-    fn check_nodes(nodes: &[mrmc_server::json::Value]) {
+    let doc = mrmc_obs::json::parse(&text).expect("profile JSON parses");
+    fn check_nodes(nodes: &[mrmc_obs::json::Value]) {
         for node in nodes {
             let total = node
                 .get("total_s")
-                .and_then(mrmc_server::json::Value::as_f64)
+                .and_then(mrmc_obs::json::Value::as_f64)
                 .expect("total_s");
             let self_s = node
                 .get("self_s")
-                .and_then(mrmc_server::json::Value::as_f64)
+                .and_then(mrmc_obs::json::Value::as_f64)
                 .expect("self_s");
             assert!(self_s >= 0.0 && self_s <= total + 1e-9);
-            let Some(mrmc_server::json::Value::Arr(children)) = node.get("children") else {
+            let Some(mrmc_obs::json::Value::Arr(children)) = node.get("children") else {
                 panic!("no children array");
             };
             let child_total: f64 = children
                 .iter()
                 .map(|c| {
                     c.get("total_s")
-                        .and_then(mrmc_server::json::Value::as_f64)
+                        .and_then(mrmc_obs::json::Value::as_f64)
                         .unwrap()
                 })
                 .sum();
@@ -474,7 +474,7 @@ fn profile_flag_writes_flame_table_and_json_tree() {
             check_nodes(children);
         }
     }
-    let Some(mrmc_server::json::Value::Arr(spans)) = doc.get("spans") else {
+    let Some(mrmc_obs::json::Value::Arr(spans)) = doc.get("spans") else {
         panic!("no spans array: {text}");
     };
     assert!(!spans.is_empty(), "empty span tree: {text}");
@@ -483,7 +483,7 @@ fn profile_flag_writes_flame_table_and_json_tree() {
         doc.get("histograms")
             .and_then(|h| h.get("engine"))
             .and_then(|h| h.get("count"))
-            .and_then(mrmc_server::json::Value::as_u64)
+            .and_then(mrmc_obs::json::Value::as_u64)
             .is_some_and(|n| n >= 2),
         "engine histogram missing: {text}"
     );
@@ -785,6 +785,40 @@ fn metrics_flag_reports_run_metrics() {
     };
     assert_eq!(prob_lines(&plain), prob_lines(&stdout));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn metrics_counters_count_each_formulas_own_lookups() {
+    let model = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/models/tmr");
+    let files = ["tra", "lab", "rewr", "rewi"].map(|ext| format!("{model}.{ext}"));
+    let formulas = "P(> 0.1) [Sup U[0,2][0,10] down]\n\
+                    P(> 0.1) [Sup U[0,2][0,10] down]\n\
+                    S(> 0.9) (Sup)\n\
+                    S(> 0.9) (Sup)\n";
+    let mut args: Vec<&str> = files.iter().map(String::as_str).collect();
+    args.extend(["--json", "--metrics"]);
+    let (stdout, stderr, ok) = run_mrmc(&args, formulas);
+    assert!(ok, "{stderr}");
+    let per_formula: Vec<(u64, u64)> = stdout
+        .lines()
+        .map(|line| {
+            let doc = mrmc_obs::json::parse(line).expect("JSON line");
+            let counters = doc
+                .get("metrics")
+                .and_then(|m| m.get("counters"))
+                .unwrap_or_else(|| panic!("no counters in {line}"));
+            // The model was loaded before the first formula.
+            assert!(counters.get("models_loaded").is_none(), "{line}");
+            let count = |key| {
+                counters
+                    .get(key)
+                    .and_then(mrmc_obs::json::Value::as_u64)
+                    .unwrap_or(0)
+            };
+            (count("sat_cache_hits"), count("sat_cache_misses"))
+        })
+        .collect();
+    assert_eq!(per_formula, [(0, 1), (1, 0), (0, 1), (1, 0)], "{stdout}");
 }
 
 #[test]

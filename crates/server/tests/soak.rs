@@ -20,7 +20,8 @@ use std::net::TcpStream;
 use std::path::Path;
 
 use mrmc_models::tmr::{tmr, TmrConfig};
-use mrmc_server::{json, Server, ServerConfig};
+use mrmc_obs::json;
+use mrmc_server::{Server, ServerConfig};
 
 const CLIENTS: usize = 4;
 const ROUNDS: usize = 3;

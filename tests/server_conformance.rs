@@ -17,7 +17,8 @@ use std::net::TcpStream;
 use mrmc::report::json_outcome;
 use mrmc::{CheckOptions, CheckOutcome, CheckSession, ModelChecker};
 use mrmc_mrm::Mrm;
-use mrmc_server::{json, Server, ServerConfig};
+use mrmc_obs::json;
+use mrmc_server::{Server, ServerConfig};
 
 use mrmc_models::cluster::{cluster, ClusterConfig};
 use mrmc_models::random::{random_mrm, RandomMrmConfig};
