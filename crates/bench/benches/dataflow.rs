@@ -7,8 +7,9 @@
 //!
 //! * `tmr_gs_tt_u_failed` / `cluster4_gs_tt_u_down` — unbounded untils on
 //!   irreducible repair models, where Prob1 proves *every* state
-//!   certain-one and the Gauss–Seidel solve (`solver_iterations`)
-//!   disappears entirely;
+//!   certain-one and the Eq. 3.8 linear solve (`solver_solves`)
+//!   disappears entirely (the ids keep the name of the Gauss–Seidel
+//!   solve the unsliced run used before the direct solver replaced it);
 //! * `cluster4_grid_premium_u_down` — a time/reward-bounded until whose
 //!   invariant cannot hold all the way to the goal (premium service never
 //!   degrades straight to `down`), so Prob0 marks every `premium` start
@@ -31,11 +32,6 @@ use mrmc_mrm::Mrm;
 fn cases() -> Vec<(&'static str, Mrm, &'static str, CheckOptions)> {
     let tmr = tmr(&TmrConfig::classic());
     let cluster = cluster(&ClusterConfig::new(4));
-    // The cluster's repair/failure rate ratio makes the unbounded solve
-    // stiff; a realistic solver tolerance keeps the unsliced baseline
-    // convergent within its sweep cap.
-    let mut stiff = CheckOptions::new();
-    stiff.solver = stiff.solver.with_tolerance(1e-5);
     vec![
         (
             "tmr_gs_tt_u_failed",
@@ -47,7 +43,7 @@ fn cases() -> Vec<(&'static str, Mrm, &'static str, CheckOptions)> {
             "cluster4_gs_tt_u_down",
             cluster.clone(),
             "P(> 0.1) [TT U down]",
-            stiff,
+            CheckOptions::new(),
         ),
         (
             "cluster4_grid_premium_u_down",

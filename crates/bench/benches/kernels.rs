@@ -1,6 +1,7 @@
 //! Scaling benches for the numerical kernels underneath the engines:
 //! Poisson layers, the Omega recursion, sparse matrix–vector products,
-//! BSCC decomposition, and whole-engine scaling on the breakdown queue.
+//! BSCC decomposition, the Eq. 3.8 solvers and the choice between them,
+//! and whole-engine scaling on the breakdown queue.
 //!
 //! All benchmarks share the single group `kernels`, so one snapshot file
 //! (`BENCH_kernels.json` at the repository root) captures the whole kernel
@@ -138,8 +139,8 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    // The unbounded-reachability Gauss–Seidel solve on the largest cluster
-    // instance.
+    // Gauss–Seidel on the unbounded-reachability system of the largest
+    // cluster instance above: the iterative fallback of Eq. 3.8.
     group.sample_size(10);
     {
         let m = cluster(&ClusterConfig::new(8));
@@ -149,17 +150,86 @@ fn bench(c: &mut Criterion) {
         // matrix a strict contraction.
         let phi = m.labeling().states_with("backbone_up");
         let psi = m.labeling().states_with("down");
+        let system = mrmc_ctmc::reach::until_system(embedded.probabilities(), &phi, &psi).unwrap();
+        let start = vec![0.0; system.states.len()];
         group.bench_with_input(BenchmarkId::new("solver/plain_gs", 1usize), &(), |b, _| {
             b.iter(|| {
-                mrmc_ctmc::reach::until_unbounded(
-                    embedded.probabilities(),
-                    &phi,
-                    &psi,
+                mrmc_sparse::solver::gauss_seidel(
+                    &system.matrix,
+                    &system.rhs,
+                    &start,
                     mrmc_sparse::solver::SolverOptions::new().with_tolerance(1e-9),
                 )
                 .unwrap()
             });
         });
+    }
+
+    // The direct Eq. 3.8 solve (banded LU plus its error certificate),
+    // end to end from the embedded DTMC, for `minimum U !backbone_up` —
+    // one of the cluster-analysis benchmark's unbounded untils.
+    for n in [2usize, 8, 32] {
+        let m = cluster(&ClusterConfig::new(n));
+        let embedded = m.ctmc().embedded_dtmc();
+        let phi = m.labeling().states_with("minimum");
+        let psi: Vec<bool> = m
+            .labeling()
+            .states_with("backbone_up")
+            .into_iter()
+            .map(|up| !up)
+            .collect();
+        group.bench_with_input(
+            BenchmarkId::new("solver/reach_direct", m.num_states()),
+            &(),
+            |b, _| {
+                b.iter(|| {
+                    mrmc_ctmc::reach::until_unbounded_certified(
+                        embedded.probabilities(),
+                        &phi,
+                        &psi,
+                        &psi,
+                        mrmc_sparse::solver::SolverOptions::new(),
+                    )
+                    .unwrap()
+                });
+            },
+        );
+    }
+
+    // The choice between the two Eq. 3.8 solvers, on seeded random chains
+    // either side of `reach::DIRECT_WORK_PER_NONZERO`: the 250-state
+    // system's elimination takes about 5·10³ steps per nonzero and is
+    // solved directly, the 600-state one's about 2.4·10⁴, and Gauss–Seidel
+    // solves it (`solver_iterations` tells the two apart).
+    for states in [250usize, 600] {
+        let cfg = RandomMrmConfig {
+            states,
+            extra_transitions_per_state: 2.0,
+            max_rate: 4.0,
+            reward_levels: vec![0.0],
+            impulse_levels: vec![0.0],
+            goal_fraction: 0.05,
+        };
+        let m = random_mrm(0, &cfg);
+        let embedded = m.ctmc().embedded_dtmc();
+        let phi = vec![true; states];
+        let psi = m.labeling().states_with("goal");
+        group.bench_with_input(
+            BenchmarkId::new("solver/reach_random", states),
+            &(),
+            |b, _| {
+                b.iter(|| {
+                    mrmc_ctmc::reach::until_unbounded_certified(
+                        embedded.probabilities(),
+                        &phi,
+                        &psi,
+                        &psi,
+                        mrmc_sparse::solver::SolverOptions::new(),
+                    )
+                    .unwrap()
+                });
+            },
+        );
     }
 
     group.finish();

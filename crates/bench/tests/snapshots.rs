@@ -110,7 +110,7 @@ fn adaptive_snapshots_carry_omega_work_counters() {
 }
 
 /// The sliced half of the dataflow pair must carry the pre-pass
-/// counters that justify its smaller solver_iterations numbers.
+/// counters that justify its smaller solver counts.
 #[test]
 fn dataflow_snapshot_carries_qualitative_prepass_counters() {
     let doc = load("BENCH_dataflow.json");

@@ -66,7 +66,9 @@ pub enum Reduction {
 pub struct CheckOptions {
     /// Engine for reward-bounded until formulas.
     pub until_engine: UntilEngine,
-    /// Linear-solver controls for steady-state and unbounded reachability.
+    /// Gauss–Seidel controls: the steady-state solves, and unbounded
+    /// reachability only where its Eq. 3.8 system is too wide for the
+    /// direct solver (whose result does not depend on these).
     pub solver: SolverOptions,
     /// Truncation error for the Fox–Glynn baseline used on until formulas
     /// without reward bounds.

@@ -2,6 +2,7 @@
 
 use mrmc_mrm::Partition;
 use mrmc_numerics::ErrorBudget;
+use mrmc_obs::counters::{self, Counter};
 
 /// How the state space was reduced before checking (see
 /// [`Reduction`](crate::Reduction)).
@@ -33,6 +34,19 @@ pub struct DataflowInfo {
     pub slice_states_removed: usize,
     /// Content hash of the independently re-verified certificate.
     pub certificate_hash: u64,
+}
+
+impl DataflowInfo {
+    /// The four counts paired with their registered counter names, in
+    /// the order the pre-pass emits them and `--json` prints them.
+    pub fn counts(&self) -> [(&'static Counter, usize); 4] {
+        [
+            (counters::SCC_COUNT, self.scc_count),
+            (counters::QUAL_ZERO_STATES, self.qual_zero_states),
+            (counters::QUAL_ONE_STATES, self.qual_one_states),
+            (counters::SLICE_STATES_REMOVED, self.slice_states_removed),
+        ]
+    }
 }
 
 /// A bound-aware, three-valued verdict for one state.

@@ -12,6 +12,8 @@
 //! in the `{:e}` scientific form (`null` when non-finite, which JSON
 //! cannot represent).
 
+use std::fmt::Write as _;
+
 use mrmc_obs::json::{push_escaped, push_f64};
 use mrmc_obs::RunMetrics;
 
@@ -80,13 +82,12 @@ pub fn json_outcome(formula: &str, outcome: &CheckOutcome, metrics: Option<&RunM
         ));
     }
     if let Some(d) = outcome.dataflow() {
+        out.push_str(",\"dataflow\":{");
+        for (counter, value) in d.counts() {
+            out.push_str(&format!("\"{}\":{value},", counter.name()));
+        }
         out.push_str(&format!(
-            ",\"dataflow\":{{\"scc_count\":{},\"qual_zero_states\":{},\"qual_one_states\":{},\
-             \"slice_states_removed\":{},\"certificate_hash\":\"{:016x}\"}}",
-            d.scc_count,
-            d.qual_zero_states,
-            d.qual_one_states,
-            d.slice_states_removed,
+            "\"certificate_hash\":\"{:016x}\"}}",
             d.certificate_hash
         ));
     }
@@ -96,26 +97,33 @@ pub fn json_outcome(formula: &str, outcome: &CheckOutcome, metrics: Option<&RunM
             if s > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"state\":{},\"probability\":{},\"verdict\":\"{}\"",
-                s + 1,
-                json_f64(p),
-                verdict_name(outcome.verdict(s)),
-            ));
+            // Written in place: a budgeted reply renders eight numbers
+            // per state, and a `String` per number would dominate it.
+            write!(out, "{{\"state\":{},\"probability\":", s + 1)
+                .expect("writing to a String cannot fail");
+            push_f64(&mut out, p);
+            out.push_str(",\"verdict\":\"");
+            out.push_str(verdict_name(outcome.verdict(s)));
+            out.push('"');
             if let Some(errs) = outcome.error_bounds() {
-                out.push_str(&format!(",\"error_bound\":{}", json_f64(errs[s])));
+                out.push_str(",\"error_bound\":");
+                push_f64(&mut out, errs[s]);
             }
             if let Some(budgets) = outcome.budgets() {
                 let b = &budgets[s];
                 out.push_str(",\"budget\":{");
                 for (name, value) in b.components() {
-                    out.push_str(&format!("\"{name}\":{},", json_f64(value)));
+                    out.push('"');
+                    out.push_str(name);
+                    out.push_str("\":");
+                    push_f64(&mut out, value);
+                    out.push(',');
                 }
-                out.push_str(&format!(
-                    "\"total\":{},\"dominant\":\"{}\"}}",
-                    json_f64(b.total()),
-                    b.dominant().0
-                ));
+                out.push_str("\"total\":");
+                push_f64(&mut out, b.total());
+                out.push_str(",\"dominant\":\"");
+                out.push_str(b.dominant().0);
+                out.push_str("\"}");
             }
             out.push('}');
         }

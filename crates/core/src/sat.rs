@@ -38,9 +38,48 @@ use crate::until::until_probabilities;
 pub(crate) struct Extras {
     pub(crate) probabilities: Vec<f64>,
     pub(crate) error_bounds: Option<Vec<f64>>,
-    pub(crate) budgets: Option<Vec<ErrorBudget>>,
+    pub(crate) budgets: Option<BudgetColumns>,
     pub(crate) engine: &'static str,
     pub(crate) dataflow: Option<DataflowInfo>,
+}
+
+/// Per-state error budgets as the session memo keeps them: one column per
+/// component that is not `+0.0` in every state. An operator's budget
+/// usually has one or two such components (unbounded until only
+/// `float_accumulation`, the time-bounded baseline only `poisson_tail`),
+/// so a memo entry takes 8–16 bytes per state where `Vec<ErrorBudget>`
+/// takes 48. The round trip is bit-exact.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct BudgetColumns {
+    states: usize,
+    columns: [Option<Vec<f64>>; 6],
+}
+
+impl BudgetColumns {
+    fn new(budgets: Vec<ErrorBudget>) -> Self {
+        let columns = std::array::from_fn(|c| {
+            let column: Vec<f64> = budgets.iter().map(|b| b.components()[c].1).collect();
+            column.iter().any(|v| v.to_bits() != 0).then_some(column)
+        });
+        BudgetColumns {
+            states: budgets.len(),
+            columns,
+        }
+    }
+
+    fn to_vec(&self) -> Vec<ErrorBudget> {
+        let at = |c: usize, s: usize| self.columns[c].as_ref().map_or(0.0, |column| column[s]);
+        (0..self.states)
+            .map(|s| ErrorBudget {
+                path_truncation: at(0, s),
+                poisson_tail: at(1, s),
+                float_accumulation: at(2, s),
+                discretization: at(3, s),
+                statistical: at(4, s),
+                propagation: at(5, s),
+            })
+            .collect()
+    }
 }
 
 /// One `Sat(Φ)` run: the model it checks, the options, and — inside a
@@ -138,7 +177,7 @@ impl Ctx<'_> {
                 unknown,
                 e.probabilities,
                 e.error_bounds,
-                e.budgets,
+                e.budgets.map(|b| b.to_vec()),
                 e.engine,
                 e.dataflow,
             ),
@@ -242,7 +281,7 @@ impl Ctx<'_> {
                     Some(Extras {
                         probabilities,
                         error_bounds: None,
-                        budgets,
+                        budgets: budgets.map(BudgetColumns::new),
                         engine: "steady",
                         dataflow: None,
                     }),
@@ -270,7 +309,7 @@ impl Ctx<'_> {
                         Some(Extras {
                             probabilities,
                             error_bounds: None,
-                            budgets,
+                            budgets: budgets.map(BudgetColumns::new),
                             engine: "next",
                             dataflow: None,
                         }),
@@ -325,7 +364,7 @@ impl Ctx<'_> {
                         Some(Extras {
                             probabilities,
                             error_bounds,
-                            budgets,
+                            budgets: budgets.map(BudgetColumns::new),
                             engine,
                             dataflow,
                         }),
@@ -342,6 +381,29 @@ mod tests {
     use crate::outcome::Verdict;
     use crate::{ModelChecker, UntilEngine};
     use mrmc_ctmc::CtmcBuilder;
+
+    #[test]
+    fn budget_columns_round_trip_bit_for_bit() {
+        let budgets = vec![
+            ErrorBudget::from_float_accumulation(3e-13),
+            ErrorBudget::zero(),
+            ErrorBudget {
+                path_truncation: 1e-9,
+                propagation: -0.0,
+                ..ErrorBudget::from_poisson_tail(2e-10)
+            },
+        ];
+        let columns = BudgetColumns::new(budgets.clone());
+        // Statistical and discretization are +0.0 everywhere: not stored.
+        assert_eq!(columns.columns.iter().flatten().count(), 4);
+        let bits = |v: &[ErrorBudget]| {
+            v.iter()
+                .flat_map(|b| b.components().map(|(_, x)| x.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&columns.to_vec()), bits(&budgets));
+        assert!(BudgetColumns::new(Vec::new()).to_vec().is_empty());
+    }
 
     fn wavelan() -> Mrm {
         let mut b = CtmcBuilder::new(5);

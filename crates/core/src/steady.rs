@@ -19,9 +19,7 @@ pub fn steady_probabilities(
 ) -> Result<Vec<f64>, CheckError> {
     let _span = mrmc_obs::span("steady/solve");
     let analysis = SteadyStateAnalysis::new(mrm.ctmc(), options.solver)?;
-    Ok((0..mrm.num_states())
-        .map(|s| analysis.probability_from(s, phi))
-        .collect())
+    Ok(analysis.probabilities(phi))
 }
 
 #[cfg(test)]

@@ -21,7 +21,6 @@ use mrmc_analysis::dataflow as qual;
 use mrmc_csrl::Interval;
 use mrmc_ctmc::reach;
 use mrmc_numerics::{adaptive, baseline, discretization, monte_carlo, uniformization, ErrorBudget};
-use mrmc_obs::counters;
 
 use crate::cache;
 use crate::error::CheckError;
@@ -39,10 +38,11 @@ pub(crate) struct UntilAnalysis {
     /// engine-native meaning (Eq. 4.6 truncation mass / standard error);
     /// the full decomposition lives in [`budgets`](UntilAnalysis::budgets).
     pub(crate) error_bounds: Option<Vec<f64>>,
-    /// Per-state error budgets: `None` only for the property classes
-    /// solved exactly (to solver tolerance) — unbounded until over the
-    /// embedded DTMC. Statistical components hold at the simulation
-    /// confidence level rather than with certainty.
+    /// Per-state error budgets: `None` only where a Gauss–Seidel solve
+    /// stopped at its update tolerance, which bounds nothing — the
+    /// `[t1, ∞)` window, and unbounded until when its system is too wide
+    /// for the direct solver. Statistical components hold at the
+    /// simulation confidence level rather than with certainty.
     pub(crate) budgets: Option<Vec<ErrorBudget>>,
     /// The engine that actually ran, which the bound shape can override
     /// away from the configured [`UntilEngine`](crate::UntilEngine):
@@ -106,9 +106,9 @@ pub(crate) fn until_probabilities(
                 });
             }
             // Φ U^{[t1,∞)} Ψ: unbounded reachability as phase 2, the
-            // Φ-constrained backward transient as phase 1. The solver
-            // phase is exact to its own convergence tolerance, outside
-            // the budget system — no budget is claimed.
+            // Φ-constrained backward transient as phase 1. Phase 2's
+            // bound is not carried through phase 1 — no budget is
+            // claimed.
             let _span = mrmc_obs::span("until/baseline");
             let embedded = mrm.ctmc().embedded_dtmc();
             let mut u = reach::until_unbounded(embedded.probabilities(), phi, psi, options.solver)?;
@@ -174,8 +174,10 @@ pub(crate) fn until_probabilities(
     }
 
     match (time.is_upper_unbounded(), reward.is_upper_unbounded()) {
-        // P0: Φ U Ψ — unbounded reachability over the embedded DTMC,
-        // exact to the solver's convergence tolerance (no budget).
+        // P0: Φ U Ψ — unbounded reachability over the embedded DTMC. The
+        // direct solve certifies a rounding-error bound per state, which
+        // becomes the float-accumulation budget; the Gauss–Seidel fallback
+        // for systems too wide to factor bounds nothing (no budget).
         (true, true) => {
             let _span = mrmc_obs::span("until/reachability");
             let df = dataflow_prepass(ctx, phi, psi, true);
@@ -185,20 +187,23 @@ pub(crate) fn until_probabilities(
             // the linear system covers only the undetermined block. With
             // nothing pruned the sure set *is* Ψ and the run is bitwise
             // identical to an unsliced one.
-            let probabilities = match &df {
-                Some((cert, _)) => reach::until_unbounded_with(
-                    embedded.probabilities(),
-                    phi,
-                    psi,
-                    &cert.one,
-                    options.solver,
-                )?,
-                None => reach::until_unbounded(embedded.probabilities(), phi, psi, options.solver)?,
-            };
+            let one = df.as_ref().map_or(psi, |(cert, _)| &cert.one);
+            let reach = reach::until_unbounded_certified(
+                embedded.probabilities(),
+                phi,
+                psi,
+                one,
+                options.solver,
+            )?;
             Ok(UntilAnalysis {
-                probabilities,
+                probabilities: reach.probabilities,
                 error_bounds: None,
-                budgets: None,
+                budgets: reach.error_bounds.map(|bounds| {
+                    bounds
+                        .into_iter()
+                        .map(ErrorBudget::from_float_accumulation)
+                        .collect()
+                }),
                 engine: "reachability",
                 dataflow: df.map(|(_, info)| info),
             })
@@ -382,12 +387,7 @@ fn dataflow_prepass(
         slice_states_removed: cert.slice_states_removed(),
         certificate_hash: cert.content_hash(),
     };
-    for (name, value) in [
-        (counters::SCC_COUNT, info.scc_count),
-        (counters::QUAL_ZERO_STATES, info.qual_zero_states),
-        (counters::QUAL_ONE_STATES, info.qual_one_states),
-        (counters::SLICE_STATES_REMOVED, info.slice_states_removed),
-    ] {
+    for (name, value) in info.counts() {
         mrmc_obs::count(name, value as u64);
     }
     Some((cert, info))

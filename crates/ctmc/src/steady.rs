@@ -167,17 +167,45 @@ impl SteadyStateAnalysis {
     pub fn probability_from(&self, from: usize, target: &[bool]) -> f64 {
         assert!(from < self.num_states, "state out of bounds");
         assert_eq!(target.len(), self.num_states, "target length mismatch");
+        self.weigh(from, &self.target_masses(target))
+    }
+
+    /// [`probability_from`](Self::probability_from) for every start state,
+    /// bit for bit, in one pass: each BSCC's target mass is summed once
+    /// instead of once per state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target.len()` is not the number of states.
+    pub fn probabilities(&self, target: &[bool]) -> Vec<f64> {
+        assert_eq!(target.len(), self.num_states, "target length mismatch");
+        let masses = self.target_masses(target);
+        (0..self.num_states)
+            .map(|from| self.weigh(from, &masses))
+            .collect()
+    }
+
+    /// Per BSCC, `Σ_{s' ∈ B ∩ target} π^B(s')`.
+    fn target_masses(&self, target: &[bool]) -> Vec<f64> {
+        self.bsccs
+            .iter()
+            .map(|info| {
+                info.states
+                    .iter()
+                    .zip(&info.distribution)
+                    .filter(|(&s, _)| target[s])
+                    .map(|(_, &p)| p)
+                    .sum()
+            })
+            .collect()
+    }
+
+    /// `Σ_B P(from, ◇B) · masses[B]`, clamped to `[0, 1]`.
+    fn weigh(&self, from: usize, masses: &[f64]) -> f64 {
         let mut total = 0.0;
-        for (b, info) in self.bsccs.iter().enumerate() {
-            let inside: f64 = info
-                .states
-                .iter()
-                .zip(&info.distribution)
-                .filter(|(&s, _)| target[s])
-                .map(|(_, &p)| p)
-                .sum();
-            if inside > 0.0 {
-                total += self.reach[b][from] * inside;
+        for (reach, &mass) in self.reach.iter().zip(masses) {
+            if mass > 0.0 {
+                total += reach[from] * mass;
             }
         }
         total.clamp(0.0, 1.0)
@@ -259,6 +287,52 @@ mod tests {
         let idx_s4 = info.states.iter().position(|&s| s == 3).unwrap();
         assert!((info.distribution[idx_s4] - 2.0 / 3.0).abs() < 1e-9);
         assert!((analysis.reach[b1][0] - 4.0 / 7.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn probabilities_match_probability_from_bitwise() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let check = |c: &Ctmc, target: &[bool]| {
+            let analysis = SteadyStateAnalysis::new(c, SolverOptions::new()).unwrap();
+            let one_by_one: Vec<f64> = (0..c.num_states())
+                .map(|s| analysis.probability_from(s, target))
+                .collect();
+            assert_eq!(bits(&analysis.probabilities(target)), bits(&one_by_one));
+        };
+        // Figure 3.2.
+        let mut b = CtmcBuilder::new(5);
+        b.transition(0, 1, 2.0).transition(0, 4, 1.0);
+        b.transition(1, 0, 1.0).transition(1, 2, 2.0);
+        b.transition(2, 3, 2.0);
+        b.transition(3, 2, 1.0);
+        let fig = b.build().unwrap();
+        check(&fig, &[false, false, false, true, false]);
+        check(&fig, &[true, false, true, true, true]);
+        // Seeded reducible chains: a random transient part draining into
+        // several random closed classes.
+        let mut rng = mrmc_sparse::rng::Xoshiro256StarStar::seed_from_u64(0x57EAD);
+        for _ in 0..20 {
+            let n = 12 + rng.range_usize(20);
+            let closed = 4 + rng.range_usize(n / 2);
+            let mut b = CtmcBuilder::new(n);
+            for s in 0..n {
+                for _ in 0..3 {
+                    // Closed states only move among the closed block's
+                    // classes of three; transient ones go anywhere.
+                    let t = if s < closed {
+                        (s / 3) * 3 + rng.range_usize(3.min(closed - (s / 3) * 3))
+                    } else {
+                        rng.range_usize(n)
+                    };
+                    if t != s {
+                        b.transition(s, t, rng.range_f64(0.1, 5.0));
+                    }
+                }
+            }
+            let c = b.build().unwrap();
+            let target: Vec<bool> = (0..n).map(|_| rng.range_usize(3) == 0).collect();
+            check(&c, &target);
+        }
     }
 
     #[test]

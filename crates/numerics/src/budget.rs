@@ -21,7 +21,7 @@
 //! |---|---|---|
 //! | [`path_truncation`](ErrorBudget::path_truncation) | Eq. 4.6: mass of the discarded path prefixes, each weighted by the Poisson upper tail `Pr{N ≥ n}` of its depth — this *includes* the Poisson right-tail mass of every pruned suffix, so the uniformization engine has no separate tail term | uniformization |
 //! | [`poisson_tail`](ErrorBudget::poisson_tail) | the left/right window truncation of the Fox–Glynn weights ([`poisson::FoxGlynn`](mrmc_ctmc::poisson::FoxGlynn)) used by the reward-free baseline (`transient_epsilon`) | baseline (P1) |
-//! | [`float_accumulation`](ErrorBudget::float_accumulation) | floating-point error of the Omega recursion (Algorithm 4.8) and the Eq. 4.5 fold: per term a first-order `(n + K)·ε` model on the compensated sums, plus the relative error of the log-space Poisson pmf | uniformization, discretization |
+//! | [`float_accumulation`](ErrorBudget::float_accumulation) | floating-point error of the Omega recursion (Algorithm 4.8) and the Eq. 4.5 fold: per term a first-order `(n + K)·ε` model on the compensated sums, plus the relative error of the log-space Poisson pmf; for unbounded until, the certified bound `ŷ/c · ‖b − A·x̂‖∞` of the banded direct solve of Eq. 3.8 ([`mrmc_ctmc::reach::until_unbounded_certified`]) | uniformization, discretization, reachability (P0) |
 //! | [`discretization`](ErrorBudget::discretization) | step error of Algorithm 4.6, estimated a posteriori by a Richardson companion run at step `2d` (the scheme is first-order: `P_d − P_{2d} ≈ C·d`, so `2·|P_d − P_{2d}|` over-covers the error of `P_d`) | discretization |
 //! | [`statistical`](ErrorBudget::statistical) | distribution-free Hoeffding radius `√(ln(2/δ)/2n)` of the Monte-Carlo estimator at confidence `1 − δ` — unlike the other components this holds with probability `1 − δ`, not certainty | simulation |
 //! | [`propagation`](ErrorBudget::propagation) | widening from *unknown* sub-verdicts: when a nested probability operator is undecidable within its own budget, the outer operator is evaluated on both the optimistic and the pessimistic satisfying set and the half-gap lands here | checker (`Sat`) |
@@ -44,7 +44,9 @@ pub struct ErrorBudget {
     pub path_truncation: f64,
     /// Fox–Glynn left/right Poisson window truncation (baseline engine).
     pub poisson_tail: f64,
-    /// Floating-point accumulation of the Omega evaluation and final fold.
+    /// Floating-point accumulation: of the Omega evaluation and final fold
+    /// (uniformization, discretization), or the certified rounding error
+    /// of the direct Eq. 3.8 solve (unbounded until).
     pub float_accumulation: f64,
     /// Discretization step error (Richardson estimate, Algorithm 4.6).
     pub discretization: f64,
@@ -73,6 +75,14 @@ impl ErrorBudget {
     pub fn from_poisson_tail(poisson_tail: f64) -> Self {
         ErrorBudget {
             poisson_tail,
+            ..ErrorBudget::zero()
+        }
+    }
+
+    /// A budget consisting solely of floating-point accumulation error.
+    pub fn from_float_accumulation(float_accumulation: f64) -> Self {
+        ErrorBudget {
+            float_accumulation,
             ..ErrorBudget::zero()
         }
     }

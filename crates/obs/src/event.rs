@@ -48,9 +48,10 @@ pub enum Event {
     },
     /// A linear solve finished (or gave up).
     SolverDone {
-        /// Sweeps performed.
+        /// Sweeps performed (0 for a direct solve).
         iterations: u64,
-        /// Final residual.
+        /// Final residual (update size, or `‖b − A·x‖∞` for a direct
+        /// solve).
         residual: f64,
         /// Whether the tolerance was reached.
         converged: bool,

@@ -169,9 +169,9 @@ macro_rules! metrics {
 
 metrics! {
     scalars {
-        /// Linear solves completed.
+        /// Linear solves completed, direct or iterative.
         solver_solves: u64 = sum, "solver solves";
-        /// Gauss–Seidel sweeps across all solves.
+        /// Iterative sweeps across all solves; a direct solve adds none.
         solver_iterations: u64 = sum, "solver iterations";
         /// Fox–Glynn windows computed.
         poisson_windows: u64 = sum, "poisson windows";

@@ -822,6 +822,42 @@ fn metrics_counters_count_each_formulas_own_lookups() {
 }
 
 #[test]
+fn unbounded_until_reports_a_certified_budget() {
+    // `!vdown U down` on the TMR model: states 1–3 reach `down` only if
+    // the voter does not fail first, so the Eq. 3.8 system is non-trivial.
+    let model = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/models/tmr");
+    let files = ["tra", "lab", "rewr", "rewi"].map(|ext| format!("{model}.{ext}"));
+    let mut args: Vec<&str> = files.iter().map(String::as_str).collect();
+    args.push("--json");
+    let (stdout, stderr, ok) = run_mrmc(&args, "P(> 0.5) [!vdown U down]\n");
+    assert!(ok, "{stderr}");
+    let doc = mrmc_obs::json::parse(stdout.trim()).expect("one JSON line");
+    let Some(mrmc_obs::json::Value::Arr(states)) = doc.get("states") else {
+        panic!("no per-state results in {stdout}");
+    };
+    assert_eq!(states.len(), 5);
+    for (s, state) in states.iter().enumerate() {
+        let budget = state
+            .get("budget")
+            .unwrap_or_else(|| panic!("state {}: no budget in {stdout}", s + 1));
+        let component = |key| {
+            budget
+                .get(key)
+                .and_then(mrmc_obs::json::Value::as_f64)
+                .unwrap_or_else(|| panic!("no {key} in {stdout}"))
+        };
+        let float = component("float_accumulation");
+        if s < 3 {
+            assert!(float > 0.0 && float < 1e-9, "state {}: {float:e}", s + 1);
+        } else {
+            // `down` is Ψ and `vdown` cannot satisfy the until: exact.
+            assert_eq!(float, 0.0, "state {}", s + 1);
+        }
+        assert_eq!(component("total"), float, "state {}", s + 1);
+    }
+}
+
+#[test]
 fn trace_flag_streams_wellformed_jsonl() {
     let dir = temp_dir("trace");
     let [tra, lab, rewr, rewi] = write_tmr_like_model(&dir);

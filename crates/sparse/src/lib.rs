@@ -9,9 +9,9 @@
 //!   matrices;
 //! * [`DenseMatrix`] — small dense matrices with Gaussian elimination, used
 //!   for direct solutions and for cross-checking the iterative solvers;
-//! * [`solver`] — iterative solvers (Gauss–Seidel, power iteration)
-//!   for the linear systems arising in steady-state and unbounded-reachability
-//!   analysis;
+//! * [`solver`] — a banded direct solver for M-matrix systems and the
+//!   iterative solvers (Gauss–Seidel, power iteration) for the linear
+//!   systems arising in steady-state and unbounded-reachability analysis;
 //! * [`vector`] — the handful of dense-vector kernels everything shares;
 //! * [`rng`] — a deterministic in-tree pseudo-random generator
 //!   (SplitMix64 / xoshiro256**), so the workspace builds and tests with

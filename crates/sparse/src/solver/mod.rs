@@ -1,18 +1,23 @@
-//! Iterative solvers for the linear systems that model checking produces.
+//! Solvers for the linear systems that model checking produces.
 //!
-//! Two iteration schemes are provided:
-//!
-//! * [`gauss_seidel`] — the thesis' method for the linear systems of
-//!   unbounded reachability (Eq. 3.8) and per-BSCC steady state;
+//! * [`BandedLu`] with [`reverse_cuthill_mckee`] — a direct solver for
+//!   M-matrix systems such as unbounded reachability (Eq. 3.8): the
+//!   ordering narrows the band, and LU without pivoting stays inside it;
+//! * [`gauss_seidel`] — the thesis' iterative method, for per-BSCC steady
+//!   state and for reachability systems whose band is too wide to store;
 //! * [`power_iteration`] — power iteration `x ← x·P` for the stationary vector of an
 //!   aperiodic stochastic matrix (the uniformized DTMC is always aperiodic
 //!   when `Λ` strictly exceeds the maximal exit rate).
 
+mod banded_lu;
 mod gauss_seidel;
 mod power;
+mod rcm;
 
+pub use banded_lu::BandedLu;
 pub use gauss_seidel::gauss_seidel;
 pub use power::power_iteration;
+pub use rcm::reverse_cuthill_mckee;
 
 /// Convergence controls shared by the iterative solvers.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -41,8 +41,9 @@ fn cluster_200_states_full_checker_pass() {
 fn cluster_unbounded_reachability_is_certain() {
     // The repair unit keeps the chain irreducible: `down` is eventually
     // reached from everywhere, and so is `premium`. The chain is stiff
-    // (failures are ~200× slower than repairs), so Gauss–Seidel needs a
-    // bigger iteration budget than the defaults.
+    // (failures are ~200× slower than repairs): the direct solve does not
+    // mind, but a Gauss–Seidel fallback would need a bigger iteration
+    // budget than the defaults.
     let config = ClusterConfig::new(3);
     let m = cluster(&config);
     let phi = vec![true; m.num_states()];
