@@ -34,6 +34,20 @@
 //! full model's arithmetic *exactly* — no new rounding is introduced, so
 //! checking the quotient and lifting the result is bit-reproducible.
 //!
+//! # Cost
+//!
+//! Refinement runs synchronous rounds, each splitting every block by the
+//! signatures of the previous partition, but a round pays only for what
+//! the previous one changed: blocks are contiguous ranges of one state
+//! array, a split block keeps its largest part under its id, and only the
+//! states a move can have affected are signed again (see `refine`).
+//! Signatures are flat words in one buffer, grouped by hashing slices of
+//! it. The quotient takes its labels as whole label sets
+//! ([`Labeling::lumped`](mrmc_ctmc::Labeling::lumped)), and a reward-blind
+//! one is built from the chain without copying it. [`certify`] — what the
+//! checker calls — runs one refinement; [`analyze`] adds two more for a
+//! reward-observing formula, to attribute blocked merges for the lint.
+//!
 //! # Diagnostics
 //!
 //! The [`pass`] (registered by `mrmc lint --lumping`, *not* part of the
@@ -54,7 +68,7 @@ use std::error::Error;
 use std::fmt;
 
 use mrmc_csrl::{PathFormula, StateFormula};
-use mrmc_mrm::transform::quotient;
+use mrmc_mrm::transform::{quotient, quotient_reward_free};
 use mrmc_mrm::{Mrm, Partition};
 use mrmc_sparse::CsrMatrix;
 
@@ -175,7 +189,8 @@ impl AnalysisInputs {
     }
 }
 
-/// Compute the coarsest provable `Φ`-preserving lumping of `mrm`.
+/// Compute the coarsest provable `Φ`-preserving lumping of `mrm`, with
+/// attribution for what blocked further lumping.
 ///
 /// The result depends on `formula` only through its
 /// [`AnalysisInputs`]. The algorithm is partition refinement: start from
@@ -190,8 +205,11 @@ impl AnalysisInputs {
 /// the refinement restarts; every such split strictly increases the block
 /// count, so the loop terminates.
 ///
-/// The predecessor lists every refinement run needs are built once per
-/// call and shared by the (up to three) runs.
+/// When rewards are observed, the attribution (`reward_blocked`,
+/// `impulse_blocked`) takes two more refinement runs, at the rates-only
+/// and rates-plus-state-rewards levels; they share the transposed rate
+/// matrix with the main run. A caller that needs only the certificate
+/// calls [`certify`], which runs the main refinement alone.
 pub fn analyze(mrm: &Mrm, formula: &StateFormula) -> LumpingAnalysis {
     let inputs = AnalysisInputs::of(formula);
     let AnalysisInputs {
@@ -201,13 +219,7 @@ pub fn analyze(mrm: &Mrm, formula: &StateFormula) -> LumpingAnalysis {
     let preds = observation.rates.then(|| mrm.ctmc().rates().transpose());
     let preds = preds.as_ref();
 
-    let (partition, _) = refine(
-        mrm,
-        relevant_aps,
-        preds,
-        observation.rewards,
-        observation.rewards,
-    );
+    let partition = coarsest(mrm, &inputs, preds);
 
     // Rewards are observed only under a path operator, so `preds` is set.
     let (reward_blocked, impulse_blocked) = if observation.rewards {
@@ -221,12 +233,7 @@ pub fn analyze(mrm: &Mrm, formula: &StateFormula) -> LumpingAnalysis {
         (None, None)
     };
 
-    let certificate = if partition.is_identity() {
-        None
-    } else {
-        build_certificate(mrm, &partition, &inputs)
-    };
-
+    let certificate = build_certificate(mrm, &partition, &inputs);
     LumpingAnalysis {
         inputs,
         partition,
@@ -236,26 +243,25 @@ pub fn analyze(mrm: &Mrm, formula: &StateFormula) -> LumpingAnalysis {
     }
 }
 
-/// The partition by relevant propositions (and state-reward rate when
-/// `use_state_rewards`), before any rate refinement.
-fn initial_partition(mrm: &Mrm, relevant_aps: &[String], use_state_rewards: bool) -> Partition {
-    let mut keys: HashMap<(Vec<bool>, u64), usize> = HashMap::new();
-    let assignment: Vec<usize> = (0..mrm.num_states())
-        .map(|s| {
-            let aps: Vec<bool> = relevant_aps
-                .iter()
-                .map(|ap| mrm.labeling().has(s, ap))
-                .collect();
-            let rho = if use_state_rewards {
-                mrm.state_reward(s).to_bits()
-            } else {
-                0
-            };
-            let next = keys.len();
-            *keys.entry((aps, rho)).or_insert(next)
-        })
-        .collect();
-    Partition::from_assignment(&assignment)
+/// The certificate of [`analyze`] alone: the same partition and
+/// quotient, without the attribution runs that only the `R103`/`R104`
+/// diagnostics read. `None` when the coarsest provable partition is the
+/// identity. This is what a checker reducing a model calls.
+pub fn certify(mrm: &Mrm, formula: &StateFormula) -> Option<LumpingCertificate> {
+    let inputs = AnalysisInputs::of(formula);
+    let preds = inputs
+        .observation
+        .rates
+        .then(|| mrm.ctmc().rates().transpose());
+    let partition = coarsest(mrm, &inputs, preds.as_ref());
+    build_certificate(mrm, &partition, &inputs)
+}
+
+/// The coarsest partition at the observation level of `inputs`; `preds`
+/// is the transposed rate matrix, given exactly when rates are observed.
+fn coarsest(mrm: &Mrm, inputs: &AnalysisInputs, preds: Option<&CsrMatrix>) -> Partition {
+    let rewards = inputs.observation.rewards;
+    refine(mrm, &inputs.relevant_aps, preds, rewards, rewards).0
 }
 
 /// The coarsest partition matching the requested observation level, and
@@ -263,14 +269,25 @@ fn initial_partition(mrm: &Mrm, relevant_aps: &[String], use_state_rewards: bool
 /// `preds` (the transposed rate matrix) is given; without it the result
 /// is the initial partition.
 ///
-/// Each round splits every block by the members' [`Signature`]s relative
-/// to the current partition, exactly as a full re-signing would, but signs
-/// only the states whose signature can have changed since the last round:
-/// the predecessors of the members of a block that split. Every other
-/// member of a block kept its previous signature up to the renaming of
-/// unsplit blocks, so it stays with one clean representative. Splits are
-/// applied at the end of the round, so the rounds, the row-order sums and
-/// the final partition are those of re-signing every state every round.
+/// Each round splits every block by the members' signatures relative to
+/// the current partition, exactly as re-signing every state would, but it
+/// costs only what changed:
+///
+/// * blocks are contiguous ranges of one state array ([`Blocks`]), so a
+///   block's dirty members and a clean one are found without a scan;
+/// * a block that splits keeps its largest group under its id, and only
+///   the other groups move — each at most half the block;
+/// * the next round signs only the predecessors of moved states and the
+///   moved states that still have a successor in the block they left (a
+///   jump that was inside the block is now visible), plus one clean
+///   member per block they sit in. Every other state's signature is its
+///   previous one, block ids included, so the clean members of a block
+///   agree with each other.
+///
+/// Splits are applied at the end of the round, so the rounds, the
+/// row-order sums and the final partition are those of re-signing every
+/// state every round; the block ids are renumbered canonically once, at
+/// the end.
 fn refine(
     mrm: &Mrm,
     relevant_aps: &[String],
@@ -279,215 +296,459 @@ fn refine(
     use_impulses: bool,
 ) -> (Partition, u64) {
     let n = mrm.num_states();
-    let mut partition = initial_partition(mrm, relevant_aps, use_state_rewards);
+    let initial = initial_blocks(mrm, relevant_aps, use_state_rewards);
     let Some(preds) = preds else {
-        return (partition, 0);
+        return (Partition::from_assignment(&initial), 0);
     };
 
+    let mut blocks = Blocks::new(initial);
+    for s in 0..n {
+        blocks.mark(s);
+    }
+    let mut scratch = Scratch {
+        sums: vec![0.0; n],
+        ..Scratch::default()
+    };
     let mut rounds = 0u64;
-    let mut dirty = vec![true; n];
-    let partition = 'outer: loop {
+    loop {
         loop {
             rounds += 1;
-            let refined = split_dirty(mrm, &partition, &dirty, use_impulses);
-            if refined.num_blocks() == partition.num_blocks() {
+            round(mrm, &mut blocks, use_impulses, &mut scratch);
+            if scratch.moved.is_empty() {
                 break;
             }
-            mark_dirty(&partition, &refined, preds, &mut dirty);
-            partition = refined;
+            blocks.mark_after_moves(mrm, preds, &scratch.moved);
         }
         if !use_impulses {
-            break 'outer partition;
+            break;
         }
-        let Some((source, block)) = find_impulse_violation(mrm, &partition) else {
-            break 'outer partition;
+        let Some((source, block)) = find_impulse_violation(mrm, &blocks) else {
+            break;
         };
-        let refined = split_block_by_incoming_impulse(mrm, &partition, source, block);
-        mark_dirty(&partition, &refined, preds, &mut dirty);
-        partition = refined;
-    };
+        split_by_incoming_impulse(mrm, &mut blocks, source, block, &mut scratch);
+        blocks.mark_after_moves(mrm, preds, &scratch.moved);
+    }
     mrmc_obs::record(|| mrmc_obs::Event::LumpingRefinement {
         rounds,
         states: n as u64,
-        blocks: partition.num_blocks() as u64,
+        blocks: blocks.start.len() as u64,
     });
-    (partition, rounds)
+    (Partition::from_assignment(&blocks.block_of), rounds)
 }
 
-/// Reset `dirty` to the predecessors of every member of an `old` block
-/// that `new` split: the only states whose signature relative to `new`
-/// can differ from their signature relative to `old`.
-fn mark_dirty(old: &Partition, new: &Partition, preds: &CsrMatrix, dirty: &mut [bool]) {
-    let mut split = vec![false; old.num_blocks()];
-    for (s, &b) in old.assignment().iter().enumerate() {
-        if new.block_of(s) != new.block_of(old.representative(b)) {
-            split[b] = true;
+/// The partition by relevant propositions (and state-reward rate when
+/// `use_state_rewards`), before any rate refinement: each state's block,
+/// numbered by first appearance.
+fn initial_blocks(mrm: &Mrm, relevant_aps: &[String], use_state_rewards: bool) -> Vec<usize> {
+    let has: Vec<Vec<bool>> = relevant_aps
+        .iter()
+        .map(|ap| mrm.labeling().states_with(ap))
+        .collect();
+    let mut sigs = Signatures::default();
+    for s in 0..mrm.num_states() {
+        for chunk in has.chunks(64) {
+            let word = chunk
+                .iter()
+                .enumerate()
+                .fold(0u64, |w, (i, h)| w | u64::from(h[s]) << i);
+            sigs.push(word);
+        }
+        if use_state_rewards {
+            sigs.push(mrm.state_reward(s).to_bits());
+        }
+        sigs.finish_entry();
+    }
+    let mut groups = Vec::new();
+    sigs.group(&mut groups);
+    groups
+}
+
+/// Signatures stored flat, one entry per signed state: entry `i` is
+/// `words[ends[i - 1]..ends[i]]`. Grouping hashes these word slices, so a
+/// signature costs no allocation of its own.
+#[derive(Default)]
+struct Signatures {
+    words: Vec<u64>,
+    ends: Vec<usize>,
+}
+
+impl Signatures {
+    fn clear(&mut self) {
+        self.words.clear();
+        self.ends.clear();
+    }
+
+    fn push(&mut self, word: u64) {
+        self.words.push(word);
+    }
+
+    /// Close the entry the words pushed since the last call form.
+    fn finish_entry(&mut self) {
+        self.ends.push(self.words.len());
+    }
+
+    /// Reset `groups` to the group of every entry: equal signatures share
+    /// a group, and groups are numbered by first appearance.
+    fn group(&self, groups: &mut Vec<usize>) {
+        let mut ids: HashMap<&[u64], usize> = HashMap::with_capacity(self.ends.len());
+        groups.clear();
+        let mut start = 0;
+        for &end in &self.ends {
+            let next = ids.len();
+            groups.push(*ids.entry(&self.words[start..end]).or_insert(next));
+            start = end;
         }
     }
-    dirty.fill(false);
-    for (t, &b) in old.assignment().iter().enumerate() {
-        if split[b] {
-            for (s, _) in preds.row(t) {
-                dirty[s] = true;
-            }
-        }
-    }
 }
 
-/// What a state sees of the partition: its own block plus its aggregate
-/// rates (and, when impulses are observed, impulse values) into every
-/// other block. Members of one block with equal signatures stay together.
-#[derive(Hash, PartialEq, Eq)]
-struct Signature {
-    block: usize,
-    /// `(target block, aggregate rate bits)`, sorted by target block;
-    /// the sum is accumulated in row order so it is bit-reproducible.
-    rates: Vec<(usize, u64)>,
-    /// `(target block, sorted deduplicated impulse bits)`, including
-    /// the implicit zero of impulse-free transitions.
-    impulses: Vec<(usize, Vec<u64>)>,
+/// Reusable buffers of a refinement. `sums` has one all-zero slot per
+/// possible block and is left all-zero.
+#[derive(Default)]
+struct Scratch {
+    sums: Vec<f64>,
+    targets: Vec<usize>,
+    impulses: Vec<(usize, u64)>,
+    sigs: Signatures,
+    groups: Vec<usize>,
+    /// The states the last split moved, each with the block it left.
+    moved: Vec<(usize, usize)>,
 }
 
-/// The [`Signature`] of `s` relative to `partition`. `sums` is an
-/// all-zero scratch vector with one slot per block, and is left so.
-fn signature(
+/// One refinement round: sign the dirty states of every touched block
+/// (and one clean member each), group them by signature and apply every
+/// split at once, leaving the moved states in `scratch.moved`.
+fn round(mrm: &Mrm, blocks: &mut Blocks, use_impulses: bool, scratch: &mut Scratch) {
+    let Scratch {
+        sums,
+        targets,
+        impulses,
+        sigs,
+        groups,
+        moved,
+    } = scratch;
+    sigs.clear();
+    blocks.sign_touched(sigs, |s, sigs| {
+        let rows = (sums.as_mut_slice(), &mut *targets, &mut *impulses);
+        sign(mrm, &blocks.block_of, s, use_impulses, rows, sigs);
+    });
+    sigs.group(groups);
+    moved.clear();
+    blocks.split_touched(groups, moved);
+}
+
+/// Append the signature of `s` relative to `block_of` to `sigs`: its
+/// block, then its aggregate rate bits into every other block in block
+/// order (summed in row order, so bit-reproducible) and, with
+/// `use_impulses`, the number of target blocks first and, per target
+/// block, the sorted distinct impulse bits earned there (the implicit
+/// zero of impulse-free transitions included), each list prefixed by its
+/// block and length. Members of one block with equal signatures stay
+/// together.
+fn sign(
     mrm: &Mrm,
-    partition: &Partition,
+    block_of: &[usize],
     s: usize,
     use_impulses: bool,
-    sums: &mut [f64],
-) -> Signature {
-    let b = partition.block_of(s);
-    let mut touched: Vec<usize> = Vec::new();
-    // BTreeMap: the signature below consumes this map in iteration order,
-    // so the order must be the key order, not hash order.
-    let mut impulse_map: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
+    (sums, targets, impulses): (&mut [f64], &mut Vec<usize>, &mut Vec<(usize, u64)>),
+    sigs: &mut Signatures,
+) {
+    let b = block_of[s];
     for (t, r) in mrm.ctmc().rates().row(s) {
-        let c = partition.block_of(t);
+        let c = block_of[t];
         if c == b {
             continue;
         }
         if sums[c] == 0.0 {
-            touched.push(c);
+            targets.push(c);
         }
         sums[c] += r;
         if use_impulses {
-            impulse_map
-                .entry(c)
-                .or_default()
-                .push(mrm.impulse_reward(s, t).to_bits());
+            impulses.push((c, mrm.impulse_reward(s, t).to_bits()));
         }
     }
-    touched.sort_unstable();
-    let rates: Vec<(usize, u64)> = touched.iter().map(|&c| (c, sums[c].to_bits())).collect();
-    for &c in &touched {
+    targets.sort_unstable();
+    sigs.push(b as u64);
+    if use_impulses {
+        sigs.push(targets.len() as u64);
+    }
+    for &c in targets.iter() {
+        sigs.push(c as u64);
+        sigs.push(sums[c].to_bits());
+    }
+    for &c in targets.iter() {
         sums[c] = 0.0;
     }
-    // BTreeMap iteration is already key-ascending, so the signature's
-    // impulse list needs no extra outer sort.
-    let impulses: Vec<(usize, Vec<u64>)> = impulse_map
-        .into_iter()
-        .map(|(c, mut vs)| {
-            vs.sort_unstable();
-            vs.dedup();
-            (c, vs)
-        })
-        .collect();
-    Signature {
-        block: b,
-        rates,
-        impulses,
+    targets.clear();
+    if use_impulses {
+        impulses.sort_unstable();
+        impulses.dedup();
+        for run in impulses.chunk_by(|x, y| x.0 == y.0) {
+            sigs.push(run[0].0 as u64);
+            sigs.push(run.len() as u64);
+            for &(_, v) in run {
+                sigs.push(v);
+            }
+        }
+        impulses.clear();
     }
+    sigs.finish_entry();
 }
 
-/// One refinement round: group the members of every block by their
-/// [`Signature`], signing only the `dirty` states and the first clean
-/// member of each block that has a dirty one. Clean members keep their
-/// block's id; each further group gets a fresh id, renumbered canonically
-/// by [`Partition::from_assignment`].
-fn split_dirty(mrm: &Mrm, partition: &Partition, dirty: &[bool], use_impulses: bool) -> Partition {
-    let k = partition.num_blocks();
-    let mut clean_rep: Vec<Option<usize>> = vec![None; k];
-    for (s, &b) in partition.assignment().iter().enumerate() {
-        if !dirty[s] && clean_rep[b].is_none() {
-            clean_rep[b] = Some(s);
+/// The partition [`refine`] works on. Every block's members occupy one
+/// contiguous range of `elems`, its *dirty* members (those to sign next
+/// round) first: block `b` is `elems[start[b]..end[b]]` and its dirty
+/// members are `elems[start[b]..dirty_end[b]]`.
+struct Blocks {
+    block_of: Vec<usize>,
+    elems: Vec<usize>,
+    /// The position of every state in `elems`.
+    pos: Vec<usize>,
+    start: Vec<usize>,
+    dirty_end: Vec<usize>,
+    end: Vec<usize>,
+    /// The blocks with a dirty member, in the order they got their first.
+    touched: Vec<usize>,
+}
+
+impl Blocks {
+    /// The blocks of `block_of` (ids `0..k`, each used), none dirty.
+    fn new(block_of: Vec<usize>) -> Self {
+        let k = block_of.iter().max().map_or(0, |&b| b + 1);
+        let mut end = vec![0; k];
+        for &b in &block_of {
+            end[b] += 1;
+        }
+        let mut start = Vec::with_capacity(k);
+        let mut at = 0;
+        for size in &mut end {
+            start.push(at);
+            at += *size;
+            *size = at;
+        }
+        let mut fill = start.clone();
+        let mut elems = vec![0; block_of.len()];
+        let mut pos = vec![0; block_of.len()];
+        for (s, &b) in block_of.iter().enumerate() {
+            elems[fill[b]] = s;
+            pos[s] = fill[b];
+            fill[b] += 1;
+        }
+        Blocks {
+            block_of,
+            elems,
+            pos,
+            dirty_end: start.clone(),
+            start,
+            end,
+            touched: Vec::new(),
         }
     }
-    let mut sums = vec![0.0_f64; k];
-    let mut groups: HashMap<Signature, usize> = HashMap::new();
-    let mut assignment = partition.assignment().to_vec();
-    let mut next = k;
-    for (s, slot) in assignment.iter_mut().enumerate() {
-        if !dirty[s] {
-            continue;
+
+    /// Make `s` dirty: swap it into its block's dirty prefix.
+    fn mark(&mut self, s: usize) {
+        let b = self.block_of[s];
+        let (p, d) = (self.pos[s], self.dirty_end[b]);
+        if p < d {
+            return;
         }
-        let b = *slot;
-        if let Some(rep) = clean_rep[b].take() {
-            groups.insert(signature(mrm, partition, rep, use_impulses, &mut sums), b);
+        if d == self.start[b] {
+            self.touched.push(b);
         }
-        let sig = signature(mrm, partition, s, use_impulses, &mut sums);
-        *slot = *groups.entry(sig).or_insert_with(|| {
-            next += 1;
-            next - 1
-        });
+        let other = self.elems[d];
+        self.elems.swap(p, d);
+        self.pos[s] = d;
+        self.pos[other] = p;
+        self.dirty_end[b] = d + 1;
     }
-    Partition::from_assignment(&assignment)
+
+    /// Mark what a round's moves can have changed: the predecessors of
+    /// every moved state, and each moved state that still has a successor
+    /// in the block it left (`moved` holds `(state, block it left)`).
+    fn mark_after_moves(&mut self, mrm: &Mrm, preds: &CsrMatrix, moved: &[(usize, usize)]) {
+        for &(s, left) in moved {
+            for (p, _) in preds.row(s) {
+                self.mark(p);
+            }
+            if mrm
+                .ctmc()
+                .rates()
+                .row(s)
+                .any(|(t, _)| self.block_of[t] == left)
+            {
+                self.mark(s);
+            }
+        }
+    }
+
+    /// Call `sign` on one clean member (when there is one) and then every
+    /// dirty member of each touched block, closing an entry after each.
+    fn sign_touched(&self, sigs: &mut Signatures, mut sign: impl FnMut(usize, &mut Signatures)) {
+        for &b in &self.touched {
+            let d = self.dirty_end[b];
+            if d < self.end[b] {
+                sign(self.elems[d], sigs);
+            }
+            for &s in &self.elems[self.start[b]..d] {
+                sign(s, sigs);
+            }
+        }
+    }
+
+    /// Split every touched block by `groups`, the group of each entry
+    /// [`sign_touched`](Blocks::sign_touched) produced (clean members
+    /// share the clean entry's group). A block keeps its largest group,
+    /// the lowest-numbered on ties, under its id; every other group
+    /// becomes a new block and its members are appended to `moved` with
+    /// the block they left. Afterwards no state is dirty.
+    fn split_touched(&mut self, groups: &[usize], moved: &mut Vec<(usize, usize)>) {
+        let touched = std::mem::take(&mut self.touched);
+        let mut entries = groups;
+        let (mut count, mut order, mut next, mut buf) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for &b in &touched {
+            let (start, dirty_end, end) = (self.start[b], self.dirty_end[b], self.end[b]);
+            self.dirty_end[b] = start;
+            let clean = end - dirty_end;
+            let (block_entries, rest) =
+                entries.split_at(usize::from(clean > 0) + dirty_end - start);
+            entries = rest;
+            // A signature leads with its block, so the block's groups are
+            // the consecutive ids from its first entry's; local id 0 is the
+            // clean members' group when there are any.
+            let base = block_entries[0];
+            let num = block_entries.iter().max().map_or(0, |&g| g - base + 1);
+            if num == 1 {
+                continue;
+            }
+            let dirty = &block_entries[usize::from(clean > 0)..];
+            count.clear();
+            count.resize(num, 0);
+            for &g in dirty {
+                count[g - base] += 1;
+            }
+            let size = |g: usize| count[g] + if clean > 0 && g == 0 { clean } else { 0 };
+            let keeper = (0..num)
+                .max_by_key(|&g| (size(g), std::cmp::Reverse(g)))
+                .expect("a split block has groups");
+            // Lay the dirty prefix out group by group, the clean members'
+            // group last, next to the clean members it owns.
+            order.clear();
+            order.extend(usize::from(clean > 0)..num);
+            if clean > 0 {
+                order.push(0);
+            }
+            next.clear();
+            next.resize(num, 0);
+            let mut at = start;
+            for &g in &order {
+                next[g] = at;
+                at += count[g];
+            }
+            buf.clear();
+            buf.extend_from_slice(&self.elems[start..dirty_end]);
+            for (&s, &g) in buf.iter().zip(dirty) {
+                let p = &mut next[g - base];
+                self.elems[*p] = s;
+                self.pos[s] = *p;
+                *p += 1;
+            }
+            let mut at = start;
+            for &g in &order {
+                let range = at..at + size(g);
+                at = range.end;
+                if g == keeper {
+                    self.start[b] = range.start;
+                    self.dirty_end[b] = range.start;
+                    self.end[b] = range.end;
+                    continue;
+                }
+                let new = self.start.len();
+                self.start.push(range.start);
+                self.dirty_end.push(range.start);
+                self.end.push(range.end);
+                for &s in &self.elems[range] {
+                    self.block_of[s] = new;
+                    moved.push((s, b));
+                }
+            }
+        }
+    }
 }
 
 /// Find a `(source state, block to split)` pair witnessing an impulse
 /// uniformity violation: either `source` earns two different impulses
-/// towards the block, or it earns a nonzero impulse *inside* it.
-fn find_impulse_violation(mrm: &Mrm, partition: &Partition) -> Option<(usize, usize)> {
+/// towards the block, or it earns a nonzero impulse *inside* it. States
+/// are scanned in index order, each row in row order.
+fn find_impulse_violation(mrm: &Mrm, blocks: &Blocks) -> Option<(usize, usize)> {
+    let block_of = &blocks.block_of;
+    // `first[c]`: the state that last reached block `c` and the impulse
+    // bits it earned there first.
+    let mut first: Vec<(usize, u64)> = vec![(usize::MAX, 0); blocks.start.len()];
     for s in 0..mrm.num_states() {
-        let b = partition.block_of(s);
-        let mut per_block: HashMap<usize, u64> = HashMap::new();
+        let b = block_of[s];
         for (t, _) in mrm.ctmc().rates().row(s) {
-            let c = partition.block_of(t);
+            let c = block_of[t];
             let v = mrm.impulse_reward(s, t).to_bits();
             if c == b {
                 if v != 0 {
                     return Some((s, b));
                 }
-            } else if let Some(&prev) = per_block.get(&c) {
-                if prev != v {
+            } else if first[c].0 == s {
+                if first[c].1 != v {
                     return Some((s, c));
                 }
             } else {
-                per_block.insert(c, v);
+                first[c] = (s, v);
             }
         }
     }
     None
 }
 
-/// Split `block` by the impulse its members receive from `source`
-/// (a state without a `source` transition is its own group). Any valid
-/// lumping must separate members receiving different impulses from the
-/// same state, so this never splits a pair the coarsest valid partition
-/// could keep together — and it always splits the witnessing pair, so the
-/// outer loop makes progress.
-fn split_block_by_incoming_impulse(
+/// Split `block` by the impulse its members receive from `source` (a
+/// member without a `source` transition is its own group), leaving the
+/// moved states in `scratch.moved`. Any valid lumping must separate
+/// members receiving different impulses from the same state, so this
+/// never splits a pair the coarsest valid partition could keep together —
+/// and it always splits the witnessing pair, so the outer loop makes
+/// progress.
+fn split_by_incoming_impulse(
     mrm: &Mrm,
-    partition: &Partition,
+    blocks: &mut Blocks,
     source: usize,
     block: usize,
-) -> Partition {
-    let mut from_source: HashMap<usize, u64> = HashMap::new();
-    for (t, _) in mrm.ctmc().rates().row(source) {
-        if partition.block_of(t) == block {
-            from_source.insert(t, mrm.impulse_reward(source, t).to_bits());
-        }
+    scratch: &mut Scratch,
+) {
+    for p in blocks.start[block]..blocks.end[block] {
+        blocks.mark(blocks.elems[p]);
     }
-    let k = partition.num_blocks();
-    let mut keys: HashMap<Option<u64>, usize> = HashMap::new();
-    let mut assignment = partition.assignment().to_vec();
-    for (t, slot) in assignment.iter_mut().enumerate() {
-        if *slot == block {
-            let next = keys.len();
-            *slot = k + *keys.entry(from_source.get(&t).copied()).or_insert(next);
+    let received: BTreeMap<usize, u64> = mrm
+        .ctmc()
+        .rates()
+        .row(source)
+        .filter(|&(t, _)| blocks.block_of[t] == block)
+        .map(|(t, _)| (t, mrm.impulse_reward(source, t).to_bits()))
+        .collect();
+    let Scratch {
+        sigs,
+        groups,
+        moved,
+        ..
+    } = scratch;
+    sigs.clear();
+    blocks.sign_touched(sigs, |t, sigs| {
+        match received.get(&t) {
+            Some(&v) => {
+                sigs.push(1);
+                sigs.push(v);
+            }
+            None => sigs.push(0),
         }
-    }
-    Partition::from_assignment(&assignment)
+        sigs.finish_entry();
+    });
+    sigs.group(groups);
+    moved.clear();
+    blocks.split_touched(groups, moved);
 }
 
 /// The first (lowest-index) pair of states sharing a `coarse` block but
@@ -507,18 +768,23 @@ fn first_split_pair(coarse: &Partition, fine: &Partition) -> Option<(usize, usiz
     None
 }
 
+/// The certificate for `partition`; `None` for the identity (nothing to
+/// reduce) or a partition the quotient cannot be built for.
 fn build_certificate(
     mrm: &Mrm,
     partition: &Partition,
     inputs: &AnalysisInputs,
 ) -> Option<LumpingCertificate> {
+    if partition.is_identity() {
+        return None;
+    }
     let observation = inputs.observation;
     let reduced = if observation.rewards {
         quotient(mrm, partition).ok()?
     } else {
         // The formula cannot observe rewards, so the quotient is built
         // reward-free: cheaper to check, and the verifier can insist on it.
-        quotient(&Mrm::without_rewards(mrm.ctmc().clone()), partition).ok()?
+        quotient_reward_free(mrm, partition).ok()?
     };
     Some(LumpingCertificate {
         partition: partition.clone(),
@@ -592,10 +858,18 @@ impl LumpingCertificate {
             return Err(CertificateError::UnexpectedRewards);
         }
 
+        let holds = |m: &Mrm| -> Vec<Vec<bool>> {
+            let labeling = m.labeling();
+            self.relevant_aps
+                .iter()
+                .map(|ap| labeling.states_with(ap))
+                .collect()
+        };
+        let (full, reduced) = (holds(mrm), holds(&self.quotient));
         for s in 0..n {
             let b = self.partition.block_of(s);
-            for ap in &self.relevant_aps {
-                if mrm.labeling().has(s, ap) != self.quotient.labeling().has(b, ap) {
+            for ((ap, full), reduced) in self.relevant_aps.iter().zip(&full).zip(&reduced) {
+                if full[s] != reduced[b] {
                     return Err(CertificateError::LabelMismatch {
                         state: s,
                         ap: ap.clone(),
@@ -1120,10 +1394,10 @@ mod tests {
         assert_eq!(d.states, vec![2, 3]);
     }
 
-    /// The round-based refinement without dirty tracking, kept as the
-    /// reference the incremental [`refine`] must reproduce: every round
-    /// re-signs every state. Returns the partition, the rounds and the number of
-    /// impulse-violation restarts.
+    /// The refinement that re-signs every state every round on a
+    /// canonically renumbered [`Partition`], kept as the reference the
+    /// incremental [`refine`] must reproduce. Returns the partition, the
+    /// rounds and the number of impulse-violation restarts.
     fn reference_refine(
         mrm: &Mrm,
         relevant_aps: &[String],
@@ -1131,7 +1405,7 @@ mod tests {
         use_state_rewards: bool,
         use_impulses: bool,
     ) -> (Partition, u64, u64) {
-        let mut partition = initial_partition(mrm, relevant_aps, use_state_rewards);
+        let mut partition = reference_initial_partition(mrm, relevant_aps, use_state_rewards);
         if !use_rates {
             return (partition, 0, 0);
         }
@@ -1148,12 +1422,88 @@ mod tests {
             if !use_impulses {
                 return (partition, rounds, restarts);
             }
-            let Some((source, block)) = find_impulse_violation(mrm, &partition) else {
+            let Some((source, block)) = reference_impulse_violation(mrm, &partition) else {
                 return (partition, rounds, restarts);
             };
             restarts += 1;
-            partition = split_block_by_incoming_impulse(mrm, &partition, source, block);
+            partition = reference_split_by_incoming_impulse(mrm, &partition, source, block);
         }
+    }
+
+    /// The reference's initial partition: keyed by the relevant
+    /// propositions' membership and, with `use_state_rewards`, the reward
+    /// bits.
+    fn reference_initial_partition(
+        mrm: &Mrm,
+        relevant_aps: &[String],
+        use_state_rewards: bool,
+    ) -> Partition {
+        let mut keys: HashMap<(Vec<bool>, u64), usize> = HashMap::new();
+        let assignment: Vec<usize> = (0..mrm.num_states())
+            .map(|s| {
+                let aps: Vec<bool> = relevant_aps
+                    .iter()
+                    .map(|ap| mrm.labeling().has(s, ap))
+                    .collect();
+                let rho = if use_state_rewards {
+                    mrm.state_reward(s).to_bits()
+                } else {
+                    0
+                };
+                let next = keys.len();
+                *keys.entry((aps, rho)).or_insert(next)
+            })
+            .collect();
+        Partition::from_assignment(&assignment)
+    }
+
+    /// The reference's impulse-uniformity check, as `find_impulse_violation`.
+    fn reference_impulse_violation(mrm: &Mrm, partition: &Partition) -> Option<(usize, usize)> {
+        for s in 0..mrm.num_states() {
+            let b = partition.block_of(s);
+            let mut per_block: HashMap<usize, u64> = HashMap::new();
+            for (t, _) in mrm.ctmc().rates().row(s) {
+                let c = partition.block_of(t);
+                let v = mrm.impulse_reward(s, t).to_bits();
+                if c == b {
+                    if v != 0 {
+                        return Some((s, b));
+                    }
+                } else if let Some(&prev) = per_block.get(&c) {
+                    if prev != v {
+                        return Some((s, c));
+                    }
+                } else {
+                    per_block.insert(c, v);
+                }
+            }
+        }
+        None
+    }
+
+    /// The reference's restart split, as `split_by_incoming_impulse`.
+    fn reference_split_by_incoming_impulse(
+        mrm: &Mrm,
+        partition: &Partition,
+        source: usize,
+        block: usize,
+    ) -> Partition {
+        let mut from_source: HashMap<usize, u64> = HashMap::new();
+        for (t, _) in mrm.ctmc().rates().row(source) {
+            if partition.block_of(t) == block {
+                from_source.insert(t, mrm.impulse_reward(source, t).to_bits());
+            }
+        }
+        let k = partition.num_blocks();
+        let mut keys: HashMap<Option<u64>, usize> = HashMap::new();
+        let mut assignment = partition.assignment().to_vec();
+        for (t, slot) in assignment.iter_mut().enumerate() {
+            if *slot == block {
+                let next = keys.len();
+                *slot = k + *keys.entry(from_source.get(&t).copied()).or_insert(next);
+            }
+        }
+        Partition::from_assignment(&assignment)
     }
 
     /// One reference round: group states by their current block plus
@@ -1267,6 +1617,127 @@ mod tests {
         Mrm::new(ctmc, StateRewards::new(vec![0.0; 6]).unwrap(), iota).unwrap()
     }
 
+    /// Two sources whose rates into one block are 0.1, 0.2 and 0.3 in
+    /// opposite row orders: `(0.1 + 0.2) + 0.3` and `(0.3 + 0.2) + 0.1`
+    /// differ in the last bit, so the bitwise refinement keeps 0 and 1
+    /// apart.
+    fn interleaved_sums_model() -> Mrm {
+        let mut b = CtmcBuilder::new(6);
+        b.transition(0, 2, 0.1)
+            .transition(0, 3, 0.2)
+            .transition(0, 4, 0.3);
+        b.transition(1, 2, 0.3)
+            .transition(1, 3, 0.2)
+            .transition(1, 4, 0.1);
+        for t in 2..5 {
+            b.transition(t, 5, 1.0);
+        }
+        b.transition(5, 0, 1.0).transition(5, 1, 1.0);
+        b.label(0, "src").label(1, "src");
+        for t in 2..5 {
+            b.label(t, "mid");
+        }
+        Mrm::without_rewards(b.build().unwrap())
+    }
+
+    /// Round 1 splits `u` (state 1) from `v1..v3` (2..4); round 2 re-signs
+    /// its predecessors `b1..b3` (5..7) but not `b4, b5` (8, 9), which
+    /// move to `v1`: the dirty group of block `b` outnumbers its clean
+    /// one, so the clean members move and the dirty ones keep the id.
+    fn dirty_keeper_model() -> Mrm {
+        let mut b = CtmcBuilder::new(10);
+        b.transition(1, 0, 2.0);
+        for v in 2..5 {
+            b.transition(v, 0, 1.0);
+        }
+        for s in 5..8 {
+            b.transition(s, 1, 1.0);
+        }
+        for s in 8..10 {
+            b.transition(s, 2, 1.0);
+        }
+        for s in 1..10 {
+            b.transition(0, s, 1.0);
+        }
+        b.label(0, "goal");
+        for t in 1..5 {
+            b.label(t, "t");
+        }
+        for s in 5..10 {
+            b.label(s, "b");
+        }
+        Mrm::without_rewards(b.build().unwrap())
+    }
+
+    /// Round 1 moves `a1, a2` (1, 2) out of the block they share with
+    /// `b1..b3` (3..5). Only `a1` jumps to `b1`, inside the old block, so
+    /// only the newly visible rate separates it from `a2`: nothing `a1`
+    /// reaches moved.
+    fn left_behind_successor_model() -> Mrm {
+        let mut b = CtmcBuilder::new(6);
+        b.transition(1, 0, 2.0).transition(2, 0, 2.0);
+        for s in 3..6 {
+            b.transition(s, 0, 1.0);
+        }
+        b.transition(1, 3, 1.0);
+        b.transition(0, 1, 1.0).transition(0, 2, 1.0);
+        b.label(0, "goal");
+        for s in 1..6 {
+            b.label(s, "x");
+        }
+        Mrm::without_rewards(b.build().unwrap())
+    }
+
+    #[test]
+    fn refinement_keeps_row_order_sums_bitwise() {
+        let m = interleaved_sums_model();
+        assert_ne!((0.1 + 0.2) + 0.3, (0.3 + 0.2) + 0.1);
+        let preds = m.ctmc().rates().transpose();
+        let (p, _) = refine(&m, &aps_of(&["mid", "src"]), Some(&preds), false, false);
+        assert_ne!(p.block_of(0), p.block_of(1));
+        assert_eq!(p.block_of(2), p.block_of(4));
+    }
+
+    #[test]
+    fn a_dirty_group_can_keep_the_block_id() {
+        let m = dirty_keeper_model();
+        let preds = m.ctmc().rates().transpose();
+        let initial = initial_blocks(&m, &aps_of(&["b", "goal", "t"]), false);
+        let mut blocks = Blocks::new(initial);
+        for s in 0..m.num_states() {
+            blocks.mark(s);
+        }
+        let mut scratch = Scratch {
+            sums: vec![0.0; m.num_states()],
+            ..Scratch::default()
+        };
+        // Round 1: `u` leaves `v1..v3`.
+        round(&m, &mut blocks, false, &mut scratch);
+        assert_eq!(scratch.moved, vec![(1, blocks.block_of[2])]);
+        blocks.mark_after_moves(&m, &preds, &scratch.moved);
+        // Round 2: `b1..b3` are dirty, `b4, b5` clean, and the clean pair
+        // is the group that moves.
+        round(&m, &mut blocks, false, &mut scratch);
+        let b = blocks.block_of[5];
+        let mut moved = scratch.moved.clone();
+        moved.sort_unstable();
+        assert_eq!(moved, vec![(8, b), (9, b)]);
+        assert!((5..8).all(|s| blocks.block_of[s] == b));
+    }
+
+    #[test]
+    fn a_successor_left_in_the_old_block_splits_a_moved_pair() {
+        let m = left_behind_successor_model();
+        let preds = m.ctmc().rates().transpose();
+        let (p, _) = refine(&m, &aps_of(&["x"]), Some(&preds), false, false);
+        assert_ne!(p.block_of(1), p.block_of(2));
+        assert_eq!(p.block_of(3), p.block_of(5));
+    }
+
+    fn aps_of(list: &[&str]) -> Vec<String> {
+        list.iter().map(|&a| a.to_owned()).collect()
+    }
+
     #[test]
     fn incremental_refinement_matches_full_re_signing() {
         use mrmc_models::cluster::{cluster, ClusterConfig};
@@ -1283,7 +1754,7 @@ mod tests {
             );
             sets
         };
-        let aps = |list: &[&str]| -> Vec<String> { list.iter().map(|&a| a.to_owned()).collect() };
+        let aps = aps_of;
         let mut corpus: Vec<(String, Mrm, Vec<Vec<String>>)> = Vec::new();
         let m = tmr(&TmrConfig::classic());
         corpus.push(("tmr".into(), m.clone(), singles(&m)));
@@ -1301,6 +1772,27 @@ mod tests {
                     aps(&["minimum", "premium"]),
                 ],
             ));
+        }
+        // The five `(Φ, Ψ)` proposition sets of the cluster-analysis
+        // benchmark's unbounded untils.
+        corpus.push((
+            "cluster16".into(),
+            cluster(&ClusterConfig::new(16)),
+            vec![
+                aps(&["backbone_up", "down"]),
+                aps(&["backbone_up", "premium"]),
+                aps(&["backbone_up", "minimum"]),
+                aps(&["backbone_up", "premium"]),
+                aps(&["backbone_up", "down", "premium"]),
+            ],
+        ));
+        for (name, m) in [
+            ("interleaved_sums", interleaved_sums_model()),
+            ("dirty_keeper", dirty_keeper_model()),
+            ("left_behind_successor", left_behind_successor_model()),
+        ] {
+            let sets = singles(&m);
+            corpus.push((name.into(), m, sets));
         }
         for seed in 0..8 {
             let config = RandomMrmConfig {

@@ -1,12 +1,13 @@
 //! Scaling benches for the numerical kernels underneath the engines:
 //! Poisson layers, the Omega recursion, sparse matrix–vector products,
 //! BSCC decomposition, the Eq. 3.8 solvers and the choice between them,
-//! and whole-engine scaling on the breakdown queue.
+//! certified lumping, and whole-engine scaling on the breakdown queue.
 //!
 //! All benchmarks share the single group `kernels`, so one snapshot file
 //! (`BENCH_kernels.json` at the repository root) captures the whole kernel
 //! layer; ids are namespaced `section/benchmark/param`.
 
+use mrmc_analysis::lumping;
 use mrmc_bench::harness::{BenchmarkId, Criterion};
 use mrmc_bench::{criterion_group, criterion_main};
 use mrmc_ctmc::bscc::SccDecomposition;
@@ -230,6 +231,24 @@ fn bench(c: &mut Criterion) {
                 });
             },
         );
+    }
+
+    // A certificate-cache miss of the lumping layer on the cluster-analysis
+    // model: refinement plus quotient (`lumping::certify`, the checker's
+    // entry point) and the independent re-verification.
+    let m = cluster(&ClusterConfig::new(32));
+    for (name, formula) in [
+        ("premium", "S(> 0.5) (premium)"),
+        ("backbone_up_down", "P(> 0.5) [backbone_up U down]"),
+    ] {
+        let phi = mrmc_csrl::parse(formula).unwrap();
+        group.bench_with_input(BenchmarkId::new("lumping/cluster32", name), &(), |b, _| {
+            b.iter(|| {
+                let cert = lumping::certify(&m, &phi).expect("the cluster model lumps");
+                cert.verify(&m).unwrap();
+                cert.quotient.num_states()
+            });
+        });
     }
 
     group.finish();

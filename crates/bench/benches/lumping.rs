@@ -30,8 +30,9 @@ fn bench_case_studies(c: &mut Criterion) {
             cluster(&ClusterConfig::new(4)),
             "P(>= 0.1) [TT U[0,1] down]",
         ),
-        // 2312 states: refinement at a size where re-signing only the
-        // states next to a split block matters.
+        // 2312 states: refinement at a size where signing only what a
+        // round's moves changed (the predecessors of moved states, and
+        // moved states with a successor left in their old block) matters.
         (
             "cluster16_until",
             cluster(&ClusterConfig::new(16)),

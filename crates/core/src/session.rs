@@ -119,10 +119,11 @@ pub(crate) enum CertOutcome {
 }
 
 impl CertOutcome {
-    /// Run the lumping analysis and verify its certificate against `mrm`;
-    /// `hash_quotient` also records the quotient's content hash.
+    /// Build the lumping certificate (without the lint-only attribution of
+    /// [`lumping::analyze`]) and verify it against `mrm`; `hash_quotient`
+    /// also records the quotient's content hash.
     fn analyze(mrm: &Mrm, formula: &StateFormula, hash_quotient: bool) -> Self {
-        match lumping::analyze(mrm, formula).certificate {
+        match lumping::certify(mrm, formula) {
             Some(cert) if cert.verify(mrm).is_ok() => CertOutcome::Verified {
                 quotient_hash: hash_quotient.then(|| cache::model_hash(&cert.quotient)),
                 cert: Arc::new(cert),

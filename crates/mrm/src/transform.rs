@@ -77,7 +77,7 @@ pub fn make_absorbing(mrm: &Mrm, absorb: &[bool]) -> Result<Mrm, MrmError> {
 ///   ordinarily lumpable partition they only re-randomize inside the
 ///   block and do not affect the aggregated law;
 /// * **labels** — a block keeps exactly the propositions common to *all*
-///   its members ([`Labeling::common_to`](mrmc_ctmc::Labeling::common_to));
+///   its members ([`Labeling::lumped`](mrmc_ctmc::Labeling::lumped));
 ///   the declared vocabulary is preserved;
 /// * **state rewards** — the representative's reward;
 /// * **impulse rewards** — the representative's outgoing impulses, mapped
@@ -92,6 +92,37 @@ pub fn make_absorbing(mrm: &Mrm, absorb: &[bool]) -> Result<Mrm, MrmError> {
 /// [`MrmError::PartitionSizeMismatch`] when the partition does not cover
 /// the state space; reconstruction errors are propagated.
 pub fn quotient(mrm: &Mrm, partition: &Partition) -> Result<Mrm, MrmError> {
+    let ctmc = quotient_chain(mrm, partition)?;
+    let k = partition.num_blocks();
+    let rho = StateRewards::new(
+        (0..k)
+            .map(|block| mrm.state_reward(partition.representative(block)))
+            .collect(),
+    )?;
+    let mut iota = ImpulseRewards::new();
+    for (from, to, v) in mrm.impulse_rewards().iter() {
+        let fb = partition.block_of(from);
+        if from == partition.representative(fb) && partition.block_of(to) != fb {
+            iota.set(fb, partition.block_of(to), v)?;
+        }
+    }
+    Mrm::new(ctmc, rho, iota)
+}
+
+/// The [`quotient`] of `mrm`'s labeled chain alone, with every reward
+/// zero: equal to `quotient(&Mrm::without_rewards(mrm.ctmc().clone()),
+/// partition)` without copying the chain. This is the quotient a lumping
+/// that cannot observe rewards certifies.
+///
+/// # Errors
+///
+/// As for [`quotient`].
+pub fn quotient_reward_free(mrm: &Mrm, partition: &Partition) -> Result<Mrm, MrmError> {
+    Ok(Mrm::without_rewards(quotient_chain(mrm, partition)?))
+}
+
+/// The rates and labels of [`quotient`].
+fn quotient_chain(mrm: &Mrm, partition: &Partition) -> Result<Ctmc, MrmError> {
     let n = mrm.num_states();
     if partition.num_states() != n {
         return Err(MrmError::PartitionSizeMismatch {
@@ -123,29 +154,9 @@ pub fn quotient(mrm: &Mrm, partition: &Partition) -> Result<Mrm, MrmError> {
         }
         touched.clear();
     }
-    for (block, members) in partition.blocks().iter().enumerate() {
-        for ap in mrm.labeling().common_to(members) {
-            b.label(block, ap);
-        }
-    }
-    let mut ctmc: Ctmc = b.build()?;
-    for ap in mrm.labeling().declared() {
-        ctmc.labeling_mut().declare(ap);
-    }
-
-    let rho = StateRewards::new(
-        (0..k)
-            .map(|block| mrm.state_reward(partition.representative(block)))
-            .collect(),
-    )?;
-    let mut iota = ImpulseRewards::new();
-    for (from, to, v) in mrm.impulse_rewards().iter() {
-        let fb = partition.block_of(from);
-        if from == partition.representative(fb) && partition.block_of(to) != fb {
-            iota.set(fb, partition.block_of(to), v)?;
-        }
-    }
-    Mrm::new(ctmc, rho, iota)
+    let mut ctmc = b.build()?;
+    *ctmc.labeling_mut() = mrm.labeling().lumped(partition.assignment(), k);
+    Ok(ctmc)
 }
 
 #[cfg(test)]

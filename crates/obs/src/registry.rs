@@ -8,7 +8,8 @@
 //! * `counters` — per-check [`Counter`]s, whose increments
 //!   [`RunMetrics::counters`] sums;
 //! * `session` — the [`SessionStats`] fields in `stats` reply order; those
-//!   marked `+ check` are per-check counters too.
+//!   marked `+ check` are per-check counters too, the others are
+//!   [`SessionCounter`]s, which a per-check event cannot carry.
 //!
 //! A new metric is one entry here, its emitting site and its USAGE row.
 
@@ -30,6 +31,39 @@ pub struct Counter(&'static str);
 impl Counter {
     /// The name as it appears in metrics, traces, BENCH snapshots and the
     /// session's `stats` reply.
+    pub const fn name(&self) -> &'static str {
+        self.0
+    }
+}
+
+/// A registered session-only counter name: a lifetime total of a
+/// long-lived session ([`SessionStats`]), never a per-check increment.
+///
+/// It is a different type from [`Counter`], so a per-check event cannot
+/// carry one:
+///
+/// ```compile_fail
+/// let _ = mrmc_obs::Event::Counter {
+///     name: mrmc_obs::counters::REQUESTS,
+///     value: 1,
+/// };
+/// ```
+///
+/// while a per-check counter, including a session counter marked
+/// `+ check` in the registry, can:
+///
+/// ```
+/// let _ = mrmc_obs::Event::Counter {
+///     name: mrmc_obs::counters::SAT_CACHE_HITS,
+///     value: 1,
+/// };
+/// ```
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct SessionCounter(&'static str);
+
+impl SessionCounter {
+    /// The name as it appears in the session's `stats` reply and the
+    /// Prometheus exposition.
     pub const fn name(&self) -> &'static str {
         self.0
     }
@@ -84,6 +118,19 @@ macro_rules! also_per_check {
     };
 }
 
+/// The constant of a session counter: a [`Counter`] when it is marked
+/// `+ check`, a [`SessionCounter`] otherwise.
+macro_rules! session_counter {
+    ($(#[doc = $doc:literal])+ $konst:ident = $name:ident check) => {
+        $(#[doc = $doc])+
+        pub const $konst: &Counter = &Counter(stringify!($name));
+    };
+    ($(#[doc = $doc:literal])+ $konst:ident = $name:ident) => {
+        $(#[doc = $doc])+
+        pub const $konst: &SessionCounter = &SessionCounter(stringify!($name));
+    };
+}
+
 macro_rules! metrics {
     (
         scalars {
@@ -134,16 +181,18 @@ macro_rules! metrics {
             }
         }
 
-        /// The registered [`Event::Counter`](crate::Event::Counter) names.
+        /// The registered counter names.
         ///
         /// A [`Counter`] can only be constructed inside `mrmc-obs`, so an
         /// emitter elsewhere can only name a counter declared in the
         /// registry. Per-check counters are increments: a check emits what
-        /// it did itself, and [`RunMetrics`] sums.
+        /// it did itself, and [`RunMetrics`] sums. Session-only counters
+        /// are [`SessionCounter`]s, which no
+        /// [`Event::Counter`](crate::Event::Counter) can carry.
         pub mod counters {
-            pub use super::Counter;
+            pub use super::{Counter, SessionCounter};
             $($(#[doc = $cdoc])+ pub const $ckonst: &Counter = &Counter(stringify!($cname));)+
-            $($(#[doc = $xdoc])+ pub const $xkonst: &Counter = &Counter(stringify!($xname));)+
+            $(session_counter!($(#[doc = $xdoc])+ $xkonst = $xname $($check)?);)+
 
             /// Every per-check counter: the `counters` section, then the
             /// session counters marked `+ check`.
@@ -297,7 +346,10 @@ mod tests {
     fn scopes_follow_the_table() {
         assert!(counters::PER_CHECK.contains(&counters::SCC_COUNT));
         assert!(counters::PER_CHECK.contains(&counters::SAT_CACHE_HITS));
-        assert!(!counters::PER_CHECK.contains(&counters::REQUESTS));
+        // Session-only counters are `SessionCounter`s, so `PER_CHECK` (a
+        // list of `Counter`s) cannot hold one; the `SessionCounter`
+        // compile-fail doctest pins that.
+        assert_eq!(counters::REQUESTS.name(), "requests");
         let stats = SessionStats {
             scc_cache_hits: 3,
             ..SessionStats::default()
