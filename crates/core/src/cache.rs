@@ -29,8 +29,8 @@
 //!   adaptive tolerance, reduction policy.
 //!
 //! Serving a hit is exact: the engines are deterministic functions of
-//! `(model, subformula, options)`, so a cached triple is bit-for-bit the
-//! triple a fresh run would produce.
+//! `(model, subformula, options)`, so a cached node is bit-for-bit the
+//! node a fresh run would produce.
 //!
 //! The caches reach the recursion explicitly, not through thread-local
 //! installs: [`crate::CheckSession`] bundles them with the model hash
@@ -52,7 +52,7 @@ use mrmc_obs::counters::Counter;
 
 use crate::error::CheckError;
 use crate::options::CheckOptions;
-use crate::sat::Extras;
+use crate::sat::SatNode;
 use crate::session::CertOutcome;
 
 /// 64-bit FNV-1a, the workspace's hermetic content digest.
@@ -223,9 +223,6 @@ impl<K: Ord, V: Clone> Store<K, V> {
     }
 }
 
-/// One memoized sub-result: the full triple the recursion produced.
-pub(crate) type CachedSat = (Vec<bool>, Vec<bool>, Option<Extras>);
-
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct SatKey {
     model_hash: u64,
@@ -235,7 +232,7 @@ pub(crate) struct SatKey {
 
 /// Memoized `Sat` sub-results (counted as `sat_cache_hits` and
 /// `sat_cache_misses`).
-pub(crate) type SatCache = Store<SatKey, CachedSat>;
+pub(crate) type SatCache = Store<SatKey, SatNode>;
 
 /// Tarjan SCC decompositions keyed by [`model_hash`]. The condensation
 /// depends only on the model's rate graph (which the hash digests), so
@@ -283,8 +280,8 @@ impl Memo<'_> {
     pub(crate) fn sat(
         &self,
         formula: &StateFormula,
-        compute: impl FnOnce() -> Result<CachedSat, CheckError>,
-    ) -> Result<CachedSat, CheckError> {
+        compute: impl FnOnce() -> Result<SatNode, CheckError>,
+    ) -> Result<SatNode, CheckError> {
         let key = SatKey {
             model_hash: self.model_hash,
             options_fp: self.options_fp,
@@ -471,17 +468,15 @@ mod tests {
     fn cache_counts_hits_and_misses() {
         let caches = Caches::new();
         let formula = mrmc_csrl::parse("S(> 0.5) (up)").unwrap();
-        let compute = || Ok((vec![true], vec![false], None));
+        let compute = || Ok(SatNode::sets(vec![true], vec![false]));
         caches.memo(7).sat(&formula, compute).unwrap();
         assert_eq!((caches.sat.hits(), caches.sat.misses()), (0, 1));
-        let (sat, unknown, extras) = caches
+        let node = caches
             .memo(7)
             .sat(&formula, || panic!("a hit must not recompute"))
             .unwrap();
         assert_eq!((caches.sat.hits(), caches.sat.misses()), (1, 1));
-        assert_eq!(sat, vec![true]);
-        assert_eq!(unknown, vec![false]);
-        assert!(extras.is_none());
+        assert_eq!(node, SatNode::sets(vec![true], vec![false]));
         // A different model hash misses.
         caches.memo(8).sat(&formula, compute).unwrap();
         assert_eq!((caches.sat.hits(), caches.sat.misses()), (1, 2));

@@ -66,6 +66,52 @@ pub enum Verdict {
     Unknown,
 }
 
+/// What one probabilistic operator (`S`, `X` or `U`) computed for every
+/// state, before its threshold is applied. Engines return it with
+/// `Vec<ErrorBudget>` budgets, the session memo keeps it column-wise
+/// (`sat::BudgetColumns`), and [`CheckOutcome`] carries the outermost one.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct OperatorResult<B = Vec<ErrorBudget>> {
+    pub(crate) probabilities: Vec<f64>,
+    /// See [`CheckOutcome::error_bounds`].
+    pub(crate) error_bounds: Option<Vec<f64>>,
+    /// Per-state error budgets; `None` where the engine claims no bound:
+    /// the `X` closed form, and Gauss–Seidel solves stopped at their
+    /// update tolerance (steady state, the `[t1, ∞)` window, unbounded
+    /// until too wide for the direct solver).
+    pub(crate) budgets: Option<B>,
+    /// See [`CheckOutcome::engine`].
+    pub(crate) engine: &'static str,
+    /// See [`CheckOutcome::dataflow`].
+    pub(crate) dataflow: Option<DataflowInfo>,
+}
+
+impl OperatorResult {
+    /// A result that carries only `probabilities`.
+    pub(crate) fn new(probabilities: Vec<f64>, engine: &'static str) -> Self {
+        OperatorResult {
+            probabilities,
+            error_bounds: None,
+            budgets: None,
+            engine,
+            dataflow: None,
+        }
+    }
+}
+
+impl<B> OperatorResult<B> {
+    /// The same result with its budgets stored as `f` makes them.
+    pub(crate) fn map_budgets<C>(self, f: impl FnOnce(B) -> C) -> OperatorResult<C> {
+        OperatorResult {
+            probabilities: self.probabilities,
+            error_bounds: self.error_bounds,
+            budgets: self.budgets.map(f),
+            engine: self.engine,
+            dataflow: self.dataflow,
+        }
+    }
+}
+
 /// The outcome of `Sat(Φ)`: the satisfying set, the undecided set, plus —
 /// when the outermost operator was probabilistic — the computed per-state
 /// probabilities, error bounds and budgets.
@@ -73,46 +119,21 @@ pub enum Verdict {
 pub struct CheckOutcome {
     sat: Vec<bool>,
     unknown: Vec<bool>,
-    probabilities: Option<Vec<f64>>,
-    error_bounds: Option<Vec<f64>>,
-    budgets: Option<Vec<ErrorBudget>>,
-    engine: Option<&'static str>,
+    operator: Option<OperatorResult>,
     reduction: Option<ReductionInfo>,
-    dataflow: Option<DataflowInfo>,
 }
 
 impl CheckOutcome {
-    pub(crate) fn with_probabilities(
+    pub(crate) fn new(
         sat: Vec<bool>,
         unknown: Vec<bool>,
-        probabilities: Vec<f64>,
-        error_bounds: Option<Vec<f64>>,
-        budgets: Option<Vec<ErrorBudget>>,
-        engine: &'static str,
-        dataflow: Option<DataflowInfo>,
+        operator: Option<OperatorResult>,
     ) -> Self {
         CheckOutcome {
             sat,
             unknown,
-            probabilities: Some(probabilities),
-            error_bounds,
-            budgets,
-            engine: Some(engine),
+            operator,
             reduction: None,
-            dataflow,
-        }
-    }
-
-    pub(crate) fn with_unknown(sat: Vec<bool>, unknown: Vec<bool>) -> Self {
-        CheckOutcome {
-            sat,
-            unknown,
-            probabilities: None,
-            error_bounds: None,
-            budgets: None,
-            engine: None,
-            reduction: None,
-            dataflow: None,
         }
     }
 
@@ -123,12 +144,13 @@ impl CheckOutcome {
         CheckOutcome {
             sat: partition.lift(&self.sat),
             unknown: partition.lift(&self.unknown),
-            probabilities: self.probabilities.map(|p| partition.lift(&p)),
-            error_bounds: self.error_bounds.map(|e| partition.lift(&e)),
-            budgets: self.budgets.map(|b| partition.lift(&b)),
-            engine: self.engine,
+            operator: self.operator.map(|o| OperatorResult {
+                probabilities: partition.lift(&o.probabilities),
+                error_bounds: o.error_bounds.map(|e| partition.lift(&e)),
+                budgets: o.budgets.map(|b| partition.lift(&b)),
+                ..o
+            }),
             reduction: Some(info),
-            dataflow: self.dataflow,
         }
     }
 
@@ -200,20 +222,21 @@ impl CheckOutcome {
     /// The per-state probabilities computed for the outermost `S`/`P`
     /// operator (absent for purely boolean formulas).
     pub fn probabilities(&self) -> Option<&[f64]> {
-        self.probabilities.as_deref()
+        Some(&self.operator.as_ref()?.probabilities)
     }
 
-    /// Per-state truncation error bounds, when the outermost operator used
-    /// the uniformization engine.
+    /// The outermost operator's engine-native error per state: the
+    /// uniformization engine's truncation bound, or the simulation
+    /// engine's standard error (a statistical estimate, not a bound).
     pub fn error_bounds(&self) -> Option<&[f64]> {
-        self.error_bounds.as_deref()
+        self.operator.as_ref()?.error_bounds.as_deref()
     }
 
     /// Per-state error budgets for the outermost operator, when its
     /// engine accounts for its error (see
     /// [`ErrorBudget`](mrmc_numerics::ErrorBudget)).
     pub fn budgets(&self) -> Option<&[ErrorBudget]> {
-        self.budgets.as_deref()
+        self.operator.as_ref()?.budgets.as_deref()
     }
 
     /// The engine that actually computed the outermost operator's
@@ -223,7 +246,7 @@ impl CheckOutcome {
     /// `"simulation"`, `"steady"`, or `"next"`. Absent for purely boolean
     /// formulas.
     pub fn engine(&self) -> Option<&'static str> {
-        self.engine
+        Some(self.operator.as_ref()?.engine)
     }
 
     /// The state-space reduction applied before checking, when the checker
@@ -239,7 +262,7 @@ impl CheckOutcome {
     /// verified certificate; `None` for boolean formulas, non-until
     /// operators, and `--no-slicing` runs.
     pub fn dataflow(&self) -> Option<DataflowInfo> {
-        self.dataflow
+        self.operator.as_ref()?.dataflow
     }
 }
 
@@ -249,7 +272,7 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let o = CheckOutcome::with_unknown(vec![true, false, true], vec![false; 3]);
+        let o = CheckOutcome::new(vec![true, false, true], vec![false; 3], None);
         assert_eq!(o.sat(), &[true, false, true]);
         assert!(o.holds_in(0));
         assert!(!o.holds_in(1));
@@ -265,17 +288,17 @@ mod tests {
 
     #[test]
     fn probability_outcome() {
-        let o = CheckOutcome::with_probabilities(
+        let o = CheckOutcome::new(
             vec![false, true],
             vec![false, false],
-            vec![0.2, 0.9],
-            Some(vec![1e-9, 2e-9]),
-            Some(vec![
-                ErrorBudget::from_truncation(1e-9),
-                ErrorBudget::from_truncation(2e-9),
-            ]),
-            "uniformization",
-            None,
+            Some(OperatorResult {
+                error_bounds: Some(vec![1e-9, 2e-9]),
+                budgets: Some(vec![
+                    ErrorBudget::from_truncation(1e-9),
+                    ErrorBudget::from_truncation(2e-9),
+                ]),
+                ..OperatorResult::new(vec![0.2, 0.9], "uniformization")
+            }),
         );
         assert_eq!(o.engine(), Some("uniformization"));
         assert_eq!(o.probabilities().unwrap()[1], 0.9);
@@ -287,14 +310,13 @@ mod tests {
     fn lift_replicates_block_results_per_state() {
         // Blocks {0, 2} and {1, 3}: a 2-block outcome becomes a 4-state one.
         let p = Partition::from_assignment(&[0, 1, 0, 1]);
-        let o = CheckOutcome::with_probabilities(
+        let o = CheckOutcome::new(
             vec![true, false],
             vec![false, true],
-            vec![0.9, 0.4],
-            Some(vec![1e-9, 2e-9]),
-            None,
-            "baseline",
-            None,
+            Some(OperatorResult {
+                error_bounds: Some(vec![1e-9, 2e-9]),
+                ..OperatorResult::new(vec![0.9, 0.4], "baseline")
+            }),
         );
         assert_eq!(o.reduction(), None);
         let info = ReductionInfo {
@@ -312,14 +334,10 @@ mod tests {
 
     #[test]
     fn unknown_states_are_not_satisfying() {
-        let o = CheckOutcome::with_probabilities(
+        let o = CheckOutcome::new(
             vec![false, true, false],
             vec![true, false, false],
-            vec![0.5, 0.9, 0.1],
-            None,
-            None,
-            "steady",
-            None,
+            Some(OperatorResult::new(vec![0.5, 0.9, 0.1], "steady")),
         );
         assert_eq!(o.verdict(0), Verdict::Unknown);
         assert_eq!(o.verdict(1), Verdict::Holds);

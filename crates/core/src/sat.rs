@@ -15,6 +15,14 @@
 //! brackets the true probability. The midpoint is reported, and the
 //! half-width is charged to the budget's `propagation` component.
 //!
+//! The three operators share that path: each arm of
+//! [`sat_node`](Ctx::sat_node) hands its engine, as a closure from
+//! argument sets to an [`OperatorResult`], to one helper,
+//! [`operator`](Ctx::operator), which runs it, widens when an argument is
+//! undecided, and applies the threshold. The same `OperatorResult` type
+//! is what the engines return, what the session memo stores (budgets
+//! column-wise, in a [`SatNode`]) and what [`CheckOutcome`] reports.
+//!
 //! The recursion is a method of [`Ctx`]: the model, the options and,
 //! inside a [`CheckSession`](crate::CheckSession), the session's memo.
 //! Engine-backed nodes are served from that memo, and the until operators
@@ -25,23 +33,13 @@ use mrmc_csrl::{CompareOp, PathFormula, StateFormula};
 use mrmc_mrm::Mrm;
 use mrmc_numerics::ErrorBudget;
 
-use crate::cache::{CachedSat, Memo};
+use crate::cache::Memo;
 use crate::error::CheckError;
 use crate::next::next_probabilities;
 use crate::options::CheckOptions;
-use crate::outcome::{CheckOutcome, DataflowInfo};
+use crate::outcome::{CheckOutcome, OperatorResult};
 use crate::steady::steady_probabilities;
 use crate::until::until_probabilities;
-
-/// Probabilities attached to the outermost operator, for reporting.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Extras {
-    pub(crate) probabilities: Vec<f64>,
-    pub(crate) error_bounds: Option<Vec<f64>>,
-    pub(crate) budgets: Option<BudgetColumns>,
-    pub(crate) engine: &'static str,
-    pub(crate) dataflow: Option<DataflowInfo>,
-}
 
 /// Per-state error budgets as the session memo keeps them: one column per
 /// component that is not `+0.0` in every state. An operator's budget
@@ -82,6 +80,31 @@ impl BudgetColumns {
     }
 }
 
+/// One node of the recursion: `Sat(Φ)`, its undecided states and, for an
+/// `S`/`P` operator, the operator's result with its budgets stored as the
+/// session memo keeps them.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SatNode {
+    sat: Vec<bool>,
+    unknown: Vec<bool>,
+    operator: Option<OperatorResult<BudgetColumns>>,
+}
+
+impl SatNode {
+    pub(crate) fn sets(sat: Vec<bool>, unknown: Vec<bool>) -> Self {
+        SatNode {
+            sat,
+            unknown,
+            operator: None,
+        }
+    }
+
+    /// `true` when the formula definitely fails in `state`.
+    fn fails(&self, state: usize) -> bool {
+        !self.sat[state] && !self.unknown[state]
+    }
+}
+
 /// One `Sat(Φ)` run: the model it checks, the options, and — inside a
 /// [`CheckSession`](crate::CheckSession) — the session's memos.
 #[derive(Debug, Clone, Copy)]
@@ -100,37 +123,41 @@ fn any(v: &[bool]) -> bool {
     v.iter().any(|&b| b)
 }
 
-/// Combine a lower/upper probability pair from monotone two-run widening
-/// into a midpoint estimate and a budget charging the half-width to the
-/// `propagation` component (on top of the component-wise worst case of
-/// the two runs' own budgets).
-fn widen(
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-    lo_budgets: Option<Vec<ErrorBudget>>,
-    hi_budgets: Option<Vec<ErrorBudget>>,
-) -> (Vec<f64>, Option<Vec<ErrorBudget>>) {
-    let n = lo.len();
-    let mut probabilities = Vec::with_capacity(n);
-    let mut budgets = Vec::with_capacity(n);
-    for s in 0..n {
-        // The engines' own error can perturb the bracketing by up to their
-        // budget, so order the endpoints defensively.
-        let (a, b) = if lo[s] <= hi[s] {
-            (lo[s], hi[s])
-        } else {
-            (hi[s], lo[s])
-        };
-        probabilities.push(0.5 * (a + b));
-        let base = match (&lo_budgets, &hi_budgets) {
-            (Some(l), Some(h)) => l[s].max(&h[s]),
-            (Some(l), None) => l[s],
-            (None, Some(h)) => h[s],
-            (None, None) => ErrorBudget::zero(),
-        };
-        budgets.push(base.widened_by(0.5 * (b - a)));
+/// Combine the lower and upper runs of monotone two-run widening: the
+/// midpoint estimate, and a budget charging the half-width to the
+/// `propagation` component on top of the component-wise worst case of the
+/// two runs' own budgets. Engine-native error bounds combine by maximum.
+/// The engine and the dataflow pre-pass are the lower run's: it analyzed
+/// the definite argument sets the verdicts are anchored to.
+fn widen(lo: OperatorResult, hi: OperatorResult) -> OperatorResult {
+    let (probabilities, budgets) = (0..lo.probabilities.len())
+        .map(|s| {
+            // The engines' own error can perturb the bracketing by up to
+            // their budget, so order the endpoints defensively.
+            let (a, b) = if lo.probabilities[s] <= hi.probabilities[s] {
+                (lo.probabilities[s], hi.probabilities[s])
+            } else {
+                (hi.probabilities[s], lo.probabilities[s])
+            };
+            let base = match (&lo.budgets, &hi.budgets) {
+                (Some(l), Some(h)) => l[s].max(&h[s]),
+                (Some(l), None) => l[s],
+                (None, Some(h)) => h[s],
+                (None, None) => ErrorBudget::zero(),
+            };
+            (0.5 * (a + b), base.widened_by(0.5 * (b - a)))
+        })
+        .unzip();
+    let error_bounds = match (lo.error_bounds, hi.error_bounds) {
+        (Some(l), Some(h)) => Some(l.iter().zip(&h).map(|(&a, &b)| a.max(b)).collect()),
+        _ => None,
+    };
+    OperatorResult {
+        probabilities,
+        error_bounds,
+        budgets: Some(budgets),
+        ..lo
     }
-    (probabilities, Some(budgets))
 }
 
 /// Evaluate `⋈ bound` on each probability. With budgets the comparison is
@@ -138,51 +165,31 @@ fn widen(
 fn threshold_verdicts(
     op: CompareOp,
     bound: f64,
-    probabilities: &[f64],
-    budgets: Option<&[ErrorBudget]>,
+    result: &OperatorResult,
 ) -> (Vec<bool>, Vec<bool>) {
-    let n = probabilities.len();
-    match budgets {
-        None => (
-            probabilities.iter().map(|&p| op.eval(p, bound)).collect(),
-            vec![false; n],
-        ),
+    let verdict = |s: usize, p: f64| match &result.budgets {
+        None => Some(op.eval(p, bound)),
         Some(bs) => {
-            let mut sat = Vec::with_capacity(n);
-            let mut unknown = vec![false; n];
-            for (s, (&p, budget)) in probabilities.iter().zip(bs).enumerate() {
-                let e = budget.total();
-                // Probabilities live in [0, 1]; clamping the interval keeps
-                // trivial thresholds (≥ 0, ≤ 1) decidable under any budget.
-                match op.eval_interval((p - e).max(0.0), (p + e).min(1.0), bound) {
-                    Some(v) => sat.push(v),
-                    None => {
-                        sat.push(false);
-                        unknown[s] = true;
-                    }
-                }
-            }
-            (sat, unknown)
+            let e = bs[s].total();
+            // Probabilities live in [0, 1]; clamping the interval keeps
+            // trivial thresholds (≥ 0, ≤ 1) decidable under any budget.
+            op.eval_interval((p - e).max(0.0), (p + e).min(1.0), bound)
         }
-    }
+    };
+    result
+        .probabilities
+        .iter()
+        .enumerate()
+        .map(|(s, &p)| verdict(s, p).map_or((false, true), |v| (v, false)))
+        .unzip()
 }
 
 impl Ctx<'_> {
     /// Compute `Sat(Φ)` with a post-order traversal of the formula.
     pub(crate) fn satisfy(&self, formula: &StateFormula) -> Result<CheckOutcome, CheckError> {
-        let (sat, unknown, extras) = self.sat_rec(formula)?;
-        Ok(match extras {
-            Some(e) => CheckOutcome::with_probabilities(
-                sat,
-                unknown,
-                e.probabilities,
-                e.error_bounds,
-                e.budgets.map(|b| b.to_vec()),
-                e.engine,
-                e.dataflow,
-            ),
-            None => CheckOutcome::with_unknown(sat, unknown),
-        })
+        let node = self.sat_rec(formula)?;
+        let operator = node.operator.map(|o| o.map_budgets(|b| b.to_vec()));
+        Ok(CheckOutcome::new(node.sat, node.unknown, operator))
     }
 
     /// One recursion step, with the session memo consulted first.
@@ -193,7 +200,7 @@ impl Ctx<'_> {
     /// round-trip. Without a memo (the one-shot
     /// [`ModelChecker`](crate::ModelChecker) path) this is exactly
     /// [`sat_node`](Ctx::sat_node).
-    fn sat_rec(&self, formula: &StateFormula) -> Result<CachedSat, CheckError> {
+    fn sat_rec(&self, formula: &StateFormula) -> Result<SatNode, CheckError> {
         match self.memo {
             Some(memo)
                 if matches!(
@@ -207,169 +214,114 @@ impl Ctx<'_> {
         }
     }
 
-    fn sat_node(&self, formula: &StateFormula) -> Result<CachedSat, CheckError> {
+    /// A probabilistic operator `⋈ bound` over the argument formulas
+    /// `args`: `run` maps their definite sets to the operator's result.
+    /// When some argument has undecided states, `run` runs again on
+    /// definite ∪ undecided and the two runs are [widened](widen); the
+    /// verdicts then come from the result's budgets.
+    fn operator(
+        &self,
+        op: CompareOp,
+        bound: f64,
+        args: &[&StateFormula],
+        mut run: impl FnMut(&[Vec<bool>]) -> Result<OperatorResult, CheckError>,
+    ) -> Result<SatNode, CheckError> {
+        let mut sets = Vec::with_capacity(args.len());
+        let mut unknowns = Vec::with_capacity(args.len());
+        for arg in args {
+            let node = self.sat_rec(arg)?;
+            sets.push(node.sat);
+            unknowns.push(node.unknown);
+        }
+        let lo = run(&sets)?;
+        let result = if unknowns.iter().any(|u| any(u)) {
+            let upper: Vec<Vec<bool>> = sets
+                .iter()
+                .zip(&unknowns)
+                .map(|(s, u)| union(s, u))
+                .collect();
+            widen(lo, run(&upper)?)
+        } else {
+            lo
+        };
+        let (sat, unknown) = threshold_verdicts(op, bound, &result);
+        Ok(SatNode {
+            sat,
+            unknown,
+            operator: Some(result.map_budgets(BudgetColumns::new)),
+        })
+    }
+
+    fn sat_node(&self, formula: &StateFormula) -> Result<SatNode, CheckError> {
         let Ctx { mrm, options, .. } = *self;
         let n = mrm.num_states();
         match formula {
-            StateFormula::True => Ok((vec![true; n], vec![false; n], None)),
-            StateFormula::False => Ok((vec![false; n], vec![false; n], None)),
+            StateFormula::True => Ok(SatNode::sets(vec![true; n], vec![false; n])),
+            StateFormula::False => Ok(SatNode::sets(vec![false; n], vec![false; n])),
             StateFormula::Ap(name) => {
                 let sat = mrm.labeling().states_with(name);
                 if !any(&sat) {
                     return Err(CheckError::UnknownProposition { name: name.clone() });
                 }
-                Ok((sat, vec![false; n], None))
+                Ok(SatNode::sets(sat, vec![false; n]))
             }
             StateFormula::Not(inner) => {
-                let (isat, iunk, _) = self.sat_rec(inner)?;
+                let inner = self.sat_rec(inner)?;
                 // ¬unknown stays unknown; only definite-false flips to true.
-                let sat = isat.iter().zip(&iunk).map(|(&s, &u)| !s && !u).collect();
-                Ok((sat, iunk, None))
+                let sat = (0..n).map(|s| inner.fails(s)).collect();
+                Ok(SatNode::sets(sat, inner.unknown))
             }
             StateFormula::Or(a, b) => {
-                let (sa, ua, _) = self.sat_rec(a)?;
-                let (sb, ub, _) = self.sat_rec(b)?;
-                let sat: Vec<bool> = union(&sa, &sb);
-                let unknown = sat
-                    .iter()
-                    .zip(ua.iter().zip(&ub))
-                    .map(|(&s, (&x, &y))| !s && (x || y))
+                let (a, b) = (self.sat_rec(a)?, self.sat_rec(b)?);
+                let sat: Vec<bool> = union(&a.sat, &b.sat);
+                let unknown = (0..n)
+                    .map(|s| !sat[s] && (a.unknown[s] || b.unknown[s]))
                     .collect();
-                Ok((sat, unknown, None))
+                Ok(SatNode::sets(sat, unknown))
             }
             StateFormula::And(a, b) => {
-                let (sa, ua, _) = self.sat_rec(a)?;
-                let (sb, ub, _) = self.sat_rec(b)?;
-                let mut sat = Vec::with_capacity(n);
-                let mut unknown = Vec::with_capacity(n);
-                for s in 0..n {
-                    let both = sa[s] && sb[s];
-                    // Definitely false as soon as either side definitely fails.
-                    let def_false = (!sa[s] && !ua[s]) || (!sb[s] && !ub[s]);
-                    sat.push(both);
-                    unknown.push(!both && !def_false);
-                }
-                Ok((sat, unknown, None))
+                let (a, b) = (self.sat_rec(a)?, self.sat_rec(b)?);
+                let sat: Vec<bool> = (0..n).map(|s| a.sat[s] && b.sat[s]).collect();
+                // Definitely false as soon as either side definitely fails.
+                let unknown = (0..n)
+                    .map(|s| !sat[s] && !a.fails(s) && !b.fails(s))
+                    .collect();
+                Ok(SatNode::sets(sat, unknown))
             }
             StateFormula::Implies(a, b) => {
                 // a ⇒ b ≡ ¬a ∨ b in Kleene logic.
-                let (sa, ua, _) = self.sat_rec(a)?;
-                let (sb, ub, _) = self.sat_rec(b)?;
-                let mut sat = Vec::with_capacity(n);
-                let mut unknown = Vec::with_capacity(n);
-                for s in 0..n {
-                    let holds = (!sa[s] && !ua[s]) || sb[s];
-                    sat.push(holds);
-                    unknown.push(!holds && (ua[s] || ub[s]));
-                }
-                Ok((sat, unknown, None))
+                let (a, b) = (self.sat_rec(a)?, self.sat_rec(b)?);
+                let sat: Vec<bool> = (0..n).map(|s| a.fails(s) || b.sat[s]).collect();
+                let unknown = (0..n)
+                    .map(|s| !sat[s] && (a.unknown[s] || b.unknown[s]))
+                    .collect();
+                Ok(SatNode::sets(sat, unknown))
             }
             StateFormula::Steady { op, bound, inner } => {
-                let (isat, iunk, _) = self.sat_rec(inner)?;
-                let (probabilities, budgets) = if any(&iunk) {
-                    let lo = steady_probabilities(mrm, options, &isat)?;
-                    let hi = steady_probabilities(mrm, options, &union(&isat, &iunk))?;
-                    widen(lo, hi, None, None)
-                } else {
-                    (steady_probabilities(mrm, options, &isat)?, None)
-                };
-                let (sat, unknown) =
-                    threshold_verdicts(*op, *bound, &probabilities, budgets.as_deref());
-                Ok((
-                    sat,
-                    unknown,
-                    Some(Extras {
-                        probabilities,
-                        error_bounds: None,
-                        budgets: budgets.map(BudgetColumns::new),
-                        engine: "steady",
-                        dataflow: None,
-                    }),
-                ))
+                // Both widening runs share one steady-state analysis.
+                let mut analysis = None;
+                self.operator(*op, *bound, &[inner], |sets| {
+                    let p = steady_probabilities(mrm, options, &mut analysis, &sets[0])?;
+                    Ok(OperatorResult::new(p, "steady"))
+                })
             }
             StateFormula::Prob { op, bound, path } => match path.as_ref() {
                 PathFormula::Next {
                     time,
                     reward,
                     inner,
-                } => {
-                    let (isat, iunk, _) = self.sat_rec(inner)?;
-                    let (probabilities, budgets) = if any(&iunk) {
-                        let lo = next_probabilities(mrm, time, reward, &isat)?;
-                        let hi = next_probabilities(mrm, time, reward, &union(&isat, &iunk))?;
-                        widen(lo, hi, None, None)
-                    } else {
-                        (next_probabilities(mrm, time, reward, &isat)?, None)
-                    };
-                    let (sat, unknown) =
-                        threshold_verdicts(*op, *bound, &probabilities, budgets.as_deref());
-                    Ok((
-                        sat,
-                        unknown,
-                        Some(Extras {
-                            probabilities,
-                            error_bounds: None,
-                            budgets: budgets.map(BudgetColumns::new),
-                            engine: "next",
-                            dataflow: None,
-                        }),
-                    ))
-                }
+                } => self.operator(*op, *bound, &[inner], |sets| {
+                    let p = next_probabilities(mrm, time, reward, &sets[0])?;
+                    Ok(OperatorResult::new(p, "next"))
+                }),
                 PathFormula::Until {
                     time,
                     reward,
                     lhs,
                     rhs,
-                } => {
-                    let (phi, phi_u, _) = self.sat_rec(lhs)?;
-                    let (psi, psi_u, _) = self.sat_rec(rhs)?;
-                    let (probabilities, error_bounds, budgets, engine, dataflow) =
-                        if any(&phi_u) || any(&psi_u) {
-                            let lo = until_probabilities(self, time, reward, &phi, &psi)?;
-                            let hi = until_probabilities(
-                                self,
-                                time,
-                                reward,
-                                &union(&phi, &phi_u),
-                                &union(&psi, &psi_u),
-                            )?;
-                            let engine = lo.engine;
-                            // Report the lower run's pre-pass: it analyzed the
-                            // definite argument sets the verdicts are anchored to.
-                            let dataflow = lo.dataflow;
-                            let error_bounds = match (lo.error_bounds, hi.error_bounds) {
-                                (Some(l), Some(h)) => {
-                                    Some(l.iter().zip(&h).map(|(&a, &b)| a.max(b)).collect())
-                                }
-                                _ => None,
-                            };
-                            let (probabilities, budgets) =
-                                widen(lo.probabilities, hi.probabilities, lo.budgets, hi.budgets);
-                            (probabilities, error_bounds, budgets, engine, dataflow)
-                        } else {
-                            let analysis = until_probabilities(self, time, reward, &phi, &psi)?;
-                            (
-                                analysis.probabilities,
-                                analysis.error_bounds,
-                                analysis.budgets,
-                                analysis.engine,
-                                analysis.dataflow,
-                            )
-                        };
-                    let (sat, unknown) =
-                        threshold_verdicts(*op, *bound, &probabilities, budgets.as_deref());
-                    Ok((
-                        sat,
-                        unknown,
-                        Some(Extras {
-                            probabilities,
-                            error_bounds,
-                            budgets: budgets.map(BudgetColumns::new),
-                            engine,
-                            dataflow,
-                        }),
-                    ))
-                }
+                } => self.operator(*op, *bound, &[lhs, rhs], |sets| {
+                    until_probabilities(self, time, reward, &sets[0], &sets[1])
+                }),
             },
         }
     }
@@ -379,7 +331,8 @@ impl Ctx<'_> {
 mod tests {
     use super::*;
     use crate::outcome::Verdict;
-    use crate::{ModelChecker, UntilEngine};
+    use crate::{ModelChecker, Reduction, UntilEngine};
+    use mrmc_csrl::Interval;
     use mrmc_ctmc::CtmcBuilder;
 
     #[test]
@@ -601,5 +554,80 @@ mod tests {
         // From off the next state is sleep (definite on both runs).
         assert_eq!(budgets[0].propagation, 0.0);
         assert_eq!(out.verdict(0), Verdict::Fails);
+    }
+
+    /// `mrm` under the sloppy engine, without lumping, so the outer
+    /// operator runs on the very model the bracketing runs below use.
+    fn sloppy_unreduced(mrm: Mrm) -> ModelChecker {
+        let options = CheckOptions::new()
+            .with_engine(UntilEngine::uniformization(0.5))
+            .with_reduction(Reduction::Off);
+        ModelChecker::new(mrm, options)
+    }
+
+    /// The argument sets of the two widening runs over `inner`: its
+    /// definite set and definite ∪ undecided.
+    fn bracketing_sets(c: &ModelChecker, inner: &str) -> (Vec<bool>, Vec<bool>) {
+        let inner = c.check_str(inner).unwrap();
+        assert!(
+            inner.has_unknown(),
+            "the inner formula must be undecided somewhere"
+        );
+        (inner.sat().to_vec(), union(inner.sat(), inner.unknown()))
+    }
+
+    /// `out` reports each state's bracketing midpoint and charges half the
+    /// spread to `propagation`.
+    fn assert_widened(out: &CheckOutcome, lo: &[f64], hi: &[f64]) {
+        let p = out.probabilities().unwrap();
+        let budgets = out.budgets().expect("widening attaches budgets");
+        for s in 0..lo.len() {
+            let (a, b) = (lo[s].min(hi[s]), lo[s].max(hi[s]));
+            assert_eq!(p[s], 0.5 * (a + b), "state {s}");
+            assert_eq!(budgets[s].propagation, 0.5 * (b - a), "state {s}");
+        }
+    }
+
+    #[test]
+    fn nested_unknown_widens_a_next_operator() {
+        let c = sloppy_unreduced(wavelan());
+        let inner = "P(> 0.3) [idle U[0,0.5][0,2000] busy]";
+        let (lo_set, hi_set) = bracketing_sets(&c, inner);
+        let out = c.check_str(&format!("P(> 0.9) [X ({inner})]")).unwrap();
+        assert_eq!(out.engine(), Some("next"));
+        let any = Interval::unbounded();
+        let lo = next_probabilities(c.mrm(), &any, &any, &lo_set).unwrap();
+        let hi = next_probabilities(c.mrm(), &any, &any, &hi_set).unwrap();
+        assert_widened(&out, &lo, &hi);
+        let budgets = out.budgets().unwrap();
+        assert!(budgets[3].propagation > 0.4);
+        // Off's only successor, sleep, is definite in both runs.
+        assert_eq!(budgets[0].propagation, 0.0);
+        assert_eq!(out.verdict(0), Verdict::Fails);
+    }
+
+    #[test]
+    fn nested_unknown_widens_a_steady_operator() {
+        // Two BSCCs, {1, 2} and {3, 4}, entered from 0 at equal rates.
+        let mut b = CtmcBuilder::new(5);
+        b.transition(0, 1, 1.0).transition(0, 3, 1.0);
+        b.transition(1, 2, 2.0).transition(2, 1, 1.0);
+        b.transition(3, 4, 1.0).transition(4, 3, 1.0);
+        b.label(1, "a").label(2, "goal").label(3, "c").label(4, "c");
+        let c = sloppy_unreduced(Mrm::without_rewards(b.build().unwrap()));
+        let inner = "P(> 0.3) [a U[0,0.5][0,2000] goal]";
+        let (lo_set, hi_set) = bracketing_sets(&c, inner);
+        let out = c.check_str(&format!("S(> 0.5) ({inner})")).unwrap();
+        assert_eq!(out.engine(), Some("steady"));
+        let lo = steady_probabilities(c.mrm(), c.options(), &mut None, &lo_set).unwrap();
+        let hi = steady_probabilities(c.mrm(), c.options(), &mut None, &hi_set).unwrap();
+        assert_widened(&out, &lo, &hi);
+        let budgets = out.budgets().unwrap();
+        assert!(budgets[1].propagation > 0.0);
+        // The BSCC {3, 4} holds no undecided state: no spread there.
+        for s in [3, 4] {
+            assert_eq!(budgets[s].propagation, 0.0, "state {s}");
+            assert_eq!(out.verdict(s), Verdict::Fails);
+        }
     }
 }

@@ -9,16 +9,24 @@ use crate::options::CheckOptions;
 /// Compute `π(s, Sat(Φ))` for every state `s` (Eq. 3.2): the long-run
 /// probability of the Φ-states, weighted by BSCC-reachability.
 ///
+/// The [`SteadyStateAnalysis`] depends on the chain and the solver options
+/// only, never on Φ: the first call builds it into `analysis`, and later
+/// calls with the same slot reuse it.
+///
 /// # Errors
 ///
 /// Propagates BSCC/steady-state solver failures.
 pub fn steady_probabilities(
     mrm: &Mrm,
     options: &CheckOptions,
+    analysis: &mut Option<SteadyStateAnalysis>,
     phi: &[bool],
 ) -> Result<Vec<f64>, CheckError> {
     let _span = mrmc_obs::span("steady/solve");
-    let analysis = SteadyStateAnalysis::new(mrm.ctmc(), options.solver)?;
+    let analysis = match analysis {
+        Some(analysis) => analysis,
+        slot => slot.insert(SteadyStateAnalysis::new(mrm.ctmc(), options.solver)?),
+    };
     Ok(analysis.probabilities(phi))
 }
 
@@ -37,8 +45,13 @@ mod tests {
         b.label(3, "b");
         let m = Mrm::without_rewards(b.build().unwrap());
 
-        let p =
-            steady_probabilities(&m, &CheckOptions::new(), &m.labeling().states_with("b")).unwrap();
+        let p = steady_probabilities(
+            &m,
+            &CheckOptions::new(),
+            &mut None,
+            &m.labeling().states_with("b"),
+        )
+        .unwrap();
         // π(s1, b) = 8/21; from inside B1 it is π^B1(s4) = 2/3; from the
         // sink it is 0.
         assert!((p[0] - 8.0 / 21.0).abs() < 1e-9);
@@ -53,8 +66,13 @@ mod tests {
         b.transition(0, 1, 1.0).transition(1, 0, 3.0);
         b.label(0, "up");
         let m = Mrm::without_rewards(b.build().unwrap());
-        let p = steady_probabilities(&m, &CheckOptions::new(), &m.labeling().states_with("up"))
-            .unwrap();
+        let p = steady_probabilities(
+            &m,
+            &CheckOptions::new(),
+            &mut None,
+            &m.labeling().states_with("up"),
+        )
+        .unwrap();
         assert!((p[0] - 0.75).abs() < 1e-9);
         assert!((p[1] - 0.75).abs() < 1e-9);
     }

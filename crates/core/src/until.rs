@@ -20,44 +20,18 @@
 use mrmc_analysis::dataflow as qual;
 use mrmc_csrl::Interval;
 use mrmc_ctmc::reach;
+use mrmc_numerics::monte_carlo::{Estimate, SimulationOptions};
 use mrmc_numerics::{adaptive, baseline, discretization, monte_carlo, uniformization, ErrorBudget};
 
 use crate::cache;
 use crate::error::CheckError;
 use crate::options::UntilEngine;
-use crate::outcome::DataflowInfo;
+use crate::outcome::{DataflowInfo, OperatorResult};
 use crate::sat::Ctx;
 
-/// Per-state until probabilities plus (engine-dependent) error bounds.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct UntilAnalysis {
-    /// `P^M(s, Φ U^I_J Ψ)` per state.
-    pub(crate) probabilities: Vec<f64>,
-    /// Truncation error bounds per state when the uniformization engine
-    /// ran; `None` for the other property classes. Kept with its original
-    /// engine-native meaning (Eq. 4.6 truncation mass / standard error);
-    /// the full decomposition lives in [`budgets`](UntilAnalysis::budgets).
-    pub(crate) error_bounds: Option<Vec<f64>>,
-    /// Per-state error budgets: `None` only where a Gauss–Seidel solve
-    /// stopped at its update tolerance, which bounds nothing — the
-    /// `[t1, ∞)` window, and unbounded until when its system is too wide
-    /// for the direct solver. Statistical components hold at the
-    /// simulation confidence level rather than with certainty.
-    pub(crate) budgets: Option<Vec<ErrorBudget>>,
-    /// The engine that actually ran, which the bound shape can override
-    /// away from the configured [`UntilEngine`](crate::UntilEngine):
-    /// `"reachability"` (P0), `"baseline"` (P1 / trivial-reward windows),
-    /// `"uniformization"`, `"discretization"`, or `"simulation"` (P2).
-    pub(crate) engine: &'static str,
-    /// The qualitative dataflow pre-pass result, when slicing ran for
-    /// this operator (see [`crate::CheckOptions::slicing`]); `None` for
-    /// `--no-slicing` runs, the property classes the slicer leaves
-    /// untouched (P1 and lower-bound decompositions), and the defensive
-    /// fallback after a failed certificate re-verification.
-    pub(crate) dataflow: Option<DataflowInfo>,
-}
-
-/// Compute `P^M(s, Φ U^I_J Ψ)` for every state.
+/// Compute `P^M(s, Φ U^I_J Ψ)` for every state, under the engine the
+/// bound shape selects: `"reachability"` (P0), `"baseline"` (P1 and
+/// trivial-reward windows), or the configured one (P2).
 ///
 /// # Errors
 ///
@@ -69,7 +43,7 @@ pub(crate) fn until_probabilities(
     reward: &Interval,
     phi: &[bool],
     psi: &[bool],
-) -> Result<UntilAnalysis, CheckError> {
+) -> Result<OperatorResult, CheckError> {
     let Ctx { mrm, options, .. } = *ctx;
     if let Some(eps) = options.tolerance {
         if !(eps > 0.0 && eps < 1.0) {
@@ -82,6 +56,7 @@ pub(crate) fn until_probabilities(
             ));
         }
     }
+    let n = mrm.num_states();
     if time.lo() != 0.0 || reward.lo() != 0.0 {
         // A non-zero time lower bound with a *trivial* reward bound has an
         // exact method: the standard two-phase decomposition ([Bai03]).
@@ -96,13 +71,9 @@ pub(crate) fn until_probabilities(
                 let _span = mrmc_obs::span("until/baseline");
                 let probabilities =
                     baseline::until_time_interval(mrm, phi, psi, time.lo(), time.hi(), eps_used)?;
-                let n = probabilities.len();
-                return Ok(UntilAnalysis {
-                    probabilities,
-                    error_bounds: None,
+                return Ok(OperatorResult {
                     budgets: Some(vec![ErrorBudget::from_poisson_tail(2.0 * eps_used); n]),
-                    engine: "baseline",
-                    dataflow: None,
+                    ..OperatorResult::new(probabilities, "baseline")
                 });
             }
             // Φ U^{[t1,∞)} Ψ: unbounded reachability as phase 2, the
@@ -124,44 +95,19 @@ pub(crate) fn until_probabilities(
                 time.lo(),
                 options.transient_epsilon,
             )?;
-            return Ok(UntilAnalysis {
-                probabilities,
-                error_bounds: None,
-                budgets: None,
-                engine: "baseline",
-                dataflow: None,
-            });
+            return Ok(OperatorResult::new(probabilities, "baseline"));
         }
         // Only the statistical engine evaluates general lower bounds.
         if let UntilEngine::Simulation(sopts) = options.until_engine {
             if !time.is_upper_unbounded() {
-                let _span = mrmc_obs::span("until/simulation");
-                let samples = adaptive::simulation_samples(sopts.samples, options.tolerance)?;
-                let mut sopts = sopts;
-                sopts.samples = samples;
-                let radius = monte_carlo::hoeffding_radius(samples, adaptive::SIMULATION_DELTA);
-                let n = mrm.num_states();
-                let mut probabilities = vec![0.0; n];
-                let mut errors = vec![0.0; n];
-                let mut budgets = vec![ErrorBudget::zero(); n];
-                for s in 0..n {
-                    if !phi[s] && !psi[s] {
-                        continue;
-                    }
-                    let opts = sopts.with_seed(sopts.seed.wrapping_add(s as u64));
-                    let est =
-                        monte_carlo::estimate_until_general(mrm, phi, psi, time, reward, s, opts)?;
-                    probabilities[s] = est.mean;
-                    errors[s] = est.std_error;
-                    budgets[s] = ErrorBudget::from_statistical(radius);
-                }
-                return Ok(UntilAnalysis {
-                    probabilities,
-                    error_bounds: Some(errors),
-                    budgets: Some(budgets),
-                    engine: "simulation",
-                    dataflow: None,
-                });
+                return simulate(
+                    ctx,
+                    sopts,
+                    |s| phi[s] || psi[s],
+                    |s, opts| {
+                        monte_carlo::estimate_until_general(mrm, phi, psi, time, reward, s, opts)
+                    },
+                );
             }
         }
         return Err(CheckError::UnsupportedBounds {
@@ -195,17 +141,15 @@ pub(crate) fn until_probabilities(
                 one,
                 options.solver,
             )?;
-            Ok(UntilAnalysis {
-                probabilities: reach.probabilities,
-                error_bounds: None,
+            Ok(OperatorResult {
                 budgets: reach.error_bounds.map(|bounds| {
                     bounds
                         .into_iter()
                         .map(ErrorBudget::from_float_accumulation)
                         .collect()
                 }),
-                engine: "reachability",
                 dataflow: df.map(|(_, info)| info),
+                ..OperatorResult::new(reach.probabilities, "reachability")
             })
         }
         // Bounded reward with unbounded time has no engine (Chapter 6).
@@ -223,13 +167,9 @@ pub(crate) fn until_probabilities(
                 None => options.transient_epsilon,
             };
             let probabilities = baseline::until_time_bounded(mrm, phi, psi, time.hi(), eps_used)?;
-            let n = probabilities.len();
-            Ok(UntilAnalysis {
-                probabilities,
-                error_bounds: None,
+            Ok(OperatorResult {
                 budgets: Some(vec![ErrorBudget::from_poisson_tail(eps_used); n]),
-                engine: "baseline",
-                dataflow: None,
+                ..OperatorResult::new(probabilities, "baseline")
             })
         }
         // P2: time and reward bounds — run the configured engine for every
@@ -238,7 +178,6 @@ pub(crate) fn until_probabilities(
             let df = dataflow_prepass(ctx, phi, psi, false);
             let t = time.hi();
             let r = reward.hi();
-            let n = mrm.num_states();
             // Certain-zero states contribute exactly 0 — the slicer skips
             // them (discretization/simulation) or makes them absorbing
             // (uniformization's φ′) and folds the sliced-away mass, which
@@ -246,7 +185,7 @@ pub(crate) fn until_probabilities(
             // error budget. With nothing pruned φ′ equals Φ bitwise and
             // the skip set equals the engines' own dead-state skip.
             let zero_sliced = |s: usize| matches!(&df, Some((cert, _)) if cert.zero[s]);
-            match options.until_engine {
+            let result = match options.until_engine {
                 UntilEngine::Uniformization(uopts) => {
                     let _span = mrmc_obs::span("until/uniformization");
                     // φ′ = Φ ∧ ¬certain-zero: dead subtrees become
@@ -272,13 +211,14 @@ pub(crate) fn until_probabilities(
                             uopts,
                         )?,
                     };
-                    Ok(UntilAnalysis {
-                        probabilities: results.iter().map(|r| r.probability).collect(),
+                    OperatorResult {
                         error_bounds: Some(results.iter().map(|r| r.error_bound).collect()),
                         budgets: Some(results.iter().map(|r| r.budget).collect()),
-                        engine: "uniformization",
-                        dataflow: df.map(|(_, info)| info),
-                    })
+                        ..OperatorResult::new(
+                            results.iter().map(|r| r.probability).collect(),
+                            "uniformization",
+                        )
+                    }
                 }
                 UntilEngine::Discretization(dopts) => {
                     let _span = mrmc_obs::span("until/discretization");
@@ -313,48 +253,56 @@ pub(crate) fn until_probabilities(
                         probabilities[s] = res.probability;
                         budgets[s] = res.budget;
                     }
-                    Ok(UntilAnalysis {
-                        probabilities,
-                        error_bounds: None,
+                    OperatorResult {
                         budgets: Some(budgets),
-                        engine: "discretization",
-                        dataflow: df.map(|(_, info)| info),
-                    })
-                }
-                UntilEngine::Simulation(sopts) => {
-                    let _span = mrmc_obs::span("until/simulation");
-                    let samples = adaptive::simulation_samples(sopts.samples, options.tolerance)?;
-                    let mut sopts = sopts;
-                    sopts.samples = samples;
-                    let radius = monte_carlo::hoeffding_radius(samples, adaptive::SIMULATION_DELTA);
-                    let mut probabilities = vec![0.0; n];
-                    let mut errors = vec![0.0; n];
-                    let mut budgets = vec![ErrorBudget::zero(); n];
-                    for s in 0..n {
-                        if zero_sliced(s) || (!phi[s] && !psi[s]) {
-                            continue;
-                        }
-                        // De-correlate states while keeping determinism.
-                        let opts = sopts.with_seed(sopts.seed.wrapping_add(s as u64));
-                        let est = monte_carlo::estimate_until(mrm, phi, psi, t, r, s, opts)?;
-                        probabilities[s] = est.mean;
-                        errors[s] = est.std_error;
-                        budgets[s] = ErrorBudget::from_statistical(radius);
+                        ..OperatorResult::new(probabilities, "discretization")
                     }
-                    Ok(UntilAnalysis {
-                        probabilities,
-                        // Standard errors reported in the error-bound slot;
-                        // statistical, not a guaranteed bound. The budget
-                        // carries the distribution-free Hoeffding radius.
-                        error_bounds: Some(errors),
-                        budgets: Some(budgets),
-                        engine: "simulation",
-                        dataflow: df.map(|(_, info)| info),
-                    })
                 }
-            }
+                UntilEngine::Simulation(sopts) => simulate(
+                    ctx,
+                    sopts,
+                    |s| !zero_sliced(s) && (phi[s] || psi[s]),
+                    |s, opts| monte_carlo::estimate_until(mrm, phi, psi, t, r, s, opts),
+                )?,
+            };
+            Ok(OperatorResult {
+                dataflow: df.map(|(_, info)| info),
+                ..result
+            })
         }
     }
+}
+
+/// The simulation engine: `estimate` samples each state `live` admits,
+/// with the sample count the requested tolerance calls for and a seed
+/// de-correlated per state (and still deterministic). Other states keep
+/// probability 0 with a zero budget. The error-bound slot holds the
+/// standard errors, which are statistical, not guaranteed bounds; the
+/// budget carries the distribution-free Hoeffding radius.
+fn simulate(
+    ctx: &Ctx<'_>,
+    mut sopts: SimulationOptions,
+    live: impl Fn(usize) -> bool,
+    estimate: impl Fn(usize, SimulationOptions) -> Result<Estimate, mrmc_numerics::NumericsError>,
+) -> Result<OperatorResult, CheckError> {
+    let _span = mrmc_obs::span("until/simulation");
+    sopts.samples = adaptive::simulation_samples(sopts.samples, ctx.options.tolerance)?;
+    let radius = monte_carlo::hoeffding_radius(sopts.samples, adaptive::SIMULATION_DELTA);
+    let n = ctx.mrm.num_states();
+    let mut probabilities = vec![0.0; n];
+    let mut errors = vec![0.0; n];
+    let mut budgets = vec![ErrorBudget::zero(); n];
+    for s in (0..n).filter(|&s| live(s)) {
+        let est = estimate(s, sopts.with_seed(sopts.seed.wrapping_add(s as u64)))?;
+        probabilities[s] = est.mean;
+        errors[s] = est.std_error;
+        budgets[s] = ErrorBudget::from_statistical(radius);
+    }
+    Ok(OperatorResult {
+        error_bounds: Some(errors),
+        budgets: Some(budgets),
+        ..OperatorResult::new(probabilities, "simulation")
+    })
 }
 
 /// The qualitative dataflow pre-pass for one until operator: the model's
@@ -409,7 +357,7 @@ mod tests {
         reward: &Interval,
         phi: &[bool],
         psi: &[bool],
-    ) -> Result<UntilAnalysis, CheckError> {
+    ) -> Result<OperatorResult, CheckError> {
         let ctx = Ctx {
             mrm,
             options,

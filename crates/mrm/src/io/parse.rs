@@ -1,5 +1,7 @@
 //! Parsers for the `.tra`/`.lab`/`.rewr`/`.rewi` formats.
 
+use std::collections::HashSet;
+
 use mrmc_ctmc::{Ctmc, Labeling};
 use mrmc_sparse::CooBuilder;
 
@@ -248,7 +250,9 @@ pub fn parse_lab(text: &str, num_states: usize) -> Result<Labeling, FormatError>
         ));
     }
 
-    let mut declared: Vec<String> = Vec::new();
+    // The labeling keeps the declaration order; the set answers membership.
+    let mut labeling = Labeling::new(num_states);
+    let mut declared: HashSet<&str> = HashSet::new();
     let mut saw_end = false;
     for (ln, line) in &mut lines {
         if line == "#END" {
@@ -256,13 +260,13 @@ pub fn parse_lab(text: &str, num_states: usize) -> Result<Labeling, FormatError>
             break;
         }
         for ap in line.split_whitespace() {
-            if declared.iter().any(|d| d == ap) {
+            if !declared.insert(ap) {
                 return Err(FormatError::new(
                     ln,
                     FormatErrorKind::DuplicateDeclaration { name: ap.into() },
                 ));
             }
-            declared.push(ap.to_string());
+            labeling.declare(ap);
         }
     }
     if !saw_end {
@@ -272,20 +276,17 @@ pub fn parse_lab(text: &str, num_states: usize) -> Result<Labeling, FormatError>
         ));
     }
 
-    let mut labeling = Labeling::new(num_states);
-    for ap in &declared {
-        labeling.declare(ap);
-    }
     for (ln, line) in lines {
-        let mut fields = line.split_whitespace();
-        let state_tok = fields.next().expect("clean lines are non-empty");
+        let (state_tok, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
         let state = check_state(parse_usize(state_tok, ln)?, num_states, ln)?;
-        let rest: String = fields.collect::<Vec<_>>().join(" ");
         for ap in rest.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-            if !declared.iter().any(|d| d == ap) {
+            if !declared.contains(ap) {
+                // A declared name has no whitespace; the error names the
+                // entry with its whitespace runs collapsed to one space.
+                let name = ap.split_whitespace().collect::<Vec<_>>().join(" ");
                 return Err(FormatError::new(
                     ln,
-                    FormatErrorKind::UndeclaredProposition { name: ap.into() },
+                    FormatErrorKind::UndeclaredProposition { name },
                 ));
             }
             if labeling.has(state, ap) {
@@ -538,6 +539,19 @@ mod tests {
         assert!(matches!(
             e.kind,
             FormatErrorKind::DuplicateLabel { state: 1, ref name } if name == "up"
+        ));
+    }
+
+    #[test]
+    fn lab_entries_split_on_commas_and_name_undeclared_ones_normalized() {
+        let l = parse_lab("#DECLARATION\nup down\n#END\n1\tup ,  down\n", 1).unwrap();
+        assert!(l.has(0, "up") && l.has(0, "down"));
+        // Without a comma two names are one (undeclared) entry.
+        let e = parse_lab("#DECLARATION\nup down\n#END\n1 up \t down\n", 1).unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(matches!(
+            e.kind,
+            FormatErrorKind::UndeclaredProposition { ref name } if name == "up down"
         ));
     }
 

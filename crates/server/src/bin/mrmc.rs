@@ -516,7 +516,13 @@ fn print_human(outcome: &CheckOutcome, print_probabilities: bool) {
     for (s, p) in probs.iter().enumerate() {
         let mut line = format!("  state {}: P = {:.12}", s + 1, p);
         if let Some(errs) = outcome.error_bounds() {
-            line.push_str(&format!(" (error bound {:.3e})", errs[s]));
+            // Simulation fills this slot with a standard error, not a bound.
+            let what = if outcome.engine() == Some("simulation") {
+                "standard error"
+            } else {
+                "error bound"
+            };
+            line.push_str(&format!(" ({what} {:.3e})", errs[s]));
         }
         if let Some(budgets) = outcome.budgets() {
             let b = &budgets[s];

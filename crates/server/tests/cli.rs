@@ -577,6 +577,34 @@ fn no_reduction_flag_disables_the_lumping_quotient() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The human output names the per-state `error_bounds` slot for what it
+/// holds: a truncation bound under uniformization, a standard error (no
+/// bound at all) under simulation.
+#[test]
+fn human_output_labels_a_standard_error_as_such() {
+    let dir = temp_dir("error-label");
+    let [tra, lab, rewr, rewi] = write_tmr_like_model(&dir);
+    for (engine, label, other) in [
+        ("s=200", "(standard error ", "(error bound "),
+        ("u=1e-8", "(error bound ", "(standard error "),
+    ] {
+        let (stdout, stderr, code) = run_mrmc_code(
+            &[
+                tra.to_str().unwrap(),
+                lab.to_str().unwrap(),
+                rewr.to_str().unwrap(),
+                rewi.to_str().unwrap(),
+                engine,
+            ],
+            "P(> 0.5) [up U[0,10][0,50] degraded]\n",
+        );
+        assert!(matches!(code, Some(0 | 4)), "{engine}: {stderr}");
+        assert!(stdout.contains(label), "{engine}: {stdout}");
+        assert!(!stdout.contains(other), "{engine}: {stdout}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn engine_field_reports_the_engine_actually_run() {
     // `--json` must name the engine that *actually* computed the outermost
@@ -1030,5 +1058,131 @@ fn multi_formula_exit_reflects_the_worst_outcome() {
     // All definite: success.
     let (stdout, stderr, code) = run(&format!("{passing}{passing}"));
     assert_eq!(code, Some(0), "stderr: {stderr}\nstdout: {stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `--json` corpus pinned byte-for-byte by `tests/golden/check_json.jsonl`:
+/// `(model, engine flag, formulas)`. Every nested `S`, `X` and `U` below
+/// has an inner operator with undecided states under its engine, so the
+/// outer operator takes the two-run widening path; the TMR rows also reach
+/// the `[t1, ∞)`, P0 and general-bounds arms.
+const GOLDEN_RUNS: [(&str, &str, &[&str]); 4] = [
+    (
+        "wavelan",
+        "u=0.5",
+        &[
+            "P(> 0.3) [idle U[0,0.5][0,2000] busy]",
+            "P(> 0.9) [X (P(> 0.3) [idle U[0,0.5][0,2000] busy])]",
+            "P(> 0.4) [X[0,0.1][0,500] (P(> 0.3) [idle U[0,0.5][0,2000] busy])]",
+            "S(> 0.1) (P(> 0.3) [idle U[0,0.5][0,2000] busy])",
+            "S(> 0.1) (S(> 0.1) (P(> 0.3) [idle U[0,0.5][0,2000] busy]))",
+            "P(> 0.5) [TT U (P(> 0.3) [idle U[0,0.5][0,2000] busy])]",
+            "P(> 0.5) [TT U[0.5,~] (P(> 0.3) [idle U[0,0.5][0,2000] busy])]",
+            "P(> 0.5) [TT U[0,1] (P(> 0.3) [idle U[0,0.5][0,2000] busy])]",
+            "P(> 0.5) [TT U[0.5,1] (P(> 0.3) [idle U[0,0.5][0,2000] busy])]",
+            "P(> 0.2) [!(P(> 0.3) [idle U[0,0.5][0,2000] busy]) U[0,1][0,3000] busy]",
+            "P(> 0.5) [X (busy)]",
+            "S(> 0.3) (idle || busy)",
+        ],
+    ),
+    (
+        "wavelan",
+        "d=0.05",
+        &[
+            "P(> 0.158) [idle U[0,0.5][0,2000] busy]",
+            "P(> 0.9) [X (P(> 0.158) [idle U[0,0.5][0,2000] busy])]",
+            "S(> 0.1) (P(> 0.158) [idle U[0,0.5][0,2000] busy])",
+            "P(> 0.5) [TT U (P(> 0.158) [idle U[0,0.5][0,2000] busy])]",
+            "P(> 0.5) [TT U[0.5,~] (P(> 0.158) [idle U[0,0.5][0,2000] busy])]",
+            "P(> 0.1) [idle U[0,0.5][0,2000] (P(> 0.158) [idle U[0,0.5][0,2000] busy])]",
+        ],
+    ),
+    (
+        "tmr",
+        "s=200",
+        &[
+            "P(> 0.8) [Sup U[0,2][0,10] up3]",
+            "P(> 0.5) [X (P(> 0.8) [Sup U[0,2][0,10] up3])]",
+            "S(> 0.5) (P(> 0.8) [Sup U[0,2][0,10] up3])",
+            "P(> 0.5) [TT U (P(> 0.8) [Sup U[0,2][0,10] up3])]",
+            "P(> 0.5) [TT U[1,~] (P(> 0.8) [Sup U[0,2][0,10] up3])]",
+            "P(> 0.5) [Sup U[1,2][0,10] (P(> 0.8) [Sup U[0,2][0,10] up3])]",
+            "P(> 0.5) [Sup U[0,2][0,10] (P(> 0.8) [Sup U[0,2][0,10] up3])]",
+        ],
+    ),
+    (
+        "tmr",
+        "u=1e-8",
+        &[
+            "S(> 0.9) (Sup)",
+            "P(< 0.05) [Sup U[0,2][0,10] down]",
+            "P(> 0.99) [TT U up3]",
+            "P(> 0.5) [!vdown U down]",
+            "P(> 0.5) [TT U[1,~] up3]",
+        ],
+    ),
+];
+
+/// `mrmc check --json` output over [`GOLDEN_RUNS`] is byte-identical to
+/// the committed golden file, once the run-dependent `elapsed_s` prefix is
+/// stripped. The golden lines are in run order, one per formula.
+#[test]
+fn json_output_matches_the_golden_corpus() {
+    let dir = temp_dir("golden");
+    let tmr = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/models/tmr");
+    let tmr_files = ["tra", "lab", "rewr", "rewi"].map(|ext| format!("{tmr}.{ext}"));
+    let wavelan = mrmc_models::wavelan::wavelan();
+    let wavelan_files = {
+        use mrmc_mrm::io::{write_lab, write_rewi, write_rewr, write_tra};
+        let texts = [
+            write_tra(&wavelan),
+            write_lab(&wavelan),
+            write_rewr(&wavelan),
+            write_rewi(&wavelan),
+        ];
+        ["tra", "lab", "rewr", "rewi"]
+            .iter()
+            .zip(texts)
+            .map(|(ext, text)| {
+                let path = dir.join(format!("wavelan.{ext}"));
+                std::fs::write(&path, text).unwrap();
+                path.to_str().unwrap().to_owned()
+            })
+            .collect::<Vec<_>>()
+    };
+    let mut actual = Vec::new();
+    for (model, engine, formulas) in GOLDEN_RUNS {
+        let files = if model == "tmr" {
+            &tmr_files[..]
+        } else {
+            &wavelan_files[..]
+        };
+        let mut args: Vec<&str> = files.iter().map(String::as_str).collect();
+        args.extend([engine, "--json"]);
+        let (stdout, stderr, code) = run_mrmc_code(&args, &(formulas.join("\n") + "\n"));
+        // 0: all definite; 4: some verdict is unknown.
+        assert!(matches!(code, Some(0 | 4)), "{model} {engine}: {stderr}");
+        assert_eq!(stdout.lines().count(), formulas.len(), "{stdout}");
+        for line in stdout.lines() {
+            let body = line
+                .strip_prefix("{\"elapsed_s\":")
+                .and_then(|rest| rest.split_once(','))
+                .unwrap_or_else(|| panic!("no timing prefix: {line}"))
+                .1;
+            actual.push(format!("{{{body}"));
+        }
+    }
+    let golden = include_str!("golden/check_json.jsonl");
+    let expected: Vec<&str> = golden.lines().collect();
+    if actual != expected {
+        // Keep the full run for diffing against the golden file.
+        let dump = dir.with_extension("jsonl");
+        std::fs::write(&dump, actual.join("\n") + "\n").unwrap();
+        eprintln!("actual output written to {}", dump.display());
+    }
+    assert_eq!(actual.len(), expected.len(), "golden line count");
+    for (i, (got, want)) in actual.iter().zip(&expected).enumerate() {
+        assert_eq!(got, want, "golden line {}", i + 1);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
