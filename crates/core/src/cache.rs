@@ -1,7 +1,7 @@
-//! Session memoization: `Sat` sub-results, SCC condensations and lumping
-//! certificates.
+//! Session memoization: `Sat` sub-results, SCC condensations, lumping
+//! certificates and steady-state analyses.
 //!
-//! Every session cache — these three and the session's two model maps —
+//! Every session cache — these four and the session's two model maps —
 //! is one counted store: an ordered map behind a mutex, with hit and miss
 //! counters. A lookup counts a hit or a miss, also as an increment of the
 //! per-check counter the store registered for it; on a miss the value is
@@ -28,16 +28,17 @@
 //!   checking option — engine and its parameters, solver tolerances,
 //!   adaptive tolerance, reduction policy.
 //!
+//! The chain-only caches key on less: SCC condensations on the model hash
+//! alone, steady-state analyses on the model hash and the solver options.
 //! Serving a hit is exact: the engines are deterministic functions of
-//! `(model, subformula, options)`, so a cached node is bit-for-bit the
-//! node a fresh run would produce.
+//! `(model, subformula, options)`, so a cached value is bit-for-bit the
+//! value a fresh run would produce.
 //!
 //! The caches reach the recursion explicitly, not through thread-local
-//! installs: [`crate::CheckSession`] bundles them with the model hash
-//! and options fingerprint into a `Memo` and passes it down the check
-//! pipeline, the `Sat` recursion and the until operators. One-shot
-//! checks ([`crate::ModelChecker`]) pass no memo, hash nothing, and
-//! compute every result fresh.
+//! installs: every check runs in a [`crate::CheckSession`], which bundles
+//! its `Caches` with the model hash and options fingerprint into a
+//! `Memo` and passes it down the check pipeline, the `Sat` recursion and
+//! the operators.
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;
@@ -47,13 +48,15 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use mrmc_analysis::AnalysisInputs;
 use mrmc_csrl::StateFormula;
 use mrmc_ctmc::bscc::SccDecomposition;
+use mrmc_ctmc::steady::SteadyStateAnalysis;
 use mrmc_mrm::Mrm;
-use mrmc_obs::counters::Counter;
+use mrmc_obs::counters::{Counter, CERT_CACHE_HITS, SAT_CACHE_HITS, SAT_CACHE_MISSES};
+use mrmc_sparse::solver::SolverOptions;
 
 use crate::error::CheckError;
+use crate::lumping::LumpingCertificate;
 use crate::options::CheckOptions;
 use crate::sat::SatNode;
-use crate::session::CertOutcome;
 
 /// 64-bit FNV-1a, the workspace's hermetic content digest.
 #[derive(Debug, Clone, Copy)]
@@ -86,11 +89,6 @@ impl Fnv {
     pub(crate) fn finish(&self) -> u64 {
         self.0
     }
-}
-
-/// Digest `bytes` with FNV-1a (used for the load-once file store).
-pub(crate) fn hash_bytes(bytes: &[u8]) -> u64 {
-    Fnv::new().write(bytes).finish()
 }
 
 /// Content hash of a model: every ingredient a checking result can depend
@@ -133,7 +131,7 @@ pub fn model_hash(mrm: &Mrm) -> u64 {
 /// reduction policy, pre-flight) are digested via the `Debug` rendering,
 /// whose `f64` formatting is shortest-round-trip and therefore value-exact.
 pub fn options_fingerprint(options: &CheckOptions) -> u64 {
-    hash_bytes(format!("{options:?}").as_bytes())
+    Fnv::new().write(format!("{options:?}").as_bytes()).finish()
 }
 
 /// A counted memo table: a mutex-guarded ordered map plus hit and miss
@@ -223,16 +221,9 @@ impl<K: Ord, V: Clone> Store<K, V> {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct SatKey {
-    model_hash: u64,
-    options_fp: u64,
-    formula: String,
-}
-
-/// Memoized `Sat` sub-results (counted as `sat_cache_hits` and
-/// `sat_cache_misses`).
-pub(crate) type SatCache = Store<SatKey, SatNode>;
+/// Memoized `Sat` sub-results keyed by `(model hash, options fingerprint,
+/// subformula text)` (counted as `sat_cache_hits` and `sat_cache_misses`).
+pub(crate) type SatCache = Store<(u64, u64, String), SatNode>;
 
 /// Tarjan SCC decompositions keyed by [`model_hash`]. The condensation
 /// depends only on the model's rate graph (which the hash digests), so
@@ -241,32 +232,67 @@ pub(crate) type SatCache = Store<SatKey, SatNode>;
 /// until operator.
 pub(crate) type SccCache = Store<u64, Arc<SccDecomposition>>;
 
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct CertKey {
-    model_hash: u64,
-    inputs: AnalysisInputs,
-}
-
 /// Resolved reductions keyed by `(model hash, relevant propositions,
 /// observation)` (the `cert_cache_hits` counter): exactly what the
 /// lumping analysis reads, so formulas that differ only in thresholds,
-/// time or reward bounds' values share one analysis.
+/// time or reward bounds' values share one analysis. A value is a
+/// verified, strictly smaller quotient's certificate with the quotient's
+/// content hash, or `None`.
 ///
 /// Negative results are stored too: re-running partition refinement to
 /// re-discover that no quotient exists (or that verification fails) is
 /// exactly the kind of per-request work a session exists to amortize.
-pub(crate) type CertCache = Store<CertKey, CertOutcome>;
+pub(crate) type CertCache = Store<(u64, AnalysisInputs), Reduced>;
+
+/// A verified quotient's certificate and content hash, or `None`.
+pub(crate) type Reduced = Option<(Arc<LumpingCertificate>, u64)>;
+
+/// Steady-state analyses (Algorithm 4.3's BSCC decomposition, per-BSCC
+/// stationary vectors and reach weights) keyed by `(model hash, solver
+/// iteration cap, solver tolerance bits)`. The analysis never reads Φ, so
+/// every `S` operator on one chain — both runs of two-run widening
+/// included — shares one entry.
+pub(crate) type SteadyCache = Store<(u64, usize, u64), Arc<SteadyStateAnalysis>>;
+
+/// The memo tables of one [`crate::CheckSession`].
+#[derive(Debug)]
+pub(crate) struct Caches {
+    pub(crate) sat: SatCache,
+    pub(crate) scc: SccCache,
+    pub(crate) certs: CertCache,
+    pub(crate) steady: SteadyCache,
+}
+
+impl Default for Caches {
+    fn default() -> Self {
+        Caches {
+            sat: Store::new(Some(SAT_CACHE_HITS), Some(SAT_CACHE_MISSES)),
+            scc: Store::new(None, None),
+            certs: Store::new(Some(CERT_CACHE_HITS), None),
+            steady: Store::new(None, None),
+        }
+    }
+}
+
+impl Caches {
+    /// A view of these tables for checks of the model with content hash
+    /// `model_hash` under `options`.
+    pub(crate) fn memo(&self, model_hash: u64, options: &CheckOptions) -> Memo<'_> {
+        Memo {
+            caches: self,
+            model_hash,
+            options_fp: options_fingerprint(options),
+        }
+    }
+}
 
 /// The session memos one check reads and writes, scoped to the model
 /// the recursion runs on and the active options. It is passed by value
 /// from [`crate::CheckSession::check`] through the `Sat` recursion into
-/// the until operators; one-shot checks pass none and compute everything
-/// fresh.
+/// the operators.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Memo<'a> {
-    pub(crate) sat: &'a SatCache,
-    pub(crate) scc: &'a SccCache,
-    pub(crate) certs: &'a CertCache,
+    pub(crate) caches: &'a Caches,
     /// Content hash of the model the recursion runs on (the quotient's
     /// hash when checking on a certified quotient).
     pub(crate) model_hash: u64,
@@ -282,12 +308,8 @@ impl Memo<'_> {
         formula: &StateFormula,
         compute: impl FnOnce() -> Result<SatNode, CheckError>,
     ) -> Result<SatNode, CheckError> {
-        let key = SatKey {
-            model_hash: self.model_hash,
-            options_fp: self.options_fp,
-            formula: formula.to_string(),
-        };
-        self.sat.get_or_try_insert_with(key, compute)
+        let key = (self.model_hash, self.options_fp, formula.to_string());
+        self.caches.sat.get_or_try_insert_with(key, compute)
     }
 
     /// The resolved reduction for `formula` on this memo's model,
@@ -296,25 +318,33 @@ impl Memo<'_> {
     pub(crate) fn certificate(
         &self,
         formula: &StateFormula,
-        analyze: impl FnOnce() -> CertOutcome,
-    ) -> CertOutcome {
-        let key = CertKey {
-            model_hash: self.model_hash,
-            inputs: AnalysisInputs::of(formula),
-        };
-        self.certs.get_or_insert_with(key, analyze)
+        analyze: impl FnOnce() -> Reduced,
+    ) -> Reduced {
+        let key = (self.model_hash, AnalysisInputs::of(formula));
+        self.caches.certs.get_or_insert_with(key, analyze)
     }
-}
 
-/// The SCC decomposition of `mrm`'s rate graph: served from the memo's
-/// [`SccCache`] under its model hash when there is a memo, computed fresh
-/// otherwise. The decomposition is a pure function of the rate graph, so
-/// a cached value is identical to a recomputed one.
-pub(crate) fn condensation_for(mrm: &Mrm, memo: Option<Memo<'_>>) -> Arc<SccDecomposition> {
-    let compute = || Arc::new(SccDecomposition::new(mrm.ctmc().rates()));
-    match memo {
-        Some(memo) => memo.scc.get_or_insert_with(memo.model_hash, compute),
-        None => compute(),
+    /// The SCC decomposition of `mrm`, this memo's model: a pure function
+    /// of the rate graph, computed once per model hash.
+    pub(crate) fn condensation(&self, mrm: &Mrm) -> Arc<SccDecomposition> {
+        self.caches.scc.get_or_insert_with(self.model_hash, || {
+            Arc::new(SccDecomposition::new(mrm.ctmc().rates()))
+        })
+    }
+
+    /// The steady-state analysis of this memo's model under `solver`,
+    /// computed by `analyze` on a miss.
+    pub(crate) fn steady(
+        &self,
+        solver: SolverOptions,
+        analyze: impl FnOnce() -> Result<Arc<SteadyStateAnalysis>, CheckError>,
+    ) -> Result<Arc<SteadyStateAnalysis>, CheckError> {
+        let key = (
+            self.model_hash,
+            solver.max_iterations,
+            solver.tolerance.to_bits(),
+        );
+        self.caches.steady.get_or_try_insert_with(key, analyze)
     }
 }
 
@@ -437,48 +467,24 @@ mod tests {
         assert_eq!((store.hits(), store.misses(), store.len()), (0, 2, 1));
     }
 
-    /// Fresh session caches, viewed through a memo per model hash.
-    struct Caches {
-        sat: SatCache,
-        scc: SccCache,
-        certs: CertCache,
-    }
-
-    impl Caches {
-        fn new() -> Self {
-            Caches {
-                sat: Store::new(None, None),
-                scc: Store::new(None, None),
-                certs: Store::new(None, None),
-            }
-        }
-
-        fn memo(&self, model_hash: u64) -> Memo<'_> {
-            Memo {
-                sat: &self.sat,
-                scc: &self.scc,
-                certs: &self.certs,
-                model_hash,
-                options_fp: 9,
-            }
-        }
+    fn memo(caches: &Caches, model_hash: u64) -> Memo<'_> {
+        caches.memo(model_hash, &CheckOptions::new())
     }
 
     #[test]
     fn cache_counts_hits_and_misses() {
-        let caches = Caches::new();
+        let caches = Caches::default();
         let formula = mrmc_csrl::parse("S(> 0.5) (up)").unwrap();
         let compute = || Ok(SatNode::sets(vec![true], vec![false]));
-        caches.memo(7).sat(&formula, compute).unwrap();
+        memo(&caches, 7).sat(&formula, compute).unwrap();
         assert_eq!((caches.sat.hits(), caches.sat.misses()), (0, 1));
-        let node = caches
-            .memo(7)
+        let node = memo(&caches, 7)
             .sat(&formula, || panic!("a hit must not recompute"))
             .unwrap();
         assert_eq!((caches.sat.hits(), caches.sat.misses()), (1, 1));
         assert_eq!(node, SatNode::sets(vec![true], vec![false]));
         // A different model hash misses.
-        caches.memo(8).sat(&formula, compute).unwrap();
+        memo(&caches, 8).sat(&formula, compute).unwrap();
         assert_eq!((caches.sat.hits(), caches.sat.misses()), (1, 2));
         assert_eq!(caches.sat.len(), 2);
     }
@@ -489,20 +495,13 @@ mod tests {
         let mut b = CtmcBuilder::new(2);
         b.transition(0, 1, 1.0).transition(1, 0, 1.0);
         let m = Mrm::without_rewards(b.build().unwrap());
-        let caches = Caches::new();
+        let caches = Caches::default();
         assert_eq!(caches.scc.len(), 0);
-        let memo = caches.memo(model_hash(&m));
-        let (a, b) = (
-            condensation_for(&m, Some(memo)),
-            condensation_for(&m, Some(memo)),
-        );
+        let memo = memo(&caches, model_hash(&m));
+        let (a, b) = (memo.condensation(&m), memo.condensation(&m));
         assert!(Arc::ptr_eq(&a, &b), "second lookup must be served");
         assert_eq!((caches.scc.hits(), caches.scc.misses()), (1, 1));
         assert_eq!(caches.scc.len(), 1);
         assert_eq!(a.num_components(), 1);
-        // Without a memo: computed fresh, cache untouched.
-        let fresh = condensation_for(&m, None);
-        assert_eq!(fresh.num_components(), 1);
-        assert_eq!(caches.scc.len(), 1);
     }
 }

@@ -18,6 +18,13 @@
 //!   followed by one of two engines (Algorithm 4.5): uniformization with
 //!   level-synchronous, merged path generation, or discretization.
 //!
+//! Every check runs through one pipeline, [`CheckSession::check`]: the
+//! pre-flight lint, the certified lumping reduction, then that recursion,
+//! with the session's caches passed down explicitly. A long-lived
+//! [`CheckSession`] (the CLI, the server) shares those caches across
+//! formulas and models; [`ModelChecker`] checks each formula on a fresh
+//! session and keeps nothing between checks.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -73,21 +80,27 @@ use mrmc_csrl::StateFormula;
 use mrmc_mrm::Mrm;
 
 /// A model checker bound to one model and one set of numerical options.
+///
+/// Each check runs on a fresh [`CheckSession`], so nothing is kept
+/// between checks.
 #[derive(Debug, Clone)]
 pub struct ModelChecker {
-    mrm: Mrm,
+    model: ModelHandle,
     options: CheckOptions,
 }
 
 impl ModelChecker {
     /// Create a checker for `mrm` with the given options.
     pub fn new(mrm: Mrm, options: CheckOptions) -> Self {
-        ModelChecker { mrm, options }
+        ModelChecker {
+            model: ModelHandle::new(mrm),
+            options,
+        }
     }
 
     /// The model being checked.
     pub fn mrm(&self) -> &Mrm {
-        &self.mrm
+        self.model.mrm()
     }
 
     /// The active options.
@@ -102,30 +115,17 @@ impl ModelChecker {
     /// callers that want to surface Warning/Note findings (the CLI prints
     /// them to stderr) obtain them here.
     pub fn preflight(&self, formula: &StateFormula) -> mrmc_analysis::Report {
-        mrmc_analysis::preflight(&self.mrm, formula, self.options.engine_hint())
+        mrmc_analysis::preflight(self.mrm(), formula, self.options.engine_hint())
     }
 
-    /// Compute `Sat(Φ)` for a parsed formula.
-    ///
-    /// Unless [`CheckOptions::without_preflight`] was used, the static
-    /// pre-flight lint runs first and Error-grade findings abort with
-    /// [`CheckError::Preflight`] before any numerical engine starts.
-    ///
-    /// Under the default [`Reduction::Auto`] policy, the checker then
-    /// analyzes the model for a formula-preserving lumping
-    /// ([`mrmc_analysis::lumping`]); when a strictly smaller quotient
-    /// exists *and* its certificate passes independent verification, the
-    /// engines run on the quotient and the per-block results are lifted
-    /// back to the full state space. The reduction is exact (bitwise), and
-    /// [`CheckOutcome::reduction`] records when it was applied.
+    /// Compute `Sat(Φ)` for a parsed formula on a fresh [`CheckSession`];
+    /// see [`CheckSession::check`] for the pipeline.
     ///
     /// # Errors
     ///
-    /// [`CheckError`] for pre-flight lint errors (unknown atomic
-    /// propositions, unsupported bounds — reported with stable diagnostic
-    /// codes) or numerical failures.
+    /// As for [`CheckSession::check`].
     pub fn check(&self, formula: &StateFormula) -> Result<CheckOutcome, CheckError> {
-        session::run_check(&self.mrm, &self.options, formula, None)
+        CheckSession::new().check(&self.model, formula, &self.options)
     }
 
     /// Parse and check a formula given in concrete syntax.

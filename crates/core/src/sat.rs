@@ -23,11 +23,12 @@
 //! is what the engines return, what the session memo stores (budgets
 //! column-wise, in a [`SatNode`]) and what [`CheckOutcome`] reports.
 //!
-//! The recursion is a method of [`Ctx`]: the model, the options and,
-//! inside a [`CheckSession`](crate::CheckSession), the session's memo.
-//! Engine-backed nodes are served from that memo, and the until operators
-//! receive the same context, so every cache a check touches is visible in
-//! the signatures; none is reached through thread-local state.
+//! The recursion is a method of [`Ctx`]: the model, the options and the
+//! memo of the [`CheckSession`](crate::CheckSession) the check runs in.
+//! Engine-backed nodes are served from that memo, and the steady-state and
+//! until operators receive the same context, so every cache a check
+//! touches is visible in the signatures; none is reached through
+//! thread-local state.
 
 use mrmc_csrl::{CompareOp, PathFormula, StateFormula};
 use mrmc_mrm::Mrm;
@@ -105,13 +106,13 @@ impl SatNode {
     }
 }
 
-/// One `Sat(Φ)` run: the model it checks, the options, and — inside a
-/// [`CheckSession`](crate::CheckSession) — the session's memos.
+/// One `Sat(Φ)` run: the model it checks, the options, and the memos of
+/// the [`CheckSession`](crate::CheckSession) it runs in.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Ctx<'a> {
     pub(crate) mrm: &'a Mrm,
     pub(crate) options: &'a CheckOptions,
-    pub(crate) memo: Option<Memo<'a>>,
+    pub(crate) memo: Memo<'a>,
 }
 
 /// `a ∪ b` as characteristic vectors.
@@ -195,20 +196,12 @@ impl Ctx<'_> {
     /// One recursion step, with the session memo consulted first.
     ///
     /// Engine-backed nodes (`S`/`P` operators) are served from the memo's
-    /// [`SatCache`](crate::cache::SatCache) when there is a memo; boolean
-    /// nodes are recomputed — they cost a vector scan, less than a cache
-    /// round-trip. Without a memo (the one-shot
-    /// [`ModelChecker`](crate::ModelChecker) path) this is exactly
-    /// [`sat_node`](Ctx::sat_node).
+    /// [`SatCache`](crate::cache::SatCache); boolean nodes are recomputed —
+    /// they cost a vector scan, less than a cache round-trip.
     fn sat_rec(&self, formula: &StateFormula) -> Result<SatNode, CheckError> {
-        match self.memo {
-            Some(memo)
-                if matches!(
-                    formula,
-                    StateFormula::Steady { .. } | StateFormula::Prob { .. }
-                ) =>
-            {
-                memo.sat(formula, || self.sat_node(formula))
+        match formula {
+            StateFormula::Steady { .. } | StateFormula::Prob { .. } => {
+                self.memo.sat(formula, || self.sat_node(formula))
             }
             _ => self.sat_node(formula),
         }
@@ -253,7 +246,7 @@ impl Ctx<'_> {
     }
 
     fn sat_node(&self, formula: &StateFormula) -> Result<SatNode, CheckError> {
-        let Ctx { mrm, options, .. } = *self;
+        let mrm = self.mrm;
         let n = mrm.num_states();
         match formula {
             StateFormula::True => Ok(SatNode::sets(vec![true; n], vec![false; n])),
@@ -298,10 +291,8 @@ impl Ctx<'_> {
                 Ok(SatNode::sets(sat, unknown))
             }
             StateFormula::Steady { op, bound, inner } => {
-                // Both widening runs share one steady-state analysis.
-                let mut analysis = None;
                 self.operator(*op, *bound, &[inner], |sets| {
-                    let p = steady_probabilities(mrm, options, &mut analysis, &sets[0])?;
+                    let p = steady_probabilities(self, &sets[0])?;
                     Ok(OperatorResult::new(p, "steady"))
                 })
             }
@@ -333,6 +324,7 @@ mod tests {
     use crate::outcome::Verdict;
     use crate::{ModelChecker, Reduction, UntilEngine};
     use mrmc_csrl::Interval;
+    use mrmc_ctmc::steady::SteadyStateAnalysis;
     use mrmc_ctmc::CtmcBuilder;
 
     #[test]
@@ -619,8 +611,11 @@ mod tests {
         let (lo_set, hi_set) = bracketing_sets(&c, inner);
         let out = c.check_str(&format!("S(> 0.5) ({inner})")).unwrap();
         assert_eq!(out.engine(), Some("steady"));
-        let lo = steady_probabilities(c.mrm(), c.options(), &mut None, &lo_set).unwrap();
-        let hi = steady_probabilities(c.mrm(), c.options(), &mut None, &hi_set).unwrap();
+        let analysis = SteadyStateAnalysis::new(c.mrm().ctmc(), c.options().solver).unwrap();
+        let (lo, hi) = (
+            analysis.probabilities(&lo_set),
+            analysis.probabilities(&hi_set),
+        );
         assert_widened(&out, &lo, &hi);
         let budgets = out.budgets().unwrap();
         assert!(budgets[1].propagation > 0.0);

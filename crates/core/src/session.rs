@@ -1,10 +1,10 @@
-//! The long-lived checking engine: [`CheckSession`].
+//! The checking engine: [`CheckSession`].
 //!
-//! The thesis tool — and [`ModelChecker`](crate::ModelChecker), its
-//! library mirror — is one-shot: load a model, check a formula, drop
-//! everything. A `CheckSession` is the service-shaped refactor of the
-//! same machinery: one session outlives many requests over many models
-//! and amortizes everything that is a pure function of its inputs:
+//! Every check runs in a session. A long-lived session outlives many
+//! requests over many models and amortizes everything that is a pure
+//! function of its inputs; [`ModelChecker`](crate::ModelChecker) is the
+//! one-shot case, a fresh session per check, so it keeps nothing between
+//! checks. A session holds:
 //!
 //! * **load-once models** — model files are digested and parsed at most
 //!   once per distinct *content*; a reload of unchanged files is a hash
@@ -24,28 +24,29 @@
 //! * **memoized `Sat` sub-results** — every engine-backed subformula's
 //!   full result, keyed by `(model_hash, subformula, options)` (see
 //!   [`crate::cache`]), counted as `sat_cache_hits`/`sat_cache_misses`;
-//! * **a session-scoped condensation cache** — the Tarjan SCC
-//!   decomposition the qualitative dataflow pre-pass slices with is a
-//!   pure function of the rate graph and is computed once per model hash.
+//! * **chain-only analyses** — the Tarjan SCC decomposition the
+//!   qualitative dataflow pre-pass slices with, computed once per model
+//!   hash, and the steady-state analysis every `S` operator folds its Φ
+//!   over, computed once per model hash and solver options.
 //!
-//! The two model maps and the Sat, SCC and certificate caches are all one
-//! type, the counted store of [`crate::cache`]. A lookup also records an
-//! increment of the store's per-check counter, so a check's metrics hold
-//! its own lookups even while other threads share the session;
-//! [`SessionStats`] holds the lifetime totals (`models_loaded` is the
-//! content store's entry count). The Ω-term cache is the exception: a
-//! two-level table owned by `mrmc-numerics`, below this crate.
+//! The two model maps and the Sat, SCC, certificate and steady-state
+//! caches are all one type, the counted store of [`crate::cache`]. A
+//! lookup also records an increment of the store's per-check counter, so
+//! a check's metrics hold its own lookups even while other threads share
+//! the session; [`SessionStats`] holds the lifetime totals
+//! (`models_loaded` is the content store's entry count). The Ω-term cache
+//! is the exception: a two-level table owned by `mrmc-numerics`, below
+//! this crate.
 //!
-//! Both entry points run one pipeline, `run_check`: the pre-flight gate,
-//! the certified reduction, then the `Sat` recursion. A session passes it
-//! a `Memo` over its Sat, SCC and certificate caches explicitly;
-//! `ModelChecker` passes none. Only the Ω cache is still dynamically
+//! A check runs one pipeline, `run_check`: the pre-flight gate, the
+//! certified reduction, then the `Sat` recursion, all handed a `Memo` over
+//! the session's caches explicitly. Only the Ω cache is still dynamically
 //! scoped (`with_omega_cache`), because the numerics engine entry points
 //! carry it implicitly in their signatures.
 //!
 //! Every cache is exact: the engines are deterministic functions of
-//! `(model, formula, options)`, so session results are bit-for-bit
-//! identical to fresh one-shot runs (pinned by
+//! `(model, formula, options)`, so a warm session's results are
+//! bit-for-bit identical to a fresh session's (pinned by
 //! `tests/server_conformance.rs`). The session is `Sync` — requests may
 //! be checked from many threads concurrently, which is what
 //! `mrmc-server` does on its worker pool.
@@ -58,10 +59,10 @@ use mrmc_csrl::StateFormula;
 use mrmc_mrm::io::LoadError;
 use mrmc_mrm::Mrm;
 use mrmc_numerics::omega::{with_omega_cache, OmegaTermCache};
-use mrmc_obs::counters::{CERT_CACHE_HITS, MODELS_LOADED, SAT_CACHE_HITS, SAT_CACHE_MISSES};
+use mrmc_obs::counters::MODELS_LOADED;
 pub use mrmc_obs::SessionStats;
 
-use crate::cache::{self, CertCache, Memo, SatCache, SccCache, Store};
+use crate::cache::{self, Caches, Memo, Reduced, Store};
 use crate::error::CheckError;
 use crate::lumping;
 use crate::options::{CheckOptions, Reduction};
@@ -81,6 +82,14 @@ pub struct ModelHandle {
 }
 
 impl ModelHandle {
+    /// Hash `mrm` and wrap it in a handle.
+    pub(crate) fn new(mrm: Mrm) -> Self {
+        ModelHandle {
+            hash: cache::model_hash(&mrm),
+            mrm: Arc::new(mrm),
+        }
+    }
+
     /// The model.
     pub fn mrm(&self) -> &Mrm {
         &self.mrm
@@ -102,48 +111,15 @@ impl PartialEq for ModelHandle {
 
 impl Eq for ModelHandle {}
 
-/// What lumping analysis plus independent verification concluded for one
-/// model and one set of analysis inputs; sessions cache it, negative
-/// results included.
-#[derive(Debug, Clone)]
-pub(crate) enum CertOutcome {
-    /// A verified, strictly smaller quotient. Inside a session it carries
-    /// the quotient's content hash, the memo key when checking on it.
-    Verified {
-        cert: Arc<lumping::LumpingCertificate>,
-        quotient_hash: Option<u64>,
-    },
-    /// No verified, strictly smaller quotient: none exists for this
-    /// formula, or its certificate failed independent verification.
-    NoQuotient,
-}
-
-impl CertOutcome {
-    /// Build the lumping certificate (without the lint-only attribution of
-    /// [`lumping::analyze`]) and verify it against `mrm`; `hash_quotient`
-    /// also records the quotient's content hash.
-    fn analyze(mrm: &Mrm, formula: &StateFormula, hash_quotient: bool) -> Self {
-        match lumping::certify(mrm, formula) {
-            Some(cert) if cert.verify(mrm).is_ok() => CertOutcome::Verified {
-                quotient_hash: hash_quotient.then(|| cache::model_hash(&cert.quotient)),
-                cert: Arc::new(cert),
-            },
-            _ => CertOutcome::NoQuotient,
-        }
-    }
-}
-
-/// The one check pipeline behind [`CheckSession::check`] and
-/// [`ModelChecker::check`](crate::ModelChecker::check): the pre-flight
+/// The check pipeline behind [`CheckSession::check`]: the pre-flight
 /// gate, the certified reduction and the `Sat` recursion, each under its
-/// telemetry span. `memo` carries a session's caches keyed to `mrm`'s
-/// content hash; one-shot checks pass `None` and compute everything
-/// fresh.
-pub(crate) fn run_check(
+/// telemetry span. `memo` carries the session's caches keyed to `mrm`'s
+/// content hash.
+fn run_check(
     mrm: &Mrm,
     options: &CheckOptions,
     formula: &StateFormula,
-    memo: Option<Memo<'_>>,
+    memo: Memo<'_>,
 ) -> Result<CheckOutcome, CheckError> {
     if options.preflight {
         let _span = mrmc_obs::span("preflight");
@@ -166,9 +142,10 @@ pub(crate) fn run_check(
             let ctx = Ctx {
                 mrm: &cert.quotient,
                 options,
-                memo: memo
-                    .zip(quotient_hash)
-                    .map(|(memo, model_hash)| Memo { model_hash, ..memo }),
+                memo: Memo {
+                    model_hash: quotient_hash,
+                    ..memo
+                },
             };
             Ok(ctx.satisfy(formula)?.lift(&cert.partition, info))
         }
@@ -176,30 +153,22 @@ pub(crate) fn run_check(
     }
 }
 
-/// The verified certificate a check reduces with (plus the quotient's
-/// content hash when there is a memo), resolved through the memo's
-/// certificate cache when there is one. `None` when checking runs on the
-/// full model.
-fn reduction(
-    mrm: &Mrm,
-    policy: Reduction,
-    formula: &StateFormula,
-    memo: Option<Memo<'_>>,
-) -> Option<(Arc<lumping::LumpingCertificate>, Option<u64>)> {
+/// The verified certificate a check reduces with, plus the quotient's
+/// content hash, resolved through the memo's certificate cache. `None`
+/// when checking runs on the full model: no strictly smaller quotient
+/// exists for this formula, or its certificate failed independent
+/// verification.
+fn reduction(mrm: &Mrm, policy: Reduction, formula: &StateFormula, memo: Memo<'_>) -> Reduced {
     if policy == Reduction::Off {
         return None;
     }
-    let outcome = match memo {
-        Some(memo) => memo.certificate(formula, || CertOutcome::analyze(mrm, formula, true)),
-        None => CertOutcome::analyze(mrm, formula, false),
-    };
-    match outcome {
-        CertOutcome::Verified {
-            cert,
-            quotient_hash,
-        } => Some((cert, quotient_hash)),
-        CertOutcome::NoQuotient => None,
-    }
+    memo.certificate(formula, || {
+        // The certificate without the lint-only attribution of
+        // `lumping::analyze`.
+        let cert = lumping::certify(mrm, formula).filter(|cert| cert.verify(mrm).is_ok())?;
+        let quotient_hash = cache::model_hash(&cert.quotient);
+        Some((Arc::new(cert), quotient_hash))
+    })
 }
 
 /// A reusable checking engine with session-scoped caches; see the module
@@ -211,9 +180,7 @@ pub struct CheckSession {
     /// Structural store: model content hash → handle (dedups
     /// [`insert`](CheckSession::insert) and byte-different reloads).
     by_content: Store<u64, ModelHandle>,
-    sat_cache: SatCache,
-    scc: SccCache,
-    certs: CertCache,
+    caches: Caches,
     omega: Arc<OmegaTermCache>,
     requests: AtomicU64,
 }
@@ -223,9 +190,7 @@ impl Default for CheckSession {
         CheckSession {
             by_file_digest: Store::new(None, None),
             by_content: Store::new(None, Some(MODELS_LOADED)),
-            sat_cache: Store::new(Some(SAT_CACHE_HITS), Some(SAT_CACHE_MISSES)),
-            scc: Store::new(None, None),
-            certs: Store::new(Some(CERT_CACHE_HITS), None),
+            caches: Caches::default(),
             omega: Arc::default(),
             requests: AtomicU64::new(0),
         }
@@ -240,11 +205,9 @@ impl CheckSession {
 
     /// Register an in-memory model, deduplicating by content hash.
     pub fn insert(&self, mrm: Mrm) -> ModelHandle {
-        let hash = cache::model_hash(&mrm);
-        self.by_content.get_or_insert_with(hash, || ModelHandle {
-            mrm: Arc::new(mrm),
-            hash,
-        })
+        let handle = ModelHandle::new(mrm);
+        self.by_content
+            .get_or_insert_with(handle.hash, || handle.clone())
     }
 
     /// Load a model from the four files of the thesis' tool, once per
@@ -296,15 +259,25 @@ impl CheckSession {
     /// Compute `Sat(Φ)` for a parsed formula, serving every sub-result
     /// the session has already computed from its caches.
     ///
-    /// Semantics are identical to
-    /// [`ModelChecker::check`](crate::ModelChecker::check) — pre-flight
-    /// gate, certified reduction under [`Reduction::Auto`], three-valued
-    /// verdicts — and the outcome is bit-for-bit what a fresh one-shot
-    /// run would produce.
+    /// Unless [`CheckOptions::without_preflight`] was used, the static
+    /// pre-flight lint runs first and Error-grade findings abort with
+    /// [`CheckError::Preflight`] before any numerical engine starts.
+    ///
+    /// Under the default [`Reduction::Auto`] policy, the check then
+    /// analyzes the model for a formula-preserving lumping
+    /// ([`mrmc_analysis::lumping`]); when a strictly smaller quotient
+    /// exists *and* its certificate passes independent verification, the
+    /// engines run on the quotient and the per-block results are lifted
+    /// back to the full state space. The reduction is exact (bitwise), and
+    /// [`CheckOutcome::reduction`] records when it was applied.
+    ///
+    /// The outcome is bit-for-bit what a fresh session would produce.
     ///
     /// # Errors
     ///
-    /// As for [`ModelChecker::check`](crate::ModelChecker::check).
+    /// [`CheckError`] for pre-flight lint errors (unknown atomic
+    /// propositions, unsupported bounds — reported with stable diagnostic
+    /// codes) or numerical failures.
     pub fn check(
         &self,
         model: &ModelHandle,
@@ -312,15 +285,9 @@ impl CheckSession {
         options: &CheckOptions,
     ) -> Result<CheckOutcome, CheckError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let memo = Memo {
-            sat: &self.sat_cache,
-            scc: &self.scc,
-            certs: &self.certs,
-            model_hash: model.content_hash(),
-            options_fp: cache::options_fingerprint(options),
-        };
+        let memo = self.caches.memo(model.content_hash(), options);
         with_omega_cache(self.omega.clone(), || {
-            run_check(model.mrm(), options, formula, Some(memo))
+            run_check(model.mrm(), options, formula, memo)
         })
     }
 
@@ -346,12 +313,12 @@ impl CheckSession {
         SessionStats {
             requests: self.requests.load(Ordering::Relaxed),
             models_loaded: self.by_content.len() as u64,
-            sat_cache_hits: self.sat_cache.hits(),
-            sat_cache_misses: self.sat_cache.misses(),
-            cert_cache_hits: self.certs.hits(),
+            sat_cache_hits: self.caches.sat.hits(),
+            sat_cache_misses: self.caches.sat.misses(),
+            cert_cache_hits: self.caches.certs.hits(),
             omega_cache_entries: self.omega.len() as u64,
             omega_cache_hits: self.omega.hits(),
-            scc_cache_hits: self.scc.hits(),
+            scc_cache_hits: self.caches.scc.hits(),
         }
     }
 }
@@ -574,6 +541,20 @@ mod tests {
             }
         }
         assert!(reduced > 0, "no case exercised the quotient path");
+    }
+
+    #[test]
+    fn model_checker_keeps_nothing_between_checks() {
+        use mrmc_obs::counters::{SAT_CACHE_HITS, SAT_CACHE_MISSES};
+        let checker = ModelChecker::new(two_state(0.1), CheckOptions::new());
+        let formula = mrmc_csrl::parse("S(>= 0.85) (up)").unwrap();
+        for _ in 0..2 {
+            let metrics = Arc::new(mrmc_obs::MetricsRecorder::new());
+            mrmc_obs::with_recorder(metrics.clone(), || checker.check(&formula)).unwrap();
+            let counters = metrics.take().counters;
+            let count = |c| counters.get(c).copied().unwrap_or(0);
+            assert_eq!((count(SAT_CACHE_MISSES), count(SAT_CACHE_HITS)), (1, 0));
+        }
     }
 
     #[test]

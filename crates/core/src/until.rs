@@ -23,7 +23,6 @@ use mrmc_ctmc::reach;
 use mrmc_numerics::monte_carlo::{Estimate, SimulationOptions};
 use mrmc_numerics::{adaptive, baseline, discretization, monte_carlo, uniformization, ErrorBudget};
 
-use crate::cache;
 use crate::error::CheckError;
 use crate::options::UntilEngine;
 use crate::outcome::{DataflowInfo, OperatorResult};
@@ -306,8 +305,8 @@ fn simulate(
 }
 
 /// The qualitative dataflow pre-pass for one until operator: the model's
-/// condensation (served from the session's [`cache::SccCache`] when the
-/// context carries a memo), the Prob0/Prob1 fixpoints, and the certificate —
+/// condensation (served from the session's
+/// [`SccCache`](crate::cache::SccCache)), the Prob0/Prob1 fixpoints, and the certificate —
 /// **independently re-verified** before any engine may prune with it.
 ///
 /// `None` when slicing is off, and — mirroring the lumping `Auto`
@@ -323,7 +322,7 @@ fn dataflow_prepass(
     if !options.slicing {
         return None;
     }
-    let scc = cache::condensation_for(mrm, memo);
+    let scc = memo.condensation(mrm);
     let cert = qual::qualitative_until(mrm, phi, psi, unbounded);
     if cert.verify(mrm).is_err() {
         return None;
@@ -344,12 +343,13 @@ fn dataflow_prepass(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{model_hash, Caches};
     use crate::options::CheckOptions;
     use mrmc_ctmc::CtmcBuilder;
     use mrmc_mrm::Mrm;
     use mrmc_numerics::uniformization::UniformOptions;
 
-    /// [`until_probabilities`] on a one-shot context (no session memo).
+    /// [`until_probabilities`] on a fresh memo.
     fn until(
         mrm: &Mrm,
         options: &CheckOptions,
@@ -358,10 +358,11 @@ mod tests {
         phi: &[bool],
         psi: &[bool],
     ) -> Result<OperatorResult, CheckError> {
+        let caches = Caches::default();
         let ctx = Ctx {
             mrm,
             options,
-            memo: None,
+            memo: caches.memo(model_hash(mrm), options),
         };
         until_probabilities(&ctx, time, reward, phi, psi)
     }

@@ -116,70 +116,13 @@ pub fn uniformization_until(
     base: UniformOptions,
     adaptive: AdaptiveOptions,
 ) -> Result<UntilResult, NumericsError> {
-    adaptive.validate()?;
-    with_run_omega_cache(|| uniformization_until_rounds(mrm, phi, psi, t, r, start, base, adaptive))
-}
-
-/// Run `f` under a per-run Omega-term cache unless one is installed.
-///
-/// Successive rounds tighten `w`, re-generating most of the previous
-/// round's path classes; the per-run cache lets re-attempts reuse the
-/// tables already computed (Ω is pure, so results are bit-identical). An
-/// externally installed cache is honored instead, which also shares
-/// tables across runs.
-fn with_run_omega_cache<T>(f: impl FnOnce() -> T) -> T {
-    if cache_installed() {
-        f()
-    } else {
-        with_omega_cache(Arc::new(OmegaTermCache::new()), f)
-    }
-}
-
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the engine inputs are the formula operands, bounds and knobs, each its own argument"
-)]
-fn uniformization_until_rounds(
-    mrm: &Mrm,
-    phi: &[bool],
-    psi: &[bool],
-    t: f64,
-    r: f64,
-    start: usize,
-    base: UniformOptions,
-    adaptive: AdaptiveOptions,
-) -> Result<UntilResult, NumericsError> {
-    let mut w = adaptive.initial_truncation(base.truncation);
-    let mut best: Option<UntilResult> = None;
-    for round in 0..adaptive.max_rounds {
-        let opts = base.with_truncation(w).with_improved_pruning();
-        let res = uniformization::until_probability(mrm, phi, psi, t, r, start, opts)?;
-        let achieved = res.budget.total();
-        mrmc_obs::record(|| mrmc_obs::Event::AdaptiveAttempt {
-            round: u64::from(round) + 1,
-            knob: "truncation",
-            value: w,
-            achieved: Some(achieved),
-            components: res.budget.components().to_vec(),
-        });
-        if achieved <= adaptive.tolerance {
-            return Ok(res);
-        }
-        let stalled = best
-            .as_ref()
-            .is_some_and(|b| achieved > 0.9 * b.budget.total());
-        if best.as_ref().is_none_or(|b| achieved < b.budget.total()) {
-            best = Some(res);
-        }
-        if stalled || w <= 1e-300 {
-            break;
-        }
-        w *= adaptive.refinement;
-    }
-    Err(NumericsError::ToleranceNotMet {
-        requested: adaptive.tolerance,
-        achieved: best.map_or(1.0, |b| b.budget.total()),
-    })
+    refine_truncation(
+        base,
+        adaptive,
+        |opts| uniformization::until_probability(mrm, phi, psi, t, r, start, opts),
+        |res| res.budget.total(),
+        |res| res.budget.components().to_vec(),
+    )
 }
 
 /// Drive the uniformization engine for **every** state at once: the whole
@@ -198,51 +141,75 @@ pub fn uniformization_until_all(
     base: UniformOptions,
     adaptive: AdaptiveOptions,
 ) -> Result<Vec<UntilResult>, NumericsError> {
-    adaptive.validate()?;
-    // Here the per-run cache's reuse also spans start states within one
-    // round.
-    with_run_omega_cache(|| uniformization_until_all_rounds(mrm, phi, psi, t, r, base, adaptive))
+    refine_truncation(
+        base,
+        adaptive,
+        |opts| uniformization::until_probabilities_all(mrm, phi, psi, t, r, opts),
+        |res| res.iter().map(|r| r.budget.total()).fold(0.0f64, f64::max),
+        |_| Vec::new(),
+    )
 }
 
-fn uniformization_until_all_rounds(
-    mrm: &Mrm,
-    phi: &[bool],
-    psi: &[bool],
-    t: f64,
-    r: f64,
+/// The refinement loop behind both uniformization drivers: `run` is one
+/// engine round at the given options, `worst` reads the budget a round's
+/// result must bring under the tolerance, and `components` is what its
+/// attempt event reports. Each round tightens `w` by
+/// [`AdaptiveOptions::refinement`]; refinement stops early once a round
+/// improves the best result by less than 10%.
+fn refine_truncation<R>(
     base: UniformOptions,
     adaptive: AdaptiveOptions,
-) -> Result<Vec<UntilResult>, NumericsError> {
-    let worst = |v: &[UntilResult]| v.iter().map(|r| r.budget.total()).fold(0.0f64, f64::max);
-    let mut w = adaptive.initial_truncation(base.truncation);
-    let mut best: Option<Vec<UntilResult>> = None;
-    for round in 0..adaptive.max_rounds {
-        let opts = base.with_truncation(w).with_improved_pruning();
-        let res = uniformization::until_probabilities_all(mrm, phi, psi, t, r, opts)?;
-        let achieved = worst(&res);
-        mrmc_obs::record(|| mrmc_obs::Event::AdaptiveAttempt {
-            round: u64::from(round) + 1,
-            knob: "truncation",
-            value: w,
-            achieved: Some(achieved),
-            components: Vec::new(),
-        });
-        if achieved <= adaptive.tolerance {
-            return Ok(res);
+    run: impl Fn(UniformOptions) -> Result<R, NumericsError>,
+    worst: impl Fn(&R) -> f64,
+    components: impl Fn(&R) -> Vec<(&'static str, f64)>,
+) -> Result<R, NumericsError> {
+    adaptive.validate()?;
+    with_run_omega_cache(|| {
+        let mut w = adaptive.initial_truncation(base.truncation);
+        let mut best: Option<R> = None;
+        for round in 0..adaptive.max_rounds {
+            let res = run(base.with_truncation(w).with_improved_pruning())?;
+            let achieved = worst(&res);
+            mrmc_obs::record(|| mrmc_obs::Event::AdaptiveAttempt {
+                round: u64::from(round) + 1,
+                knob: "truncation",
+                value: w,
+                achieved: Some(achieved),
+                components: components(&res),
+            });
+            if achieved <= adaptive.tolerance {
+                return Ok(res);
+            }
+            let stalled = best.as_ref().is_some_and(|b| achieved > 0.9 * worst(b));
+            if best.as_ref().is_none_or(|b| achieved < worst(b)) {
+                best = Some(res);
+            }
+            if stalled || w <= 1e-300 {
+                break;
+            }
+            w *= adaptive.refinement;
         }
-        let stalled = best.as_ref().is_some_and(|b| achieved > 0.9 * worst(b));
-        if best.as_ref().is_none_or(|b| achieved < worst(b)) {
-            best = Some(res);
-        }
-        if stalled || w <= 1e-300 {
-            break;
-        }
-        w *= adaptive.refinement;
-    }
-    Err(NumericsError::ToleranceNotMet {
-        requested: adaptive.tolerance,
-        achieved: best.map_or(1.0, |b| worst(&b)),
+        Err(NumericsError::ToleranceNotMet {
+            requested: adaptive.tolerance,
+            achieved: best.map_or(1.0, |b| worst(&b)),
+        })
     })
+}
+
+/// Run `f` under a per-run Omega-term cache unless one is installed.
+///
+/// Successive rounds tighten `w`, re-generating most of the previous
+/// round's path classes; the per-run cache lets re-attempts reuse the
+/// tables already computed (Ω is pure, so results are bit-identical). In
+/// the all-states driver the reuse also spans start states within one
+/// round. An externally installed cache is honored instead, which also
+/// shares tables across runs.
+fn with_run_omega_cache<T>(f: impl FnOnce() -> T) -> T {
+    if cache_installed() {
+        f()
+    } else {
+        with_omega_cache(Arc::new(OmegaTermCache::new()), f)
+    }
 }
 
 /// Drive the discretization engine: halve `d` until the reported budget
