@@ -27,9 +27,10 @@
 use mrmc_csrl::{PathFormula, StateFormula};
 use mrmc_ctmc::poisson;
 use mrmc_mrm::Mrm;
+use mrmc_numerics::{UntilEngine, UntilRoute};
 
 use crate::diagnostic::{Diagnostic, Report, Severity};
-use crate::{EngineHint, LintContext};
+use crate::LintContext;
 
 /// Estimated path-tree nodes above which a uniformization run is
 /// considered likely to explode (the lint's `C101` threshold).
@@ -182,45 +183,21 @@ pub fn estimate_discretization(mrm: &Mrm, t: f64, r: f64, step: f64) -> Discreti
     }
 }
 
-/// The worst-case (largest `t`, largest `r`) P2-class until bounds in the
-/// formula, if any.
-fn p2_bounds(formula: &StateFormula) -> Option<(f64, f64)> {
-    fn walk(f: &StateFormula, acc: &mut Option<(f64, f64)>) {
-        match f {
-            StateFormula::True | StateFormula::False | StateFormula::Ap(_) => {}
-            StateFormula::Not(inner) => walk(inner, acc),
-            StateFormula::Or(a, b) | StateFormula::And(a, b) | StateFormula::Implies(a, b) => {
-                walk(a, acc);
-                walk(b, acc);
-            }
-            StateFormula::Steady { inner, .. } => walk(inner, acc),
-            StateFormula::Prob { path, .. } => match path.as_ref() {
-                PathFormula::Next { inner, .. } => walk(inner, acc),
-                PathFormula::Until {
-                    time,
-                    reward,
-                    lhs,
-                    rhs,
-                } => {
-                    if time.lo() == 0.0
-                        && reward.lo() == 0.0
-                        && !time.is_upper_unbounded()
-                        && !reward.is_upper_unbounded()
-                    {
-                        let (t, r) = (time.hi(), reward.hi());
-                        *acc = Some(match *acc {
-                            Some((at, ar)) => (at.max(t), ar.max(r)),
-                            None => (t, r),
-                        });
-                    }
-                    walk(lhs, acc);
-                    walk(rhs, acc);
-                }
-            },
+/// The worst-case (largest `t`, largest `r`) bounds over the formula's
+/// untils routed to [`UntilRoute::RewardBounded`], if any.
+fn p2_bounds(formula: &StateFormula, engine: &UntilEngine) -> Option<(f64, f64)> {
+    let mut acc: Option<(f64, f64)> = None;
+    formula.visit(&mut |f, _| {
+        let StateFormula::Prob { path, .. } = f else {
+            return;
+        };
+        let PathFormula::Until { time, reward, .. } = path.as_ref() else {
+            return;
+        };
+        if let UntilRoute::RewardBounded { t, r } = engine.route(time, reward) {
+            acc = Some(acc.map_or((t, r), |(at, ar)| (at.max(t), ar.max(r))));
         }
-    }
-    let mut acc = None;
-    walk(formula, &mut acc);
+    });
     acc
 }
 
@@ -228,12 +205,12 @@ fn p2_bounds(formula: &StateFormula) -> Option<(f64, f64)> {
 /// the formula's most expensive reward-bounded until.
 pub fn prediction(ctx: &LintContext<'_>, report: &mut Report) {
     let Some(formula) = ctx.formula else { return };
-    let Some((t, r)) = p2_bounds(formula) else {
+    let Some((t, r)) = p2_bounds(formula, &ctx.engine) else {
         return; // no P2-class until: no expensive engine runs.
     };
     match ctx.engine {
-        EngineHint::Uniformization { truncation } => {
-            let c = estimate_uniformization(ctx.mrm, t, truncation);
+        UntilEngine::Uniformization(u) => {
+            let c = estimate_uniformization(ctx.mrm, t, u.truncation);
             if c.estimated_paths > PATH_EXPLOSION_NODES {
                 report.push(
                     Diagnostic::new(
@@ -262,7 +239,8 @@ pub fn prediction(ctx: &LintContext<'_>, report: &mut Report) {
                 ));
             }
         }
-        EngineHint::Discretization { step } => {
+        UntilEngine::Discretization(d) => {
+            let step = d.step;
             let c = estimate_discretization(ctx.mrm, t, r, step);
             if !c.stable {
                 report.push(
@@ -307,7 +285,8 @@ pub fn prediction(ctx: &LintContext<'_>, report: &mut Report) {
                 ));
             }
         }
-        EngineHint::Simulation { samples } => {
+        UntilEngine::Simulation(sim) => {
+            let samples = sim.samples;
             report.push(Diagnostic::new(
                 "C103",
                 Severity::Note,
@@ -337,7 +316,7 @@ mod tests {
         Mrm::without_rewards(b.build().unwrap())
     }
 
-    fn lint(mrm: &Mrm, text: &str, engine: EngineHint) -> Report {
+    fn lint(mrm: &Mrm, text: &str, engine: UntilEngine) -> Report {
         let f = mrmc_csrl::parse(text).unwrap();
         Analyzer::new().check_formula(mrm, &f, engine)
     }
@@ -345,14 +324,18 @@ mod tests {
     #[test]
     fn no_p2_until_no_cost_codes() {
         let m = chain();
-        let r = lint(&m, "P(>= 0.5) [a U[0,10] goal]", EngineHint::default());
+        let r = lint(&m, "P(>= 0.5) [a U[0,10] goal]", UntilEngine::default());
         assert!(!r.codes().iter().any(|c| c.starts_with('C')), "{r}");
     }
 
     #[test]
     fn small_run_gets_a_forecast_note() {
         let m = chain();
-        let r = lint(&m, "P(>= 0.5) [a U[0,2][0,10] goal]", EngineHint::default());
+        let r = lint(
+            &m,
+            "P(>= 0.5) [a U[0,2][0,10] goal]",
+            UntilEngine::default(),
+        );
         let d = r.diagnostics().iter().find(|d| d.code == "C103").unwrap();
         assert_eq!(d.severity, Severity::Note);
         assert!(d.message.contains("truncation depth"));
@@ -365,7 +348,7 @@ mod tests {
         let r = lint(
             &m,
             "P(>= 0.5) [a U[0,1000][0,1e9] goal]",
-            EngineHint::Uniformization { truncation: 1e-8 },
+            UntilEngine::uniformization(1e-8),
         );
         let d = r.diagnostics().iter().find(|d| d.code == "C101").unwrap();
         assert_eq!(d.severity, Severity::Warning);
@@ -378,7 +361,7 @@ mod tests {
         let r = lint(
             &m,
             "P(>= 0.5) [a U[0,2][0,10] goal]",
-            EngineHint::Discretization { step: 0.5 },
+            UntilEngine::discretization(0.5),
         );
         let d = r.diagnostics().iter().find(|d| d.code == "C001").unwrap();
         assert!(d.suggestion.as_deref().unwrap().contains("d <="));
@@ -386,7 +369,7 @@ mod tests {
         let r = lint(
             &m,
             "P(>= 0.5) [a U[0,2][0,10] goal]",
-            EngineHint::Discretization { step: 0.01 },
+            UntilEngine::discretization(0.01),
         );
         assert!(r.codes().contains(&"C103"));
         assert!(!r.codes().contains(&"C001"));
@@ -398,7 +381,7 @@ mod tests {
         let r = lint(
             &m,
             "P(>= 0.5) [a U[0,2][0,1e9] goal]",
-            EngineHint::Discretization { step: 0.0001 },
+            UntilEngine::discretization(0.0001),
         );
         assert!(r.codes().contains(&"C102"), "{r}");
     }
@@ -409,7 +392,7 @@ mod tests {
         let r = lint(
             &m,
             "P(>= 0.5) [a U[0,2][0,10] goal]",
-            EngineHint::Simulation { samples: 5000 },
+            UntilEngine::simulation(5000),
         );
         let d = r.diagnostics().iter().find(|d| d.code == "C103").unwrap();
         assert!(d.message.contains("5000"));

@@ -55,10 +55,12 @@
 //! * `X001` (error) — a qualitative certificate failed re-verification
 //!   (a bug trap: analysis and verifier disagree);
 //! * `X002` (note) — the model's condensation: SCC and BSCC counts;
-//! * `X003` (note) — per until-subformula qualitative set sizes, with the
-//!   certificate hash;
-//! * `X004` (note) — states the slicer would prune from the numerical
-//!   solve (certain-zero `Φ`-states and certain-one non-`Ψ` states).
+//! * `X003` (note) — qualitative set sizes, with the certificate hash, for
+//!   each until the checker slices (route P0 or P2, see
+//!   [`UntilRoute::slices`]);
+//! * `X004` (note) — states the slicer prunes from such an until's
+//!   numerical solve (certain-zero `Φ`-states and certain-one non-`Ψ`
+//!   states).
 
 use std::error::Error;
 use std::fmt;
@@ -66,6 +68,7 @@ use std::fmt;
 use mrmc_csrl::{PathFormula, StateFormula};
 use mrmc_ctmc::bscc::SccDecomposition;
 use mrmc_mrm::Mrm;
+use mrmc_numerics::UntilRoute;
 
 use crate::{Diagnostic, LintContext, Pass, Report, Scope, Severity};
 
@@ -438,44 +441,6 @@ pub fn eval_boolean(mrm: &Mrm, formula: &StateFormula) -> Option<Vec<bool>> {
     }
 }
 
-/// Collect every until-subformula of `formula`, outermost first, with a
-/// rendered description and whether its time/reward bounds are trivial
-/// (making the unbounded `Prob1` fixpoint applicable).
-fn collect_untils<'a>(formula: &'a StateFormula, out: &mut Vec<UntilSite<'a>>) {
-    match formula {
-        StateFormula::True | StateFormula::False | StateFormula::Ap(_) => {}
-        StateFormula::Not(g) => collect_untils(g, out),
-        StateFormula::And(a, b) | StateFormula::Or(a, b) | StateFormula::Implies(a, b) => {
-            collect_untils(a, out);
-            collect_untils(b, out);
-        }
-        StateFormula::Steady { inner, .. } => collect_untils(inner, out),
-        StateFormula::Prob { path, .. } => match &**path {
-            PathFormula::Next { inner, .. } => collect_untils(inner, out),
-            PathFormula::Until {
-                time,
-                reward,
-                lhs,
-                rhs,
-            } => {
-                out.push(UntilSite {
-                    lhs,
-                    rhs,
-                    unbounded: time.is_trivial() && reward.is_trivial(),
-                });
-                collect_untils(lhs, out);
-                collect_untils(rhs, out);
-            }
-        },
-    }
-}
-
-struct UntilSite<'a> {
-    lhs: &'a StateFormula,
-    rhs: &'a StateFormula,
-    unbounded: bool,
-}
-
 /// `X002`: the model's condensation — SCC/BSCC counts over the rate
 /// graph. Model scope, so it fires once per model.
 pub fn condensation_pass(ctx: &LintContext<'_>, report: &mut Report) {
@@ -494,31 +459,46 @@ pub fn condensation_pass(ctx: &LintContext<'_>, report: &mut Report) {
     ));
 }
 
-/// `X001`/`X003`/`X004`: per until-subformula qualitative analysis.
-/// Formula scope; operands that need an engine (nested `S`/`P`) are
+/// `X001`/`X003`/`X004`: per until-subformula qualitative analysis, for
+/// exactly the untils the checker slices — those whose [`UntilRoute`]
+/// under the configured engine [`slices`](UntilRoute::slices) (P0 and
+/// P2). Formula scope; operands that need an engine (nested `S`/`P`) are
 /// skipped — the checker computes their real satisfaction vectors at
 /// engine time and runs the same analysis there.
 pub fn qualitative_pass(ctx: &LintContext<'_>, report: &mut Report) {
     let Some(formula) = ctx.formula else {
         return;
     };
-    let mut sites = Vec::new();
-    collect_untils(formula, &mut sites);
-    for site in sites {
-        let (Some(phi), Some(psi)) = (
-            eval_boolean(ctx.mrm, site.lhs),
-            eval_boolean(ctx.mrm, site.rhs),
-        ) else {
-            continue;
+    formula.visit(&mut |f, _| {
+        let StateFormula::Prob { path, .. } = f else {
+            return;
         };
-        let cert = qualitative_until(ctx.mrm, &phi, &psi, site.unbounded);
+        let PathFormula::Until {
+            time,
+            reward,
+            lhs,
+            rhs,
+        } = path.as_ref()
+        else {
+            return;
+        };
+        let route = ctx.engine.route(time, reward);
+        if !route.slices() {
+            return;
+        }
+        let (Some(phi), Some(psi)) = (eval_boolean(ctx.mrm, lhs), eval_boolean(ctx.mrm, rhs))
+        else {
+            return;
+        };
+        let unbounded = route == UntilRoute::Reachability;
+        let cert = qualitative_until(ctx.mrm, &phi, &psi, unbounded);
         if let Err(err) = cert.verify(ctx.mrm) {
             report.push(Diagnostic::new(
                 "X001",
                 Severity::Error,
                 format!("qualitative certificate failed re-verification: {err}"),
             ));
-            continue;
+            return;
         }
         report.push(Diagnostic::new(
             "X003",
@@ -526,12 +506,12 @@ pub fn qualitative_pass(ctx: &LintContext<'_>, report: &mut Report) {
             format!(
                 "qualitative sets for '{} U {}': {} certain-zero, {} certain-one of {} states \
                  ({}; certificate {:016x} verified)",
-                site.lhs,
-                site.rhs,
+                lhs,
+                rhs,
                 cert.zero_count(),
                 cert.one_count(),
                 ctx.mrm.num_states(),
-                if site.unbounded {
+                if unbounded {
                     "unbounded fixpoint"
                 } else {
                     "bounded: certain-one conservatively equals the goal set"
@@ -556,7 +536,7 @@ pub fn qualitative_pass(ctx: &LintContext<'_>, report: &mut Report) {
                 ),
             );
         }
-    }
+    });
 }
 
 /// The model-scope condensation pass, for `mrmc lint --dataflow`.
@@ -744,14 +724,15 @@ mod tests {
 
     #[test]
     fn passes_emit_x_codes() {
-        use crate::{Analyzer, EngineHint};
+        use crate::Analyzer;
+        use mrmc_numerics::UntilEngine;
         let m = chain_with_trap();
         let mut a = Analyzer::empty();
         a.register(CONDENSATION_PASS).register(PASS);
         let f = parse("P(>= 0.5) [a U goal]").unwrap();
         let model = a.check_model(&m);
         assert_eq!(model.codes(), vec!["X002"]);
-        let formula = a.check_formula(&m, &f, EngineHint::default());
+        let formula = a.check_formula(&m, &f, UntilEngine::default());
         let codes = formula.codes();
         assert!(codes.contains(&"X003"), "{formula}");
         assert!(codes.contains(&"X004"), "{formula}");

@@ -12,30 +12,10 @@
 //! (syntax) in `mrmc lint`'s formula-parsing front end.
 
 use mrmc_csrl::{CompareOp, Interval, PathFormula, StateFormula};
+use mrmc_numerics::{Unsupported, UntilRoute};
 
 use crate::diagnostic::{Diagnostic, Report, Severity};
-use crate::{EngineHint, LintContext};
-
-/// Walk every state subformula, outermost first.
-fn walk_state(f: &StateFormula, visit: &mut impl FnMut(&StateFormula)) {
-    visit(f);
-    match f {
-        StateFormula::True | StateFormula::False | StateFormula::Ap(_) => {}
-        StateFormula::Not(inner) => walk_state(inner, visit),
-        StateFormula::Or(a, b) | StateFormula::And(a, b) | StateFormula::Implies(a, b) => {
-            walk_state(a, visit);
-            walk_state(b, visit);
-        }
-        StateFormula::Steady { inner, .. } => walk_state(inner, visit),
-        StateFormula::Prob { path, .. } => match path.as_ref() {
-            PathFormula::Next { inner, .. } => walk_state(inner, visit),
-            PathFormula::Until { lhs, rhs, .. } => {
-                walk_state(lhs, visit);
-                walk_state(rhs, visit);
-            }
-        },
-    }
-}
+use crate::LintContext;
 
 /// `F001`: an atomic proposition that labels no state.
 ///
@@ -100,74 +80,51 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// `F002`: until bounds no configured engine supports.
-///
-/// This mirrors the dispatch in `mrmc-core`'s until module exactly — the
-/// lint must never reject a formula the checker would accept:
-///
-/// * lower bounds (`inf I > 0` or `inf J > 0`) are fine when `J` is
-///   trivial (two-phase decomposition), or under the simulation engine
-///   when `sup I < ∞`;
-/// * `sup I = ∞` with `sup J < ∞` has no engine (Chapter 6);
-/// * everything else is supported. `X^I_J` has a closed form for general
-///   intervals and is never flagged.
+/// `F002`: until bounds no configured engine supports — exactly the
+/// untils whose [`UntilRoute`] is [`UntilRoute::Unsupported`], so the lint
+/// rejects what the checker would reject and nothing else. `X^I_J` has a
+/// closed form for general intervals and is never flagged.
 pub fn bound_support(ctx: &LintContext<'_>, report: &mut Report) {
     let Some(formula) = ctx.formula else { return };
-    let simulation = matches!(ctx.engine, EngineHint::Simulation { .. });
-    walk_state(formula, &mut |f| {
+    formula.visit(&mut |f, _| {
         let StateFormula::Prob { path, .. } = f else {
             return;
         };
         let PathFormula::Until { time, reward, .. } = path.as_ref() else {
             return;
         };
-        if time.lo() != 0.0 || reward.lo() != 0.0 {
-            if reward.is_trivial() {
-                return; // two-phase decomposition handles it.
-            }
-            if simulation && !time.is_upper_unbounded() {
-                return; // trajectory semantics evaluate it exactly.
-            }
-            let (what, suggestion) = if reward.lo() != 0.0 {
-                (
-                    format!("reward lower bound {} in U{}{}", reward.lo(), time, reward),
-                    "use the simulation engine (s=<samples>) with a finite time bound, \
-                     or drop the reward lower bound",
-                )
-            } else {
-                (
-                    format!(
-                        "time lower bound {} combined with reward bound {} in U{}{}",
-                        time.lo(),
-                        reward,
-                        time,
-                        reward
-                    ),
-                    "use the simulation engine (s=<samples>), or drop one of the bounds",
-                )
-            };
-            report.push(
-                Diagnostic::new(
-                    "F002",
-                    Severity::Error,
-                    format!("no engine supports {what}"),
-                )
-                .with_suggestion(suggestion),
-            );
+        let UntilRoute::Unsupported(why) = ctx.engine.route(time, reward) else {
             return;
-        }
-        if time.is_upper_unbounded() && !reward.is_upper_unbounded() {
-            report.push(
-                Diagnostic::new(
-                    "F002",
-                    Severity::Error,
-                    format!(
-                        "no engine supports unbounded time with bounded reward in U{time}{reward}"
-                    ),
-                )
-                .with_suggestion("bound the time interval as well (Chapter 6 limitation)"),
-            );
-        }
+        };
+        let (what, suggestion) = match why {
+            Unsupported::RewardLowerBound => (
+                format!("reward lower bound {} in U{}{}", reward.lo(), time, reward),
+                "use the simulation engine (s=<samples>) with a finite time bound, \
+                 or drop the reward lower bound",
+            ),
+            Unsupported::TimeLowerBoundWithReward => (
+                format!(
+                    "time lower bound {} combined with reward bound {} in U{}{}",
+                    time.lo(),
+                    reward,
+                    time,
+                    reward
+                ),
+                "use the simulation engine (s=<samples>), or drop one of the bounds",
+            ),
+            Unsupported::UnboundedTimeWithReward => (
+                format!("unbounded time with bounded reward in U{time}{reward}"),
+                "bound the time interval as well (Chapter 6 limitation)",
+            ),
+        };
+        report.push(
+            Diagnostic::new(
+                "F002",
+                Severity::Error,
+                format!("no engine supports {what}"),
+            )
+            .with_suggestion(suggestion),
+        );
     });
 }
 
@@ -179,7 +136,7 @@ pub fn bound_support(ctx: &LintContext<'_>, report: &mut Report) {
 /// model (`F102`) — either way, running an engine is wasted work.
 pub fn thresholds(ctx: &LintContext<'_>, report: &mut Report) {
     let Some(formula) = ctx.formula else { return };
-    walk_state(formula, &mut |f| {
+    formula.visit(&mut |f, _| {
         let (op, bound, kind) = match f {
             StateFormula::Steady { op, bound, .. } => (*op, *bound, "S"),
             StateFormula::Prob { op, bound, .. } => (*op, *bound, "P"),
@@ -238,7 +195,7 @@ pub fn thresholds(ctx: &LintContext<'_>, report: &mut Report) {
 pub fn vacuity(ctx: &LintContext<'_>, report: &mut Report) {
     let Some(formula) = ctx.formula else { return };
     let reward_free = ctx.mrm.is_reward_free();
-    walk_state(formula, &mut |f| {
+    formula.visit(&mut |f, _| {
         let StateFormula::Prob { path, .. } = f else {
             return;
         };
@@ -295,38 +252,12 @@ pub fn vacuity(ctx: &LintContext<'_>, report: &mut Report) {
 /// model.
 pub fn nesting(ctx: &LintContext<'_>, report: &mut Report) {
     let Some(formula) = ctx.formula else { return };
-
-    fn count_nested(f: &StateFormula, inside_operator: bool, nested: &mut usize) {
-        match f {
-            StateFormula::True | StateFormula::False | StateFormula::Ap(_) => {}
-            StateFormula::Not(inner) => count_nested(inner, inside_operator, nested),
-            StateFormula::Or(a, b) | StateFormula::And(a, b) | StateFormula::Implies(a, b) => {
-                count_nested(a, inside_operator, nested);
-                count_nested(b, inside_operator, nested);
-            }
-            StateFormula::Steady { inner, .. } => {
-                if inside_operator {
-                    *nested += 1;
-                }
-                count_nested(inner, true, nested);
-            }
-            StateFormula::Prob { path, .. } => {
-                if inside_operator {
-                    *nested += 1;
-                }
-                match path.as_ref() {
-                    PathFormula::Next { inner, .. } => count_nested(inner, true, nested),
-                    PathFormula::Until { lhs, rhs, .. } => {
-                        count_nested(lhs, true, nested);
-                        count_nested(rhs, true, nested);
-                    }
-                }
-            }
-        }
-    }
-
     let mut nested = 0;
-    count_nested(formula, false, &mut nested);
+    formula.visit(&mut |f, depth| {
+        if depth > 0 && matches!(f, StateFormula::Steady { .. } | StateFormula::Prob { .. }) {
+            nested += 1;
+        }
+    });
     if nested > 0 {
         report.push(
             Diagnostic::new(
@@ -350,6 +281,7 @@ mod tests {
     use crate::Analyzer;
     use mrmc_ctmc::CtmcBuilder;
     use mrmc_mrm::{ImpulseRewards, Mrm, StateRewards};
+    use mrmc_numerics::UntilEngine;
 
     fn model() -> Mrm {
         let mut b = CtmcBuilder::new(2);
@@ -373,12 +305,12 @@ mod tests {
 
     fn lint(mrm: &Mrm, text: &str) -> Report {
         let f = mrmc_csrl::parse(text).unwrap();
-        Analyzer::new().check_formula(mrm, &f, EngineHint::default())
+        Analyzer::new().check_formula(mrm, &f, UntilEngine::default())
     }
 
     fn lint_sim(mrm: &Mrm, text: &str) -> Report {
         let f = mrmc_csrl::parse(text).unwrap();
-        Analyzer::new().check_formula(mrm, &f, EngineHint::Simulation { samples: 1000 })
+        Analyzer::new().check_formula(mrm, &f, UntilEngine::simulation(1000))
     }
 
     #[test]

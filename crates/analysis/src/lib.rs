@@ -64,6 +64,7 @@ pub use lumping::{
 use mrmc_csrl::StateFormula;
 use mrmc_mrm::io::LoadError;
 use mrmc_mrm::Mrm;
+use mrmc_numerics::UntilEngine;
 
 /// Which inputs a pass needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,35 +75,6 @@ pub enum Scope {
     Formula,
 }
 
-/// The engine the checker would run for reward-bounded until formulas,
-/// with the knobs the cost passes predict from.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EngineHint {
-    /// The path-exploration engine with truncation probability `w`.
-    Uniformization {
-        /// Path truncation probability.
-        truncation: f64,
-    },
-    /// The discretization engine with step `d`.
-    Discretization {
-        /// Grid step size.
-        step: f64,
-    },
-    /// The Monte-Carlo engine with `samples` trajectories per state.
-    Simulation {
-        /// Trajectories per state.
-        samples: u64,
-    },
-}
-
-impl Default for EngineHint {
-    /// The checker's default engine: uniformization at the thesis tool's
-    /// default truncation probability `w = 1e-8`.
-    fn default() -> Self {
-        EngineHint::Uniformization { truncation: 1e-8 }
-    }
-}
-
 /// Everything a pass may look at.
 #[derive(Debug, Clone, Copy)]
 pub struct LintContext<'a> {
@@ -110,8 +82,9 @@ pub struct LintContext<'a> {
     pub mrm: &'a Mrm,
     /// The formula under analysis; `None` while running model-scope passes.
     pub formula: Option<&'a StateFormula>,
-    /// The engine the checker would use for reward-bounded until formulas.
-    pub engine: EngineHint,
+    /// The engine the checker would use for until formulas; the passes
+    /// read each until's [`UntilRoute`](mrmc_numerics::UntilRoute) from it.
+    pub engine: UntilEngine,
     /// Verbose mode (`mrmc lint --verbose`): passes that aggregate by
     /// default (e.g. per-SCC unreachable-state grouping) fall back to
     /// their flat per-state form.
@@ -250,7 +223,7 @@ impl Analyzer {
         let ctx = LintContext {
             mrm,
             formula: None,
-            engine: EngineHint::default(),
+            engine: UntilEngine::default(),
             verbose: self.verbose,
         };
         let mut report = Report::new();
@@ -261,7 +234,7 @@ impl Analyzer {
     }
 
     /// Run every formula-scope pass against `formula`.
-    pub fn check_formula(&self, mrm: &Mrm, formula: &StateFormula, engine: EngineHint) -> Report {
+    pub fn check_formula(&self, mrm: &Mrm, formula: &StateFormula, engine: UntilEngine) -> Report {
         let ctx = LintContext {
             mrm,
             formula: Some(formula),
@@ -276,7 +249,7 @@ impl Analyzer {
     }
 
     /// Run everything: model passes once, formula passes per formula.
-    pub fn check_all(&self, mrm: &Mrm, formulas: &[StateFormula], engine: EngineHint) -> Report {
+    pub fn check_all(&self, mrm: &Mrm, formulas: &[StateFormula], engine: UntilEngine) -> Report {
         let mut report = self.check_model(mrm);
         for f in formulas {
             report.extend(self.check_formula(mrm, f, engine));
@@ -292,7 +265,7 @@ impl Analyzer {
 /// [`Analyzer::default_passes`] restricted to [`Scope::Formula`], so a
 /// formula that survives pre-flight cannot fail with an unknown
 /// proposition or unsupported bound shape at engine time.
-pub fn preflight(mrm: &Mrm, formula: &StateFormula, engine: EngineHint) -> Report {
+pub fn preflight(mrm: &Mrm, formula: &StateFormula, engine: UntilEngine) -> Report {
     Analyzer::new().check_formula(mrm, formula, engine)
 }
 
@@ -361,7 +334,7 @@ mod tests {
     fn clean_model_and_formula_produce_no_errors() {
         let mrm = two_state();
         let f = mrmc_csrl::parse("P(>= 0.5) [up U down]").unwrap();
-        let report = Analyzer::new().check_all(&mrm, &[f], EngineHint::default());
+        let report = Analyzer::new().check_all(&mrm, &[f], UntilEngine::default());
         assert!(!report.has_errors(), "{report}");
     }
 

@@ -93,47 +93,17 @@ impl Observation {
             rates: false,
             rewards: false,
         };
-        walk_state(formula, &mut obs);
+        formula.visit(&mut |f, _| match f {
+            StateFormula::Steady { .. } => obs.rates = true,
+            StateFormula::Prob { path, .. } => {
+                obs.rates = true;
+                let (PathFormula::Next { reward, .. } | PathFormula::Until { reward, .. }) =
+                    path.as_ref();
+                obs.rewards |= !reward.is_trivial();
+            }
+            _ => {}
+        });
         obs
-    }
-}
-
-fn walk_state(f: &StateFormula, obs: &mut Observation) {
-    match f {
-        StateFormula::True | StateFormula::False | StateFormula::Ap(_) => {}
-        StateFormula::Not(g) => walk_state(g, obs),
-        StateFormula::Or(a, b) | StateFormula::And(a, b) | StateFormula::Implies(a, b) => {
-            walk_state(a, obs);
-            walk_state(b, obs);
-        }
-        StateFormula::Steady { inner, .. } => {
-            obs.rates = true;
-            walk_state(inner, obs);
-        }
-        StateFormula::Prob { path, .. } => {
-            obs.rates = true;
-            walk_path(path, obs);
-        }
-    }
-}
-
-fn walk_path(p: &PathFormula, obs: &mut Observation) {
-    match p {
-        PathFormula::Next { reward, inner, .. } => {
-            if !reward.is_trivial() {
-                obs.rewards = true;
-            }
-            walk_state(inner, obs);
-        }
-        PathFormula::Until {
-            reward, lhs, rhs, ..
-        } => {
-            if !reward.is_trivial() {
-                obs.rewards = true;
-            }
-            walk_state(lhs, obs);
-            walk_state(rhs, obs);
-        }
     }
 }
 
@@ -175,15 +145,12 @@ pub struct AnalysisInputs {
 impl AnalysisInputs {
     /// The inputs [`analyze`] takes from `formula`.
     pub fn of(formula: &StateFormula) -> Self {
-        let mut relevant_aps: Vec<String> = formula
-            .propositions()
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
-        relevant_aps.sort_unstable();
-        relevant_aps.dedup();
         AnalysisInputs {
-            relevant_aps,
+            relevant_aps: formula
+                .propositions()
+                .into_iter()
+                .map(str::to_owned)
+                .collect(),
             observation: Observation::of(formula),
         }
     }

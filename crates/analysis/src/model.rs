@@ -287,9 +287,10 @@ pub fn label_usage(ctx: &LintContext<'_>, report: &mut Report) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Analyzer, EngineHint};
+    use crate::Analyzer;
     use mrmc_ctmc::CtmcBuilder;
     use mrmc_mrm::{ImpulseRewards, Mrm, StateRewards};
+    use mrmc_numerics::UntilEngine;
 
     fn ctx_report(mrm: &Mrm) -> Report {
         Analyzer::new().check_model(mrm)
@@ -428,6 +429,6 @@ mod tests {
         let mut b = CtmcBuilder::new(1);
         b.transition(0, 0, 1.0);
         let m = Mrm::without_rewards(b.build().unwrap());
-        let _ = Analyzer::new().check_all(&m, &[], EngineHint::default());
+        let _ = Analyzer::new().check_all(&m, &[], UntilEngine::default());
     }
 }

@@ -70,13 +70,6 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("graph/mul_vec", states), &rates, |b, r| {
             b.iter(|| r.mul_vec(&x));
         });
-        group.bench_with_input(
-            BenchmarkId::new("graph/mul_vec_compensated", states),
-            &rates,
-            |b, r| {
-                b.iter(|| r.mul_vec_compensated(&x));
-            },
-        );
         group.bench_with_input(BenchmarkId::new("graph/bscc", states), &rates, |b, r| {
             b.iter(|| SccDecomposition::new(r).num_components());
         });

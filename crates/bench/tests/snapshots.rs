@@ -141,7 +141,8 @@ fn dataflow_snapshot_carries_qualitative_prepass_counters() {
 /// The committed regression pairs must pass the perf sentinel with the
 /// CI gate's default tolerances — this is the same comparison the
 /// `bench-diff` CI job runs via `mrmc bench diff`. The dataflow pair is
-/// excluded: its `_baseline` file is an ablation (slicing off, its own
+/// excluded: it is a record of what slicing prunes, not a gate — its
+/// `_baseline` file is the slicing-off half of one ablation run (its own
 /// group name), not a frozen run of the same configuration.
 #[test]
 fn committed_pairs_pass_the_regression_sentinel() {

@@ -63,17 +63,16 @@ mod until;
 pub use cache::{model_hash, options_fingerprint};
 pub use error::CheckError;
 pub use next::next_probabilities;
-pub use options::{CheckOptions, Reduction, UntilEngine};
+pub use options::{CheckOptions, Reduction};
 pub use outcome::{CheckOutcome, DataflowInfo, ReductionInfo, Verdict};
 pub use session::{CheckSession, ModelHandle, SessionStats};
 
-pub use mrmc_numerics::ErrorBudget;
+pub use mrmc_numerics::{ErrorBudget, UntilEngine};
 
 // Re-export the static-analysis vocabulary so downstream users (and the
 // CLI's `lint` subcommand) need not depend on `mrmc-analysis` directly.
 pub use mrmc_analysis::{
-    dataflow, diagnose_load_error, lumping, Analyzer, Diagnostic, EngineHint, Pass, Report, Scope,
-    Severity,
+    dataflow, diagnose_load_error, lumping, Analyzer, Diagnostic, Pass, Report, Scope, Severity,
 };
 
 use mrmc_csrl::StateFormula;
@@ -115,7 +114,7 @@ impl ModelChecker {
     /// callers that want to surface Warning/Note findings (the CLI prints
     /// them to stderr) obtain them here.
     pub fn preflight(&self, formula: &StateFormula) -> mrmc_analysis::Report {
-        mrmc_analysis::preflight(self.mrm(), formula, self.options.engine_hint())
+        mrmc_analysis::preflight(self.mrm(), formula, self.options.until_engine)
     }
 
     /// Compute `Sat(Φ)` for a parsed formula on a fresh [`CheckSession`];

@@ -1,49 +1,7 @@
 //! Checker configuration.
 
-use mrmc_numerics::discretization::DiscretizationOptions;
-use mrmc_numerics::monte_carlo::SimulationOptions;
-use mrmc_numerics::uniformization::UniformOptions;
+use mrmc_numerics::UntilEngine;
 use mrmc_sparse::solver::SolverOptions;
-
-/// Which engine evaluates time- and reward-bounded until formulas
-/// (the `[u|d] = f` switch of the thesis tool's command line).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum UntilEngine {
-    /// Uniformization with level-synchronous, merged path generation and
-    /// the given truncation probability `w` (Section 4.6). The tool's
-    /// default with `w = 1e-8`.
-    Uniformization(UniformOptions),
-    /// Discretization with the given step `d` (Section 4.5).
-    Discretization(DiscretizationOptions),
-    /// Monte-Carlo simulation (beyond the paper): a statistical *estimate*
-    /// with no deterministic error bound — probability-bound verdicts near
-    /// the bound are unreliable. Intended for validation and for models too
-    /// large for the exact engines.
-    Simulation(SimulationOptions),
-}
-
-impl UntilEngine {
-    /// Uniformization with truncation probability `w`.
-    pub fn uniformization(w: f64) -> Self {
-        UntilEngine::Uniformization(UniformOptions::new().with_truncation(w))
-    }
-
-    /// Discretization with step `d`.
-    pub fn discretization(d: f64) -> Self {
-        UntilEngine::Discretization(DiscretizationOptions::with_step(d))
-    }
-
-    /// Monte-Carlo simulation with the given sample count.
-    pub fn simulation(samples: u64) -> Self {
-        UntilEngine::Simulation(SimulationOptions::with_samples(samples))
-    }
-}
-
-impl Default for UntilEngine {
-    fn default() -> Self {
-        UntilEngine::Uniformization(UniformOptions::new())
-    }
-}
 
 /// Whether the checker may run on a certified lumping quotient
 /// (see [`mrmc_analysis::lumping`]).
@@ -131,20 +89,11 @@ impl CheckOptions {
         self
     }
 
-    /// The [`mrmc_analysis::EngineHint`] matching the configured until
-    /// engine, for the cost-prediction lint passes.
-    pub fn engine_hint(&self) -> mrmc_analysis::EngineHint {
-        match self.until_engine {
-            UntilEngine::Uniformization(u) => mrmc_analysis::EngineHint::Uniformization {
-                truncation: u.truncation,
-            },
-            UntilEngine::Discretization(d) => {
-                mrmc_analysis::EngineHint::Discretization { step: d.step }
-            }
-            UntilEngine::Simulation(s) => {
-                mrmc_analysis::EngineHint::Simulation { samples: s.samples }
-            }
-        }
+    /// The configured until engine: the same value as
+    /// [`until_engine`](CheckOptions::until_engine), which the pre-flight
+    /// takes.
+    pub fn engine_hint(&self) -> UntilEngine {
+        self.until_engine
     }
 
     /// Replace the until engine.
@@ -201,25 +150,16 @@ mod tests {
 
     #[test]
     fn engine_hint_mirrors_the_until_engine() {
-        use mrmc_analysis::EngineHint;
-        assert_eq!(
-            CheckOptions::new()
-                .with_engine(UntilEngine::uniformization(1e-11))
-                .engine_hint(),
-            EngineHint::Uniformization { truncation: 1e-11 }
-        );
-        assert_eq!(
-            CheckOptions::new()
-                .with_engine(UntilEngine::discretization(0.25))
-                .engine_hint(),
-            EngineHint::Discretization { step: 0.25 }
-        );
-        assert_eq!(
-            CheckOptions::new()
-                .with_engine(UntilEngine::simulation(5_000))
-                .engine_hint(),
-            EngineHint::Simulation { samples: 5_000 }
-        );
+        for engine in [
+            UntilEngine::uniformization(1e-11),
+            UntilEngine::discretization(0.25),
+            UntilEngine::simulation(5_000),
+        ] {
+            assert_eq!(
+                CheckOptions::new().with_engine(engine).engine_hint(),
+                engine
+            );
+        }
     }
 
     #[test]

@@ -123,7 +123,7 @@ fn run_check(
 ) -> Result<CheckOutcome, CheckError> {
     if options.preflight {
         let _span = mrmc_obs::span("preflight");
-        let report = mrmc_analysis::preflight(mrm, formula, options.engine_hint());
+        let report = mrmc_analysis::preflight(mrm, formula, options.until_engine);
         if report.has_errors() {
             return Err(CheckError::Preflight(report));
         }
@@ -253,7 +253,7 @@ impl CheckSession {
         formula: &StateFormula,
         options: &CheckOptions,
     ) -> mrmc_analysis::Report {
-        mrmc_analysis::preflight(model.mrm(), formula, options.engine_hint())
+        mrmc_analysis::preflight(model.mrm(), formula, options.until_engine)
     }
 
     /// Compute `Sat(Φ)` for a parsed formula, serving every sub-result

@@ -1,14 +1,16 @@
 //! Model checking until formulas (Section 4.3.2, Algorithm 4.5).
 //!
-//! Dispatch by bound shape, following the thesis' property classes:
+//! [`UntilEngine::route`] decides the method from the bound shape,
+//! following the thesis' property classes, and [`until_probabilities`]
+//! runs it:
 //!
 //! * **P0** `Φ U Ψ` (no bounds) — a linear system over the embedded DTMC
 //!   (Eq. 3.8);
 //! * **P1** `Φ U^{[0,t]} Ψ` (time only) — Fox–Glynn uniformization
-//!   (`[Bai03]`, [`mrmc_numerics::baseline`]);
+//!   (`[Bai03]`, [`mrmc_numerics::baseline`]), with two phases for a
+//!   time lower bound;
 //! * **P2** `Φ U^{[0,t]}_{[0,r]} Ψ` (time and reward) — the uniformization
-//!   path engine or discretization, per the configured
-//!   [`UntilEngine`](crate::UntilEngine).
+//!   path engine or discretization, per the configured [`UntilEngine`].
 //!
 //! General lower bounds are not supported by the numerical methods (the
 //! thesis' Chapter 6 limitation) and yield
@@ -21,21 +23,24 @@ use mrmc_analysis::dataflow as qual;
 use mrmc_csrl::Interval;
 use mrmc_ctmc::reach;
 use mrmc_numerics::monte_carlo::{Estimate, SimulationOptions};
-use mrmc_numerics::{adaptive, baseline, discretization, monte_carlo, uniformization, ErrorBudget};
+use mrmc_numerics::{
+    adaptive, baseline, discretization, monte_carlo, uniformization, ErrorBudget, UntilEngine,
+    UntilRoute,
+};
 
 use crate::error::CheckError;
-use crate::options::UntilEngine;
 use crate::outcome::{DataflowInfo, OperatorResult};
 use crate::sat::Ctx;
 
-/// Compute `P^M(s, Φ U^I_J Ψ)` for every state, under the engine the
-/// bound shape selects: `"reachability"` (P0), `"baseline"` (P1 and
-/// trivial-reward windows), or the configured one (P2).
+/// Compute `P^M(s, Φ U^I_J Ψ)` for every state by the method the
+/// configured engine's [`UntilRoute`] names: `"reachability"` (P0),
+/// `"baseline"` (P1 and trivial-reward windows), or the configured engine
+/// (P2 and simulated general bounds).
 ///
 /// # Errors
 ///
-/// [`CheckError::UnsupportedBounds`] for non-zero lower bounds or a bounded
-/// reward with unbounded time; numerical failures are propagated.
+/// [`CheckError::UnsupportedBounds`] for a route no engine supports;
+/// numerical failures are propagated.
 pub(crate) fn until_probabilities(
     ctx: &Ctx<'_>,
     time: &Interval,
@@ -56,76 +61,22 @@ pub(crate) fn until_probabilities(
         }
     }
     let n = mrm.num_states();
-    if time.lo() != 0.0 || reward.lo() != 0.0 {
-        // A non-zero time lower bound with a *trivial* reward bound has an
-        // exact method: the standard two-phase decomposition ([Bai03]).
-        if reward.is_trivial() {
-            if !time.is_upper_unbounded() {
-                // Two Fox–Glynn phases, each truncated at ε': the budget
-                // is their sum. A requested tolerance simply tightens ε'.
-                let eps_used = match options.tolerance {
-                    Some(eps) => options.transient_epsilon.min(eps / 2.0),
-                    None => options.transient_epsilon,
-                };
-                let _span = mrmc_obs::span("until/baseline");
-                let probabilities =
-                    baseline::until_time_interval(mrm, phi, psi, time.lo(), time.hi(), eps_used)?;
-                return Ok(OperatorResult {
-                    budgets: Some(vec![ErrorBudget::from_poisson_tail(2.0 * eps_used); n]),
-                    ..OperatorResult::new(probabilities, "baseline")
-                });
-            }
-            // Φ U^{[t1,∞)} Ψ: unbounded reachability as phase 2, the
-            // Φ-constrained backward transient as phase 1. Phase 2's
-            // bound is not carried through phase 1 — no budget is
-            // claimed.
-            let _span = mrmc_obs::span("until/baseline");
-            let embedded = mrm.ctmc().embedded_dtmc();
-            let mut u = reach::until_unbounded(embedded.probabilities(), phi, psi, options.solver)?;
-            for (s, value) in u.iter_mut().enumerate() {
-                if !phi[s] {
-                    *value = 0.0;
-                }
-            }
-            let probabilities = baseline::phi_constrained_backward(
-                mrm,
-                phi,
-                u,
-                time.lo(),
-                options.transient_epsilon,
-            )?;
-            return Ok(OperatorResult::new(probabilities, "baseline"));
-        }
-        // Only the statistical engine evaluates general lower bounds.
-        if let UntilEngine::Simulation(sopts) = options.until_engine {
-            if !time.is_upper_unbounded() {
-                return simulate(
-                    ctx,
-                    sopts,
-                    |s| phi[s] || psi[s],
-                    |s, opts| {
-                        monte_carlo::estimate_until_general(mrm, phi, psi, time, reward, s, opts)
-                    },
-                );
-            }
-        }
-        return Err(CheckError::UnsupportedBounds {
-            what: if reward.lo() != 0.0 {
-                "reward lower bound (only the simulation engine supports it)"
-            } else {
-                "time lower bound combined with a reward bound (only the simulation engine supports it)"
-            },
-        });
-    }
-
-    match (time.is_upper_unbounded(), reward.is_upper_unbounded()) {
+    // The Fox–Glynn truncation ε' of each of a baseline route's `phases`;
+    // a requested tolerance tightens it directly, so these routes always
+    // meet it.
+    let baseline_eps = |phases: f64| match options.tolerance {
+        Some(eps) => options.transient_epsilon.min(eps / phases),
+        None => options.transient_epsilon,
+    };
+    let route = options.until_engine.route(time, reward);
+    match route {
         // P0: Φ U Ψ — unbounded reachability over the embedded DTMC. The
         // direct solve certifies a rounding-error bound per state, which
         // becomes the float-accumulation budget; the Gauss–Seidel fallback
         // for systems too wide to factor bounds nothing (no budget).
-        (true, true) => {
+        UntilRoute::Reachability => {
             let _span = mrmc_obs::span("until/reachability");
-            let df = dataflow_prepass(ctx, phi, psi, true);
+            let df = dataflow_prepass(ctx, route, phi, psi);
             let embedded = mrm.ctmc().embedded_dtmc();
             // The certificate's certain-one set enlarges the solver's
             // sure set: those states are pre-assigned probability 1 and
@@ -151,32 +102,50 @@ pub(crate) fn until_probabilities(
                 ..OperatorResult::new(reach.probabilities, "reachability")
             })
         }
-        // Bounded reward with unbounded time has no engine (Chapter 6).
-        (true, false) => Err(CheckError::UnsupportedBounds {
-            what: "unbounded time with a bounded reward",
-        }),
         // P1: time bound only — the state-reward-free baseline suffices,
         // regardless of the configured engine. The Fox–Glynn window is
-        // truncated at ε', which IS the budget; a requested tolerance
-        // tightens ε' directly, so this class always meets it.
-        (false, true) => {
+        // truncated at ε', which IS the budget.
+        UntilRoute::TimeBounded { t } => {
             let _span = mrmc_obs::span("until/baseline");
-            let eps_used = match options.tolerance {
-                Some(eps) => options.transient_epsilon.min(eps),
-                None => options.transient_epsilon,
-            };
-            let probabilities = baseline::until_time_bounded(mrm, phi, psi, time.hi(), eps_used)?;
+            let eps_used = baseline_eps(1.0);
+            let probabilities = baseline::until_time_bounded(mrm, phi, psi, t, eps_used)?;
             Ok(OperatorResult {
                 budgets: Some(vec![ErrorBudget::from_poisson_tail(eps_used); n]),
                 ..OperatorResult::new(probabilities, "baseline")
             })
         }
+        // A time window with a trivial reward bound: the standard
+        // two-phase decomposition ([Bai03]). Two Fox–Glynn phases, each
+        // truncated at ε': the budget is their sum.
+        UntilRoute::TimeInterval { t1, t2 } => {
+            let eps_used = baseline_eps(2.0);
+            let _span = mrmc_obs::span("until/baseline");
+            let probabilities = baseline::until_time_interval(mrm, phi, psi, t1, t2, eps_used)?;
+            Ok(OperatorResult {
+                budgets: Some(vec![ErrorBudget::from_poisson_tail(2.0 * eps_used); n]),
+                ..OperatorResult::new(probabilities, "baseline")
+            })
+        }
+        // Φ U^{[t1,∞)} Ψ: unbounded reachability as phase 2, the
+        // Φ-constrained backward transient as phase 1. Phase 2's bound is
+        // not carried through phase 1 — no budget is claimed.
+        UntilRoute::TimeFrom { t1 } => {
+            let _span = mrmc_obs::span("until/baseline");
+            let embedded = mrm.ctmc().embedded_dtmc();
+            let mut u = reach::until_unbounded(embedded.probabilities(), phi, psi, options.solver)?;
+            for (s, value) in u.iter_mut().enumerate() {
+                if !phi[s] {
+                    *value = 0.0;
+                }
+            }
+            let probabilities =
+                baseline::phi_constrained_backward(mrm, phi, u, t1, options.transient_epsilon)?;
+            Ok(OperatorResult::new(probabilities, "baseline"))
+        }
         // P2: time and reward bounds — run the configured engine for every
         // state, under the adaptive driver when a tolerance was requested.
-        (false, false) => {
-            let df = dataflow_prepass(ctx, phi, psi, false);
-            let t = time.hi();
-            let r = reward.hi();
+        UntilRoute::RewardBounded { t, r } => {
+            let df = dataflow_prepass(ctx, route, phi, psi);
             // Certain-zero states contribute exactly 0 — the slicer skips
             // them (discretization/simulation) or makes them absorbing
             // (uniformization's φ′) and folds the sliced-away mass, which
@@ -269,6 +238,15 @@ pub(crate) fn until_probabilities(
                 ..result
             })
         }
+        // A lower bound with a reward bound: only the statistical engine
+        // evaluates it.
+        UntilRoute::Simulated(sopts) => simulate(
+            ctx,
+            sopts,
+            |s| phi[s] || psi[s],
+            |s, opts| monte_carlo::estimate_until_general(mrm, phi, psi, time, reward, s, opts),
+        ),
+        UntilRoute::Unsupported(why) => Err(CheckError::UnsupportedBounds { what: why.what() }),
     }
 }
 
@@ -304,26 +282,27 @@ fn simulate(
     })
 }
 
-/// The qualitative dataflow pre-pass for one until operator: the model's
-/// condensation (served from the session's
-/// [`SccCache`](crate::cache::SccCache)), the Prob0/Prob1 fixpoints, and the certificate —
-/// **independently re-verified** before any engine may prune with it.
+/// The qualitative dataflow pre-pass for one until operator on a route
+/// that [`slices`](UntilRoute::slices): the model's condensation (served
+/// from the session's [`SccCache`](crate::cache::SccCache)), the
+/// Prob0/Prob1 fixpoints, and the certificate — **independently
+/// re-verified** before any engine may prune with it.
 ///
 /// `None` when slicing is off, and — mirroring the lumping `Auto`
 /// fallback — when re-verification fails: the engines then solve the
 /// full model, trading the pruning for safety.
 fn dataflow_prepass(
     ctx: &Ctx<'_>,
+    route: UntilRoute,
     phi: &[bool],
     psi: &[bool],
-    unbounded: bool,
 ) -> Option<(qual::QualitativeCertificate, DataflowInfo)> {
     let Ctx { mrm, options, memo } = *ctx;
-    if !options.slicing {
+    if !options.slicing || !route.slices() {
         return None;
     }
     let scc = memo.condensation(mrm);
-    let cert = qual::qualitative_until(mrm, phi, psi, unbounded);
+    let cert = qual::qualitative_until(mrm, phi, psi, route == UntilRoute::Reachability);
     if cert.verify(mrm).is_err() {
         return None;
     }

@@ -267,29 +267,44 @@ impl StateFormula {
         }
     }
 
-    /// All atomic propositions mentioned, sorted and de-duplicated.
-    pub fn propositions(&self) -> Vec<&str> {
-        fn walk<'a>(f: &'a StateFormula, out: &mut Vec<&'a str>) {
+    /// Call `visit` on every state subformula, outermost first and left
+    /// before right, with the number of `S`/`P` operators enclosing it
+    /// (0 for `self`).
+    pub fn visit<'a>(&'a self, visit: &mut impl FnMut(&'a StateFormula, usize)) {
+        fn walk<'a>(
+            f: &'a StateFormula,
+            depth: usize,
+            visit: &mut impl FnMut(&'a StateFormula, usize),
+        ) {
+            visit(f, depth);
             match f {
-                StateFormula::True | StateFormula::False => {}
-                StateFormula::Ap(a) => out.push(a),
-                StateFormula::Not(f) => walk(f, out),
+                StateFormula::True | StateFormula::False | StateFormula::Ap(_) => {}
+                StateFormula::Not(g) => walk(g, depth, visit),
                 StateFormula::Or(a, b) | StateFormula::And(a, b) | StateFormula::Implies(a, b) => {
-                    walk(a, out);
-                    walk(b, out);
+                    walk(a, depth, visit);
+                    walk(b, depth, visit);
                 }
-                StateFormula::Steady { inner, .. } => walk(inner, out),
+                StateFormula::Steady { inner, .. } => walk(inner, depth + 1, visit),
                 StateFormula::Prob { path, .. } => match path.as_ref() {
-                    PathFormula::Next { inner, .. } => walk(inner, out),
+                    PathFormula::Next { inner, .. } => walk(inner, depth + 1, visit),
                     PathFormula::Until { lhs, rhs, .. } => {
-                        walk(lhs, out);
-                        walk(rhs, out);
+                        walk(lhs, depth + 1, visit);
+                        walk(rhs, depth + 1, visit);
                     }
                 },
             }
         }
+        walk(self, 0, visit);
+    }
+
+    /// All atomic propositions mentioned, sorted and de-duplicated.
+    pub fn propositions(&self) -> Vec<&str> {
         let mut out = Vec::new();
-        walk(self, &mut out);
+        self.visit(&mut |f, _| {
+            if let StateFormula::Ap(a) = f {
+                out.push(a.as_str());
+            }
+        });
         out.sort_unstable();
         out.dedup();
         out
@@ -381,6 +396,26 @@ mod tests {
             }
         }
         panic!("unexpected shape: {d:?}");
+    }
+
+    #[test]
+    fn visit_is_pre_order_with_operator_depth() {
+        let f = crate::parse("a && P(> 0.5) [b U S(> 0.1) (c)]").unwrap();
+        let mut seen = Vec::new();
+        f.visit(&mut |g, depth| {
+            let tag = match g {
+                StateFormula::Ap(a) => a.clone(),
+                StateFormula::And(..) => "&&".into(),
+                StateFormula::Prob { .. } => "P".into(),
+                StateFormula::Steady { .. } => "S".into(),
+                other => panic!("unexpected {other:?}"),
+            };
+            seen.push((tag, depth));
+        });
+        let expected = [("&&", 0), ("a", 0), ("P", 0), ("b", 1), ("S", 1), ("c", 2)];
+        let expected: Vec<(String, usize)> =
+            expected.iter().map(|&(t, d)| (t.to_string(), d)).collect();
+        assert_eq!(seen, expected);
     }
 
     #[test]

@@ -65,6 +65,7 @@ pub mod adaptive;
 pub mod baseline;
 pub mod budget;
 pub mod discretization;
+mod engine;
 mod error;
 pub mod kahan;
 pub mod monte_carlo;
@@ -75,6 +76,7 @@ pub mod reward_structure;
 pub mod uniformization;
 
 pub use budget::ErrorBudget;
+pub use engine::{Unsupported, UntilEngine, UntilRoute};
 pub use error::NumericsError;
 pub use path_classes::{PathClassKey, PathClasses};
 

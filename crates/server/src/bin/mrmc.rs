@@ -428,7 +428,6 @@ fn run_lint(args: &[String]) -> Result<ExitCode, String> {
         analyzer.register(mrmc::dataflow::CONDENSATION_PASS);
         analyzer.register(mrmc::dataflow::PASS);
     }
-    let hint = CheckOptions::new().with_engine(cli.engine).engine_hint();
     let mut report = Report::new();
     match mrmc_mrm::io::load_model(&cli.tra, &cli.lab, &cli.rewr, &cli.rewi) {
         Ok(mrm) => {
@@ -444,7 +443,7 @@ fn run_lint(args: &[String]) -> Result<ExitCode, String> {
                         continue;
                     }
                     match mrmc_csrl::parse(text) {
-                        Ok(f) => report.extend(analyzer.check_formula(&mrm, &f, hint)),
+                        Ok(f) => report.extend(analyzer.check_formula(&mrm, &f, cli.engine)),
                         Err(e) => report.push(Diagnostic::new(
                             "F003",
                             Severity::Error,

@@ -235,38 +235,42 @@ fn verbose_expands_the_per_scc_unreachability_report() {
     assert!(!stdout.contains("unreachable SCC"), "{stdout}");
 }
 
-#[test]
-fn dataflow_flag_reports_x_codes() {
+/// Run `mrmc <subcommand>` on the shipped TMR example with `stdin` piped
+/// in; returns stdout and the exit code.
+fn run_on_tmr(subcommand: &str, extra: &[&str], stdin: &str) -> (String, Option<i32>) {
     let models = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/models");
     let file = |name: &str| models.join(name).to_str().unwrap().to_string();
-    let run = |extra: &[&str]| {
-        let mut args = vec![
-            "lint".to_string(),
-            file("tmr.tra"),
-            file("tmr.lab"),
-            file("tmr.rewr"),
-            file("tmr.rewi"),
-        ];
-        args.extend(extra.iter().map(ToString::to_string));
-        let mut child = Command::new(env!("CARGO_BIN_EXE_mrmc"))
-            .args(&args)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("binary runs");
-        child
-            .stdin
-            .as_mut()
-            .unwrap()
-            .write_all(b"P(> 0.99) [TT U Sup]\n")
-            .unwrap();
-        let out = child.wait_with_output().unwrap();
-        (
-            String::from_utf8_lossy(&out.stdout).into_owned(),
-            out.status.code(),
-        )
-    };
+    let mut args = vec![
+        subcommand.to_string(),
+        file("tmr.tra"),
+        file("tmr.lab"),
+        file("tmr.rewr"),
+        file("tmr.rewi"),
+    ];
+    args.extend(extra.iter().map(ToString::to_string));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mrmc"))
+        .args(&args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(stdin.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    (
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        out.status.code(),
+    )
+}
+
+#[test]
+fn dataflow_flag_reports_x_codes() {
+    let run = |extra: &[&str]| run_on_tmr("lint", extra, "P(> 0.99) [TT U Sup]\n");
 
     let (stdout, code) = run(&["--dataflow", "--json"]);
     assert_eq!(code, Some(0), "{stdout}");
@@ -284,35 +288,49 @@ fn dataflow_flag_reports_x_codes() {
 }
 
 #[test]
+fn dataflow_x_codes_appear_exactly_for_untils_the_checker_slices() {
+    // The checker slices P0 (`U`) and P2 (`U[0,t][0,r]`) untils and
+    // reports a `dataflow` object for them; the time-bounded `U[0,3]` and
+    // the window `U[1,3]` run the Fox–Glynn baseline unsliced, so the lint
+    // must not claim that slicing prunes anything there.
+    for (formula, slices) in [
+        ("P(> 0.5) [Sup U[0,3] down]", false),
+        ("P(> 0.5) [Sup U[1,3] down]", false),
+        ("P(> 0.5) [Sup U down]", true),
+        ("P(> 0.5) [Sup U[0,3][0,10] down]", true),
+    ] {
+        let stdin = format!("{formula}\n");
+        let (lint, code) = run_on_tmr("lint", &["--dataflow", "--json"], &stdin);
+        assert_eq!(code, Some(0), "{lint}");
+        let codes = codes_in(&lint);
+        assert!(codes.contains(&"X002".to_string()), "{formula}: {lint}");
+        assert_eq!(
+            codes.contains(&"X003".to_string()),
+            slices,
+            "{formula}: {lint}"
+        );
+        assert_eq!(
+            codes.contains(&"X004".to_string()),
+            slices,
+            "{formula}: {lint}"
+        );
+
+        let (check, code) = run_on_tmr("check", &["--json"], &stdin);
+        assert_eq!(code, Some(0), "{check}");
+        assert_eq!(
+            check.contains("\"dataflow\":{"),
+            slices,
+            "{formula}: {check}"
+        );
+    }
+}
+
+#[test]
 fn lumping_flag_reports_r_codes() {
     // The TMR example with a pure-AP formula lumps 5 -> 2 (a
     // rate-observing formula would see the full chain); without --lumping
     // no R codes appear at all.
-    let models = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/models");
-    let file = |name: &str| models.join(name).to_str().unwrap().to_string();
-    let run = |extra: &[&str]| {
-        let mut args = vec![
-            "lint".to_string(),
-            file("tmr.tra"),
-            file("tmr.lab"),
-            file("tmr.rewr"),
-            file("tmr.rewi"),
-        ];
-        args.extend(extra.iter().map(ToString::to_string));
-        let mut child = Command::new(env!("CARGO_BIN_EXE_mrmc"))
-            .args(&args)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("binary runs");
-        child.stdin.as_mut().unwrap().write_all(b"Sup\n").unwrap();
-        let out = child.wait_with_output().unwrap();
-        (
-            String::from_utf8_lossy(&out.stdout).into_owned(),
-            out.status.code(),
-        )
-    };
+    let run = |extra: &[&str]| run_on_tmr("lint", extra, "Sup\n");
 
     let (stdout, code) = run(&["--lumping", "--json"]);
     assert_eq!(code, Some(0), "{stdout}");
@@ -332,31 +350,8 @@ fn example_model_is_lint_clean() {
     // The shipped TMR example must stay clean even under --deny warnings;
     // CI runs the same invocation as a smoke test.
     let models = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/models");
-    let file = |name: &str| models.join(name).to_str().unwrap().to_string();
     let formulas = std::fs::read_to_string(models.join("tmr.csrl")).unwrap();
-    let mut child = Command::new(env!("CARGO_BIN_EXE_mrmc"))
-        .args([
-            "lint".to_string(),
-            file("tmr.tra"),
-            file("tmr.lab"),
-            file("tmr.rewr"),
-            file("tmr.rewi"),
-            "--deny".to_string(),
-            "warnings".to_string(),
-        ])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("binary runs");
-    child
-        .stdin
-        .as_mut()
-        .unwrap()
-        .write_all(formulas.as_bytes())
-        .unwrap();
-    let out = child.wait_with_output().unwrap();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    let (stdout, code) = run_on_tmr("lint", &["--deny", "warnings"], &formulas);
+    assert_eq!(code, Some(0), "{stdout}");
     assert!(stdout.contains("0 errors, 0 warnings"), "{stdout}");
 }

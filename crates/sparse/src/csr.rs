@@ -331,78 +331,6 @@ impl CsrMatrix {
         y
     }
 
-    /// Matrix–vector product `y = A·x` with Kahan-compensated row sums.
-    ///
-    /// Same four-wide row blocking as [`mul_vec`](CsrMatrix::mul_vec), but
-    /// every row — lockstep body and ragged tail alike — folds through a
-    /// compensated accumulator, bounding each row's summation error by a
-    /// few ulps regardless of row length. Use this variant when the row
-    /// sums are long and cancellation-prone; it is *not* bitwise
-    /// interchangeable with `mul_vec` (the compensation changes the
-    /// rounding), which is why the checking engines keep the uncompensated
-    /// kernel as their default.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != ncols`.
-    #[expect(clippy::needless_range_loop, reason = "rows pair with dense outputs")]
-    pub fn mul_vec_compensated(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.ncols, "mul_vec_compensated: length mismatch");
-        #[inline]
-        fn kahan_add(sum: &mut f64, comp: &mut f64, term: f64) {
-            let t = term - *comp;
-            let s = *sum + t;
-            *comp = (s - *sum) - t;
-            *sum = s;
-        }
-        let mut y = vec![0.0; self.nrows];
-        let mut r = 0usize;
-        while r + 4 <= self.nrows {
-            let s0 = self.row_ptr[r];
-            let e0 = self.row_ptr[r + 1];
-            let e1 = self.row_ptr[r + 2];
-            let e2 = self.row_ptr[r + 3];
-            let e3 = self.row_ptr[r + 4];
-            let (c0, v0) = (&self.col_idx[s0..e0], &self.values[s0..e0]);
-            let (c1, v1) = (&self.col_idx[e0..e1], &self.values[e0..e1]);
-            let (c2, v2) = (&self.col_idx[e1..e2], &self.values[e1..e2]);
-            let (c3, v3) = (&self.col_idx[e2..e3], &self.values[e2..e3]);
-            let lock = c0.len().min(c1.len()).min(c2.len()).min(c3.len());
-            let mut sum = [0.0f64; 4];
-            let mut comp = [0.0f64; 4];
-            for i in 0..lock {
-                kahan_add(&mut sum[0], &mut comp[0], v0[i] * x[c0[i]]);
-                kahan_add(&mut sum[1], &mut comp[1], v1[i] * x[c1[i]]);
-                kahan_add(&mut sum[2], &mut comp[2], v2[i] * x[c2[i]]);
-                kahan_add(&mut sum[3], &mut comp[3], v3[i] * x[c3[i]]);
-            }
-            for i in lock..c0.len() {
-                kahan_add(&mut sum[0], &mut comp[0], v0[i] * x[c0[i]]);
-            }
-            for i in lock..c1.len() {
-                kahan_add(&mut sum[1], &mut comp[1], v1[i] * x[c1[i]]);
-            }
-            for i in lock..c2.len() {
-                kahan_add(&mut sum[2], &mut comp[2], v2[i] * x[c2[i]]);
-            }
-            for i in lock..c3.len() {
-                kahan_add(&mut sum[3], &mut comp[3], v3[i] * x[c3[i]]);
-            }
-            y[r..r + 4].copy_from_slice(&sum);
-            r += 4;
-        }
-        for rr in r..self.nrows {
-            let s = self.row_ptr[rr];
-            let e = self.row_ptr[rr + 1];
-            let (mut sum, mut comp) = (0.0f64, 0.0f64);
-            for (c, v) in self.col_idx[s..e].iter().zip(&self.values[s..e]) {
-                kahan_add(&mut sum, &mut comp, v * x[*c]);
-            }
-            y[rr] = sum;
-        }
-        y
-    }
-
     /// Vector–matrix product `y = x·A` (distribution propagation).
     ///
     /// # Panics
@@ -758,23 +686,6 @@ mod tests {
         y
     }
 
-    /// Kahan reference for the compensated kernel: one row at a time.
-    fn reference_mul_vec_compensated(m: &CsrMatrix, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; m.nrows()];
-        for (r, yr) in y.iter_mut().enumerate() {
-            let (mut sum, mut comp) = (0.0f64, 0.0f64);
-            for (c, v) in m.row(r) {
-                let term = v * x[c];
-                let t = term - comp;
-                let s = sum + t;
-                comp = (s - sum) - t;
-                sum = s;
-            }
-            *yr = sum;
-        }
-        y
-    }
-
     /// Larger random matrices than [`random_matrix`]: enough rows that the
     /// four-wide blocks, their ragged tails, and the row remainder
     /// (`nrows % 4 ≠ 0`) all get exercised, with row populations varying
@@ -815,12 +726,6 @@ mod tests {
                 .map(|i| rng.range_f64(-1.0, 1.0) * (1.0 + i as f64))
                 .collect();
             assert_bits_eq("mul_vec", seed, &m.mul_vec(&x), &reference_mul_vec(&m, &x));
-            assert_bits_eq(
-                "mul_vec_compensated",
-                seed,
-                &m.mul_vec_compensated(&x),
-                &reference_mul_vec_compensated(&m, &x),
-            );
         }
     }
 
@@ -882,12 +787,6 @@ mod tests {
             &reference_mul_vec(&ragged, &x6),
         );
         assert_bits_eq(
-            "ragged mul_vec_compensated",
-            0,
-            &ragged.mul_vec_compensated(&x6),
-            &reference_mul_vec_compensated(&ragged, &x6),
-        );
-        assert_bits_eq(
             "ragged vec_mul",
             0,
             &ragged.vec_mul(&x7),
@@ -897,26 +796,5 @@ mod tests {
         let empty = CsrMatrix::zeros(9, 4);
         assert_bits_eq("all-empty mul_vec", 0, &empty.mul_vec(&[1.0; 4]), &[0.0; 9]);
         assert_bits_eq("all-empty vec_mul", 0, &empty.vec_mul(&[1.0; 9]), &[0.0; 4]);
-    }
-
-    #[test]
-    fn compensated_kernel_is_at_least_as_accurate() {
-        // A cancellation-heavy row — 10_000 unit terms sandwiched between
-        // ±1e16 — where plain summation loses every unit term to rounding
-        // but the compensated accumulator carries them in its correction.
-        let n = 10_000usize;
-        let mut b = CooBuilder::new(1, n + 2);
-        b.push(0, 0, 1e16);
-        for c in 1..=n {
-            b.push(0, c, 1.0);
-        }
-        b.push(0, n + 1, -1e16);
-        let m = b.build().unwrap();
-        let x = vec![1.0; n + 2];
-        let exact = n as f64;
-        let plain_err = (m.mul_vec(&x)[0] - exact).abs();
-        let comp_err = (m.mul_vec_compensated(&x)[0] - exact).abs();
-        assert!(comp_err <= plain_err, "{comp_err} vs {plain_err}");
-        assert!(comp_err <= 1e-6 * exact, "compensated error {comp_err}");
     }
 }
