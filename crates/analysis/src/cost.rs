@@ -8,7 +8,7 @@
 //! * the path-exploration engine visits a tree whose depth is the
 //!   uniformization truncation depth and whose branching factor is the
 //!   mean out-degree — `C101` warns when the product explodes;
-//! * the discretization engine allocates a `states × ⌈r/d⌉` grid — `C102`
+//! * the discretization engine allocates up to a `states × ⌈r/d⌉` grid — `C102`
 //!   warns when that exceeds a memory budget, and `C001` when the step
 //!   violates the `d ≤ 1/max-exit-rate` stability requirement;
 //! * `C103` is an informational note with the predicted numbers, so a
@@ -156,8 +156,13 @@ pub struct DiscretizationCost {
     pub time_steps: f64,
     /// Number of reward cells `R = ⌈r/d⌉ + 1` per state.
     pub reward_cells: f64,
-    /// Bytes for the two `states × reward-cells` density planes the engine
-    /// keeps live (`f64` cells, current + next).
+    /// Bytes for two `states × reward-cells` planes of `f64` cells, current
+    /// and next: the figure C102 warns on. It counts a row for every state;
+    /// the engine keeps rows only for the states that can still move plus
+    /// one shared row of ones, each padded by the largest reward shift, so
+    /// for integer rewards this is an upper bound whenever the padding is
+    /// smaller than the rows left out (as on every model of the paper).
+    /// The engine's power-of-ten reward scale is not counted.
     pub estimated_bytes: f64,
     /// `true` when the step satisfies the stability requirement
     /// `d ≤ 1 / max exit rate` (at most one transition per step).

@@ -1,7 +1,8 @@
 //! Scaling benches for the numerical kernels underneath the engines:
 //! Poisson layers, the Omega recursion, sparse matrix–vector products,
 //! BSCC decomposition, the Eq. 3.8 solvers and the choice between them,
-//! certified lumping, and whole-engine scaling on the breakdown queue.
+//! certified lumping, the discretization grid sweep at the paper's
+//! parameters, and whole-engine scaling on the breakdown queue.
 //!
 //! All benchmarks share the single group `kernels`, so one snapshot file
 //! (`BENCH_kernels.json` at the repository root) captures the whole kernel
@@ -13,8 +14,11 @@ use mrmc_bench::{criterion_group, criterion_main};
 use mrmc_ctmc::bscc::SccDecomposition;
 use mrmc_ctmc::poisson::{pmf, FoxGlynn};
 use mrmc_models::cluster::{cluster, ClusterConfig};
+use mrmc_models::phone;
 use mrmc_models::queue::{queue, QueueConfig};
 use mrmc_models::random::{random_mrm, RandomMrmConfig};
+use mrmc_models::tmr::{tmr, TmrConfig};
+use mrmc_numerics::discretization::{until_probabilities_all, DiscretizationOptions};
 use mrmc_numerics::omega::OmegaEvaluator;
 use mrmc_numerics::uniformization::{until_probability, UniformOptions};
 
@@ -97,6 +101,31 @@ fn bench(c: &mut Criterion) {
                 .unwrap()
                 .probability
             });
+        });
+    }
+
+    // The discretization grid sweep (Algorithm 4.6) for every start state,
+    // Richardson companion included: Table 5.1 on the phone model at
+    // d = 1/16 and 1/64, and Table 5.8 on TMR(3) at t = 200.
+    group.sample_size(10);
+    {
+        let m = phone::phone();
+        let phi: Vec<bool> = (0..m.num_states())
+            .map(|s| m.labeling().has(s, "Call_Idle") || m.labeling().has(s, "Doze"))
+            .collect();
+        let psi = m.labeling().states_with("Call_Initiated");
+        for inv_d in [16u32, 64] {
+            let options = DiscretizationOptions::with_step(1.0 / f64::from(inv_d));
+            group.bench_with_input(BenchmarkId::new("grid/phone_5_1", inv_d), &(), |b, _| {
+                b.iter(|| until_probabilities_all(&m, &phi, &psi, 24.0, 600.0, options).unwrap());
+            });
+        }
+        let m = tmr(&TmrConfig::classic());
+        let phi = m.labeling().states_with("Sup");
+        let psi = m.labeling().states_with("failed");
+        let options = DiscretizationOptions::with_step(0.25);
+        group.bench_with_input(BenchmarkId::new("grid/tmr_5_8", 200), &(), |b, _| {
+            b.iter(|| until_probabilities_all(&m, &phi, &psi, 200.0, 3000.0, options).unwrap());
         });
     }
 

@@ -56,7 +56,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mrmc_csrl::StateFormula;
-use mrmc_mrm::io::LoadError;
+use mrmc_mrm::io::{LoadError, ModelFiles};
 use mrmc_mrm::Mrm;
 use mrmc_numerics::omega::{with_omega_cache, OmegaTermCache};
 use mrmc_obs::counters::MODELS_LOADED;
@@ -213,8 +213,9 @@ impl CheckSession {
     /// Load a model from the four files of the thesis' tool, once per
     /// distinct content.
     ///
-    /// The files are always re-read (that is what detects a mutated model
-    /// behind an unchanged path), but parsing, validation, and every
+    /// The files are always re-read, each once (that is what detects a
+    /// mutated model behind an unchanged path), and the text that is
+    /// hashed is the text that is parsed. Parsing, validation, and every
     /// downstream cache key off the content: unchanged bytes return the
     /// existing handle, changed bytes produce a fresh one — the old
     /// entry's memoized results can never be served for the new content.
@@ -230,17 +231,14 @@ impl CheckSession {
         rewi: impl AsRef<Path>,
     ) -> Result<ModelHandle, LoadError> {
         let (tra, lab, rewr, rewi) = (tra.as_ref(), lab.as_ref(), rewr.as_ref(), rewi.as_ref());
+        let files = ModelFiles::read(tra, lab, rewr, rewi)?;
         let mut digest = cache::Fnv::new();
-        for path in [tra, lab, rewr, rewi] {
-            let bytes = std::fs::read(path).map_err(|source| LoadError::Io {
-                path: path.to_path_buf(),
-                source,
-            })?;
-            digest.write_u64(bytes.len() as u64).write(&bytes);
+        for text in [&files.tra, &files.lab, &files.rewr, &files.rewi] {
+            digest.write_u64(text.len() as u64).write(text.as_bytes());
         }
         let digest = digest.finish();
         self.by_file_digest.get_or_try_insert_with(digest, || {
-            Ok(self.insert(mrmc_mrm::io::load_model(tra, lab, rewr, rewi)?))
+            Ok(self.insert(files.assemble_from(tra, lab, rewr, rewi)?))
         })
     }
 
@@ -432,6 +430,15 @@ mod tests {
         let c = session.load_files(&tra, &lab, &rewr, &rewi).unwrap();
         assert_ne!(a, c);
         assert_eq!(session.stats().models_loaded, 2);
+
+        // A file that is not UTF-8 is an I/O error naming that file.
+        std::fs::write(&lab, b"#DECLARATION\nup \xff\n#END\n").unwrap();
+        let err = session.load_files(&tra, &lab, &rewr, &rewi).unwrap_err();
+        assert!(
+            matches!(&err, LoadError::Io { path, .. } if *path == lab),
+            "{err}"
+        );
+        assert!(err.to_string().contains("m.lab"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

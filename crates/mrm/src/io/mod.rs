@@ -79,7 +79,8 @@ impl From<MrmError> for LoadError {
     }
 }
 
-/// Load an MRM from the four files of the thesis' tool.
+/// Load an MRM from the four files of the thesis' tool:
+/// [`ModelFiles::read`], then [`ModelFiles::assemble_from`].
 ///
 /// # Errors
 ///
@@ -91,31 +92,64 @@ pub fn load_model(
     rewr: impl AsRef<Path>,
     rewi: impl AsRef<Path>,
 ) -> Result<Mrm, LoadError> {
-    fn read(path: &Path) -> Result<String, LoadError> {
-        std::fs::read_to_string(path).map_err(|source| LoadError::Io {
-            path: path.to_path_buf(),
-            source,
+    let (tra, lab, rewr, rewi) = (tra.as_ref(), lab.as_ref(), rewr.as_ref(), rewi.as_ref());
+    ModelFiles::read(tra, lab, rewr, rewi)?.assemble_from(tra, lab, rewr, rewi)
+}
+
+impl ModelFiles {
+    /// Read the four files of the thesis' tool, each once.
+    ///
+    /// # Errors
+    ///
+    /// [`LoadError::Io`] naming the first file that is missing, unreadable
+    /// or not UTF-8.
+    pub fn read(
+        tra: impl AsRef<Path>,
+        lab: impl AsRef<Path>,
+        rewr: impl AsRef<Path>,
+        rewi: impl AsRef<Path>,
+    ) -> Result<ModelFiles, LoadError> {
+        fn read(path: &Path) -> Result<String, LoadError> {
+            std::fs::read_to_string(path).map_err(|source| LoadError::Io {
+                path: path.to_path_buf(),
+                source,
+            })
+        }
+        Ok(ModelFiles {
+            tra: read(tra.as_ref())?,
+            lab: read(lab.as_ref())?,
+            rewr: read(rewr.as_ref())?,
+            rewi: read(rewi.as_ref())?,
         })
     }
-    fn fmt_err(path: &Path) -> impl FnOnce(FormatError) -> LoadError + '_ {
-        move |source| LoadError::Format {
-            path: path.to_path_buf(),
-            source,
+
+    /// Parse and assemble contents [`read`](ModelFiles::read) from these
+    /// paths, attributing each format error to its file.
+    ///
+    /// # Errors
+    ///
+    /// [`LoadError::Format`] naming the file of the first format error, or
+    /// [`LoadError::Model`] when the parsed pieces are inconsistent.
+    pub fn assemble_from(
+        &self,
+        tra: impl AsRef<Path>,
+        lab: impl AsRef<Path>,
+        rewr: impl AsRef<Path>,
+        rewi: impl AsRef<Path>,
+    ) -> Result<Mrm, LoadError> {
+        fn fmt_err(path: &Path) -> impl FnOnce(FormatError) -> LoadError + '_ {
+            move |source| LoadError::Format {
+                path: path.to_path_buf(),
+                source,
+            }
         }
+        self.assemble_with(
+            fmt_err(tra.as_ref()),
+            fmt_err(lab.as_ref()),
+            fmt_err(rewr.as_ref()),
+            fmt_err(rewi.as_ref()),
+        )
     }
-
-    let tra = tra.as_ref();
-    let lab = lab.as_ref();
-    let rewr = rewr.as_ref();
-    let rewi = rewi.as_ref();
-
-    let files = ModelFiles {
-        tra: read(tra)?,
-        lab: read(lab)?,
-        rewr: read(rewr)?,
-        rewi: read(rewi)?,
-    };
-    files.assemble_with(fmt_err(tra), fmt_err(lab), fmt_err(rewr), fmt_err(rewi))
 }
 
 #[cfg(test)]

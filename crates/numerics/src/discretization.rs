@@ -19,6 +19,43 @@
 //! State rewards must be integers after scaling (the reward index advances
 //! by `ρ(s)` cells per step); the engine finds a power-of-ten scale
 //! automatically and rescales the bound accordingly.
+//!
+//! # The sweep
+//!
+//! Only a *live* state owns a row of the grid: one with a positive exit
+//! rate in the absorbed model whose own reward `ρ(s)` fits the `R + 1`
+//! cells. Every other row keeps its initial value for good. A Ψ-state's
+//! row stays all ones, so all of them read one shared row of ones. Any
+//! other row stays all zeros: it is not Ψ, and it either has no transition
+//! or its own reward overruns the grid, which drops its self term and,
+//! every shift being at least `ρ(s)`, each of its transitions. A term
+//! reading a zero row is left out.
+//!
+//! Each row carries `max shift` cells of zero padding, so a term reads a
+//! plain slice at any cell. A row's terms are its self term, then its
+//! transitions in CSR row order. The row is summed in blocks of 512 cells,
+//! each assigned from the first term and accumulated over the rest, two
+//! terms per pass, so the block being written stays in L1. Each row also
+//! tracks `flat`, the length of its leading run of equal cells: it starts
+//! at `R + 1`, and each step sets `flat'(s)` to the least
+//! `flat(source) − shift` over the row's terms, the ones row counting as
+//! `R + 1`. Below that cell every term reads equal operands, so the block
+//! loop computes only the run's last cell and the cells above it, and the
+//! lower cells copy that one.
+//!
+//! Every cell gets the same IEEE operations on the same operands in the
+//! same order as in a full pass over every row (the tests keep that pass
+//! as `reference_sweep` and compare bits). All values are non-negative,
+//! since `d ≤ 1/E_max` keeps `1 − E(s)·d ≥ 0`, and three facts make the
+//! shortcuts exact:
+//! - a dropped term adds `+0` to a non-negative sum, which changes no bit;
+//!   that covers the terms into zero rows, and the padding cells a term
+//!   reads where the full pass skipped it;
+//! - `1.0·c` is exact: the full pass rewrote each Ψ-row as `1.0·1.0` every
+//!   step, so the shared row stays ones;
+//! - a first term that assigns equals `0 + x·c`: where the full pass
+//!   cleared a cell past `R − ρ(s)` and accumulated onto it, the self term
+//!   here assigns the `+0` it reads from the padding.
 
 use mrmc_mrm::{transform::make_absorbing, Mrm};
 
@@ -148,6 +185,20 @@ pub fn until_probabilities_all(
     r: f64,
     options: DiscretizationOptions,
 ) -> Result<Vec<DiscretizationResult>, NumericsError> {
+    until_probabilities_with(mrm, phi, psi, t, r, options, evolve_grid)
+}
+
+/// [`until_probabilities_all`] with the sweep passed in, so the tests can
+/// run the same problem, budgets included, through a reference sweep.
+fn until_probabilities_with(
+    mrm: &Mrm,
+    phi: &[bool],
+    psi: &[bool],
+    t: f64,
+    r: f64,
+    options: DiscretizationOptions,
+    sweep: fn(&GridProblem<'_>, f64) -> Result<Sweep, NumericsError>,
+) -> Result<Vec<DiscretizationResult>, NumericsError> {
     let n = mrm.num_states();
     for len in [phi.len(), psi.len()] {
         if len != n {
@@ -209,7 +260,7 @@ pub fn until_probabilities_all(
         scale,
         max_cells: options.max_cells,
     };
-    let fine = evolve_grid(&grid, d)?;
+    let fine = sweep(&grid, d)?;
     mrmc_obs::record(|| mrmc_obs::Event::DiscretizationGrid {
         time_steps: fine.time_steps as u64,
         reward_cells: fine.reward_cells as u64,
@@ -223,7 +274,7 @@ pub fn until_probabilities_all(
     // O((E·d)²) accumulated over t/d steps.
     let a_priori = (max_exit * max_exit * t * d).min(1.0);
     let coarse = if options.estimate_error && 2.0 * d <= stable_limit && 2.0 * d <= t {
-        evolve_grid(&grid, 2.0 * d).ok()
+        sweep(&grid, 2.0 * d).ok()
     } else {
         None
     };
@@ -296,15 +347,6 @@ impl GridProblem<'_> {
     }
 }
 
-/// One outgoing transition of a source row: destination state, `rate·d`,
-/// and the reward shift in cells (`ρ(source)` plus the impulse).
-#[derive(Debug, Clone, Copy)]
-struct Outgoing {
-    to: usize,
-    rate_d: f64,
-    shift: usize,
-}
-
 /// The per-state answers of one sweep, and the grid they came from.
 struct Sweep {
     /// `P(s)` for every state, clamped into `[0, 1]`.
@@ -313,57 +355,82 @@ struct Sweep {
     reward_cells: usize,
 }
 
-/// Run Algorithm 4.6 backward on the absorbed model with step `d`.
-/// Factored out of [`until_probabilities_all`] so the Richardson companion
-/// can re-run the same problem at `2d`.
-///
-/// The value grid is one flat `n·width` buffer (state-major), double
-/// buffered. Transitions are stored source-major in CSR row order, so each
-/// source row of the next layer is one pass over the *current* layer in a
-/// fixed order (self term, then destinations ascending), each a zipped
-/// slice iteration that reads `width − shift` cells starting `shift` cells
-/// ahead.
+/// Cells of one row summed together: every term of the row streams its
+/// source slice past the block, which stays in L1 meanwhile.
+const BLOCK: usize = 512;
+
+/// Index of the shared row of ones, which every Ψ-state reads.
+const ONES: usize = 0;
+
+/// One term of a live row: the row it reads, its weight (`1 − E(s)·d` for
+/// the self term, `rate·d` for a transition) and its reward shift in cells
+/// (`ρ(s)`, plus the impulse for a transition).
+#[derive(Debug, Clone, Copy)]
+struct Term {
+    row: usize,
+    weight: f64,
+    shift: usize,
+}
+
+/// Run Algorithm 4.6 backward on the absorbed model with step `d`, over
+/// the live rows only (see the module doc). Factored out of
+/// [`until_probabilities_all`] so the Richardson companion can re-run the
+/// same problem at `2d`.
 fn evolve_grid(g: &GridProblem<'_>, d: f64) -> Result<Sweep, NumericsError> {
-    let n = g.absorbed.num_states();
     let GridShape {
         time_steps,
         reward_cells,
         rho,
     } = g.shape(d)?;
     let width = reward_cells + 1;
-    let stay: Vec<f64> = g
-        .absorbed
-        .ctmc()
-        .exit_rates()
-        .iter()
-        .map(|&e| 1.0 - e * d)
+    let exit = g.absorbed.ctmc().exit_rates();
+    // Row 0 is the ones row; live rows follow in state order.
+    let mut live = Vec::new();
+    let row_of: Vec<Option<usize>> = (0..exit.len())
+        .map(|s| {
+            if g.psi[s] {
+                Some(ONES)
+            } else if exit[s] > 0.0 && rho[s] <= reward_cells {
+                live.push(s);
+                Some(live.len())
+            } else {
+                None
+            }
+        })
         .collect();
-    // Source-major transition lists; a shift past the grid reads only
-    // cells that are 0, so such transitions are dropped here.
+    // A shift past the grid reads only cells that are 0, so such
+    // transitions are dropped with those into the zero rows.
     let rates = g.absorbed.ctmc().rates();
-    let mut outgoing: Vec<Outgoing> = Vec::with_capacity(rates.nnz());
-    let mut row_end: Vec<usize> = Vec::with_capacity(n);
-    for (from, &rho_from) in rho.iter().enumerate() {
-        for (to, rate) in rates.row(from) {
+    let mut terms: Vec<Term> = Vec::with_capacity(live.len() + rates.nnz());
+    let mut terms_end: Vec<usize> = Vec::with_capacity(live.len());
+    for (own, &s) in live.iter().enumerate() {
+        terms.push(Term {
+            row: own + 1,
+            weight: 1.0 - exit[s] * d,
+            shift: rho[s],
+        });
+        for (to, rate) in rates.row(s) {
             let shift =
-                rho_from + ((g.absorbed.impulse_reward(from, to) * g.scale) / d).round() as usize;
-            if shift <= reward_cells {
-                outgoing.push(Outgoing {
-                    to,
-                    rate_d: rate * d,
+                rho[s] + ((g.absorbed.impulse_reward(s, to) * g.scale) / d).round() as usize;
+            if let (Some(row), true) = (row_of[to], shift <= reward_cells) {
+                terms.push(Term {
+                    row,
+                    weight: rate * d,
                     shift,
                 });
             }
         }
-        row_end.push(outgoing.len());
+        terms_end.push(terms.len());
     }
+    let stride = width + terms.iter().map(|t| t.shift).max().unwrap_or(0);
 
-    // Double-buffered flat values G[s·width + k].
-    let mut current = vec![0.0f64; n * width];
-    let mut next = vec![0.0f64; n * width];
-    for (row, _) in current.chunks_mut(width).zip(g.psi).filter(|(_, &q)| q) {
-        row.fill(1.0);
-    }
+    // Double-buffered values G[row·stride + k], every live row 0 at the
+    // start, and the length of each row's leading run of equal cells.
+    let mut current = vec![0.0f64; (live.len() + 1) * stride];
+    current[..width].fill(1.0);
+    let mut next = current.clone();
+    let mut flat = vec![width; live.len() + 1];
+    let mut next_flat = flat.clone();
 
     // Progress is throttled by step count (at most ~100 events per run) so
     // the emitted sequence is reproducible run-to-run.
@@ -376,29 +443,58 @@ fn evolve_grid(g: &GridProblem<'_>, d: f64) -> Result<Sweep, NumericsError> {
                 total: time_steps as u64,
             });
         }
-        let row = |s: usize| &current[s * width..(s + 1) * width];
         let mut first = 0;
-        for (s, dst) in next.chunks_mut(width).enumerate() {
-            let own = row(s).get(rho[s]..).unwrap_or(&[]);
-            let (head, tail) = dst.split_at_mut(own.len());
-            for (y, &x) in head.iter_mut().zip(own) {
-                *y = x * stay[s];
-            }
-            tail.fill(0.0);
-            for &Outgoing { to, rate_d, shift } in &outgoing[first..row_end[s]] {
-                for (y, &x) in dst.iter_mut().zip(&row(to)[shift..]) {
-                    *y += x * rate_d;
+        for (own, dst) in next.chunks_exact_mut(stride).enumerate().skip(1) {
+            let row_terms = &terms[first..terms_end[own - 1]];
+            first = terms_end[own - 1];
+            let (head, rest) = row_terms
+                .split_first()
+                .expect("a live row has its self term");
+            let run = row_terms
+                .iter()
+                .map(|t| flat[t.row].saturating_sub(t.shift))
+                .min()
+                .unwrap_or(0);
+            next_flat[own] = run;
+            let from = run.saturating_sub(1);
+            let src =
+                |t: &Term, at: usize, len: usize| &current[t.row * stride + t.shift + at..][..len];
+            for at in (from..width).step_by(BLOCK) {
+                let len = BLOCK.min(width - at);
+                let block = &mut dst[at..at + len];
+                for (y, &x) in block.iter_mut().zip(src(head, at, len)) {
+                    *y = x * head.weight;
+                }
+                // Two terms per pass: `(y + a) + b` is what two passes
+                // compute, with one load and store of the block fewer.
+                let mut pairs = rest.chunks_exact(2);
+                for pair in &mut pairs {
+                    let (a, b) = (&pair[0], &pair[1]);
+                    for ((y, &x), &z) in block.iter_mut().zip(src(a, at, len)).zip(src(b, at, len))
+                    {
+                        *y = (*y + x * a.weight) + z * b.weight;
+                    }
+                }
+                for t in pairs.remainder() {
+                    for (y, &x) in block.iter_mut().zip(src(t, at, len)) {
+                        *y += x * t.weight;
+                    }
                 }
             }
-            first = row_end[s];
+            let (low, high) = dst.split_at_mut(from);
+            low.fill(high[0]);
         }
         std::mem::swap(&mut current, &mut next);
+        std::mem::swap(&mut flat, &mut next_flat);
     }
 
-    let probabilities = current
-        .chunks(width)
+    let probabilities = row_of
+        .iter()
         .zip(&rho)
-        .map(|(row, &rho_s)| row.get(rho_s).map_or(0.0, |&p| p.clamp(0.0, 1.0)))
+        .map(|(row, &rho_s)| match row {
+            Some(row) if rho_s <= reward_cells => current[row * stride + rho_s].clamp(0.0, 1.0),
+            _ => 0.0,
+        })
         .collect();
     Ok(Sweep {
         probabilities,
@@ -416,6 +512,88 @@ mod tests {
     use mrmc_models::random::{random_mrm, RandomMrmConfig};
     use mrmc_models::tmr::{tmr, TmrConfig};
     use mrmc_mrm::{ImpulseRewards, StateRewards};
+
+    /// One outgoing transition of a source row: destination state, `rate·d`,
+    /// and the reward shift in cells (`ρ(source)` plus the impulse).
+    #[derive(Debug, Clone, Copy)]
+    struct Outgoing {
+        to: usize,
+        rate_d: f64,
+        shift: usize,
+    }
+
+    /// The reference for [`evolve_grid`]: the backward sweep with a full
+    /// row for every state, recomputed in full each step. Each cell is
+    /// assigned from the self term (0 where the own reward overruns the
+    /// row), then accumulates the outgoing transitions in CSR row order,
+    /// each over the cells whose source cell lies inside the grid.
+    fn reference_sweep(g: &GridProblem<'_>, d: f64) -> Result<Sweep, NumericsError> {
+        let n = g.absorbed.num_states();
+        let GridShape {
+            time_steps,
+            reward_cells,
+            rho,
+        } = g.shape(d)?;
+        let width = reward_cells + 1;
+        let stay: Vec<f64> = g
+            .absorbed
+            .ctmc()
+            .exit_rates()
+            .iter()
+            .map(|&e| 1.0 - e * d)
+            .collect();
+        let rates = g.absorbed.ctmc().rates();
+        let mut outgoing: Vec<Outgoing> = Vec::with_capacity(rates.nnz());
+        let mut row_end: Vec<usize> = Vec::with_capacity(n);
+        for (from, &rho_from) in rho.iter().enumerate() {
+            for (to, rate) in rates.row(from) {
+                let shift = rho_from
+                    + ((g.absorbed.impulse_reward(from, to) * g.scale) / d).round() as usize;
+                if shift <= reward_cells {
+                    outgoing.push(Outgoing {
+                        to,
+                        rate_d: rate * d,
+                        shift,
+                    });
+                }
+            }
+            row_end.push(outgoing.len());
+        }
+        let mut current = vec![0.0f64; n * width];
+        let mut next = vec![0.0f64; n * width];
+        for (row, _) in current.chunks_mut(width).zip(g.psi).filter(|(_, &q)| q) {
+            row.fill(1.0);
+        }
+        for _ in 1..time_steps {
+            let row = |s: usize| &current[s * width..(s + 1) * width];
+            let mut first = 0;
+            for (s, dst) in next.chunks_mut(width).enumerate() {
+                let own = row(s).get(rho[s]..).unwrap_or(&[]);
+                let (head, tail) = dst.split_at_mut(own.len());
+                for (y, &x) in head.iter_mut().zip(own) {
+                    *y = x * stay[s];
+                }
+                tail.fill(0.0);
+                for &Outgoing { to, rate_d, shift } in &outgoing[first..row_end[s]] {
+                    for (y, &x) in dst.iter_mut().zip(&row(to)[shift..]) {
+                        *y += x * rate_d;
+                    }
+                }
+                first = row_end[s];
+            }
+            std::mem::swap(&mut current, &mut next);
+        }
+        let probabilities = current
+            .chunks(width)
+            .zip(&rho)
+            .map(|(row, &rho_s)| row.get(rho_s).map_or(0.0, |&p| p.clamp(0.0, 1.0)))
+            .collect();
+        Ok(Sweep {
+            probabilities,
+            time_steps,
+            reward_cells,
+        })
+    }
 
     /// One incoming transition of a destination row: source state, `rate·d`,
     /// and the reward shift in cells.
@@ -538,6 +716,127 @@ mod tests {
                 "d = {d}, state {s}"
             );
             assert_eq!(single, *res, "d = {d}, state {s}");
+        }
+    }
+
+    /// [`until_probabilities_all`] against the same problem swept by
+    /// [`reference_sweep`], with and without the Richardson companion:
+    /// every probability and every budget component, bit for bit.
+    fn assert_bitwise_reference(
+        name: &str,
+        m: &Mrm,
+        phi: &[bool],
+        psi: &[bool],
+        t: f64,
+        r: f64,
+        d: f64,
+    ) {
+        let bits = |x: &DiscretizationResult| {
+            let b = &x.budget;
+            [
+                x.probability,
+                b.path_truncation,
+                b.poisson_tail,
+                b.float_accumulation,
+                b.discretization,
+                b.statistical,
+                b.propagation,
+                x.reward_scale,
+            ]
+            .map(f64::to_bits)
+        };
+        let with = DiscretizationOptions::with_step(d);
+        for opts in [with, with.without_error_estimate()] {
+            let fast = until_probabilities_all(m, phi, psi, t, r, opts).unwrap();
+            let reference =
+                until_probabilities_with(m, phi, psi, t, r, opts, reference_sweep).unwrap();
+            assert_eq!(fast.len(), reference.len());
+            for (s, (a, b)) in fast.iter().zip(&reference).enumerate() {
+                let at = format!("{name}, t = {t}, r = {r}, d = {d}, {opts:?}, state {s}");
+                assert_eq!(bits(a), bits(b), "{at}: {a:?} vs {b:?}");
+                assert_eq!(
+                    (a.time_steps, a.reward_cells),
+                    (b.time_steps, b.reward_cells),
+                    "{at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_is_bitwise_the_reference_row_pass() {
+        // Table 5.1's formula; d = 1/E_max is the stability limit, t = d
+        // runs no step, and at r = 0 no state of the absorbed phone model
+        // owns a row.
+        for m in [phone::phone(), phone::phone_with_impulses()] {
+            let phi: Vec<bool> = (0..m.num_states())
+                .map(|s| m.labeling().has(s, "Call_Idle") || m.labeling().has(s, "Doze"))
+                .collect();
+            let psi = m.labeling().states_with("Call_Initiated");
+            assert_bitwise_reference("phone", &m, &phi, &psi, 24.0, 600.0, 1.0 / 16.0);
+            let absorb: Vec<bool> = phi.iter().zip(&psi).map(|(&p, &q)| !p || q).collect();
+            let absorbed = make_absorbing(&m, &absorb).unwrap();
+            let max_exit = absorbed
+                .ctmc()
+                .exit_rates()
+                .iter()
+                .fold(0.0f64, |a, &e| a.max(e));
+            assert_bitwise_reference("phone", &m, &phi, &psi, 24.0, 600.0, 1.0 / max_exit);
+            assert_bitwise_reference("phone", &m, &phi, &psi, 1.0, 600.0, 1.0);
+            assert_bitwise_reference("phone", &m, &phi, &psi, 24.0, 0.0, 1.0 / 16.0);
+        }
+
+        let m = tmr(&TmrConfig::classic());
+        let phi = m.labeling().states_with("Sup");
+        let psi = m.labeling().states_with("failed");
+        for t in [50.0, 100.0, 150.0, 200.0] {
+            assert_bitwise_reference("tmr", &m, &phi, &psi, t, 3000.0, 0.25);
+        }
+
+        // ρ(idle) = 1319 cells per step overruns the 640-cell grid at r = 10.
+        let m = wavelan();
+        let phi = m.labeling().states_with("idle");
+        let psi = m.labeling().states_with("busy");
+        for r in [10.0, 206.25] {
+            assert_bitwise_reference("wavelan", &m, &phi, &psi, 1.0, r, 1.0 / 64.0);
+        }
+
+        let config = RandomMrmConfig {
+            states: 7,
+            extra_transitions_per_state: 1.5,
+            max_rate: 2.0,
+            reward_levels: vec![0.0, 1.0, 3.0],
+            impulse_levels: vec![0.0, 0.5, 2.0],
+            goal_fraction: 0.3,
+        };
+        for seed in 0..6 {
+            let m = random_mrm(seed, &config);
+            let phi: Vec<bool> = (0..m.num_states())
+                .map(|s| !(s + seed as usize).is_multiple_of(3))
+                .collect();
+            let psi = m.labeling().states_with("goal");
+            let max_exit = m.ctmc().exit_rates().iter().fold(0.0f64, |a, &e| a.max(e));
+            let d = 1.0 / (8.0 * max_exit.ceil());
+            for r in [0.0, 4.0] {
+                assert_bitwise_reference(&format!("random seed {seed}"), &m, &phi, &psi, 1.0, r, d);
+            }
+        }
+
+        // State 2 is absorbing by itself, a Φ∧¬Ψ state with ρ = 3; the
+        // transition 1 → 3 into the Ψ-state carries an impulse. Both moving
+        // states exit at rate 2, so at d = 1/2 their stay weight is 0.
+        let mut b = CtmcBuilder::new(4);
+        b.transition(0, 1, 1.5).transition(0, 2, 0.5);
+        b.transition(1, 0, 1.0).transition(1, 3, 1.0);
+        b.label(3, "goal");
+        let rho = StateRewards::new(vec![1.0, 2.0, 3.0, 0.0]).unwrap();
+        let mut iota = ImpulseRewards::new();
+        iota.set(0, 1, 2.0).unwrap();
+        iota.set(1, 3, 1.5).unwrap();
+        let m = Mrm::new(b.build().unwrap(), rho, iota).unwrap();
+        let psi = m.labeling().states_with("goal");
+        for d in [1.0 / 2.0, 1.0 / 8.0] {
+            assert_bitwise_reference("absorbing", &m, &[true; 4], &psi, 2.0, 5.0, d);
         }
     }
 
